@@ -92,7 +92,9 @@ type SearchRequest struct {
 	Buffer int64  `json:"buffer"`
 	Seed   int64  `json:"seed,omitempty"`
 	// Workers sizes this request's scan pool; 0 inherits the server's
-	// configured pool size (which itself defaults to GOMAXPROCS).
+	// configured pool size (which itself defaults to GOMAXPROCS). Counts
+	// above the server's GOMAXPROCS are clamped to it; the answer is
+	// identical for any worker count.
 	Workers int `json:"workers,omitempty"`
 	// Engine selects the search strategy: "auto" (default — coarse
 	// enumeration plus the server's configured polish on small lattices,
@@ -105,10 +107,13 @@ type SearchRequest struct {
 
 // SearchResponse is /v1/search's answer.
 type SearchResponse struct {
-	Method      string   `json:"method"`
-	Dataflow    Dataflow `json:"dataflow"`
-	Evaluations int64    `json:"evaluations"`
-	CacheHits   int64    `json:"cache_hits"`
+	Method   string   `json:"method"`
+	Dataflow Dataflow `json:"dataflow"`
+	// Evaluations counts the cost-model invocations this answer took;
+	// CacheHits counts the candidate visits a prebuilt candidate table
+	// served instead. Their sum is the same whichever path answered.
+	Evaluations int64 `json:"evaluations"`
+	CacheHits   int64 `json:"cache_hits"`
 	// Degraded marks a principle-based fallback answer produced when the
 	// scan could not finish inside its deadline budget (or failed
 	// internally); it is still feasible and never worse than the principle

@@ -2,24 +2,24 @@
 // engine configurations and writes a machine-readable report:
 //
 //   - reference-sequential: the frozen pre-optimization engines (unpruned
-//     coarse scan, no memoization) — the honest baseline.
-//   - pruned-cached: footprint-pruned scans with a per-operator evaluation
-//     cache shared across the buffer sweep (experiments.Fig9).
+//     coarse scan, per-candidate cost.Evaluate) — the honest baseline.
+//   - pruned: footprint-pruned scans priced through the batch kernel at
+//     every buffer point (experiments.Fig9).
 //   - parallel: the same, with (operator, buffer) points fanned across a
 //     worker pool (experiments.Fig9Parallel).
 //   - search-sweep-table: one footprint-indexed candidate table per operator,
 //     answering every buffer point by binary search over the table
 //     (experiments.Fig9Sweep).
 //   - search-sweep-analytic: the closed-form analytic optimizer alone — no
-//     lattice, no cache; tens of exact evaluations per point
+//     lattice; tens of exact evaluations per point
 //     (experiments.Fig9Analytic). Compared on MA values only, since its
 //     visit counts are intentionally tiny rather than conserved.
 //
 // The report (default BENCH_search.json) records wall time, cost-model
-// invocations, and cache hits per engine, whether every engine produced
-// bit-identical memory-access results — which they must — and the polish
-// evaluation drop: the uncached GA polish's evaluation count over the
-// analytic polish's across the same sweep points, gated ≥ 10×.
+// invocations, and table-served visits (cache_hits) per engine, whether
+// every engine produced bit-identical memory-access results — which they
+// must — and the polish evaluation drop: the GA polish's evaluation count
+// over the analytic polish's across the same sweep points, gated ≥ 10×.
 //
 //	fusecu-bench -out BENCH_search.json        # reduced sweep (CI smoke)
 //	fusecu-bench -full -out BENCH_search.json  # the paper's 32KiB–32MiB sweep
@@ -65,10 +65,10 @@ type report struct {
 	// speedup_parallel is additionally null when the parallel engine could
 	// not actually parallelize (single_core below): a 1-worker "parallel"
 	// ratio would quietly report scheduling noise as scaling.
-	SpeedupPrunedCached *float64 `json:"speedup_pruned_cached"`
-	SpeedupParallel     *float64 `json:"speedup_parallel"`
-	SpeedupTable        *float64 `json:"speedup_table"`
-	SpeedupAnalytic     *float64 `json:"speedup_analytic"`
+	SpeedupPruned   *float64 `json:"speedup_pruned"`
+	SpeedupParallel *float64 `json:"speedup_parallel"`
+	SpeedupTable    *float64 `json:"speedup_table"`
+	SpeedupAnalytic *float64 `json:"speedup_analytic"`
 	// SingleCore is true when the parallel engine effectively ran one
 	// worker (single-core container or -workers=1), so no parallel-scaling
 	// conclusion can be drawn from this report.
@@ -79,7 +79,7 @@ type report struct {
 	// every MA value (its visit counts are intentionally smaller).
 	IdenticalResults bool `json:"identical_results"`
 	// PolishEvalsGA / PolishEvalsAnalytic sum, over the same sweep points,
-	// the uncached evaluation counts of the two polish engines; their ratio
+	// the evaluation counts of the two polish engines; their ratio
 	// PolishEvalDrop is the per-request polish cost reduction and is gated
 	// ≥ minPolishDrop by run().
 	PolishEvalsGA       int64   `json:"polish_evals_ga"`
@@ -88,8 +88,8 @@ type report struct {
 }
 
 // minPolishDrop is the acceptance floor for the analytic polish: its
-// uncached evaluation count must be at least this factor below the GA
-// polish's over the sweep, or the bench fails loudly.
+// evaluation count must be at least this factor below the GA polish's over
+// the sweep, or the bench fails loudly.
 const minPolishDrop = 10
 
 func main() {
@@ -169,7 +169,7 @@ func run(out string, full bool, workers int) error {
 	prunedStart := time.Now()
 	pruned, err := experiments.Fig9(ops, buffers, 1)
 	if err != nil {
-		return fmt.Errorf("pruned-cached engine: %w", err)
+		return fmt.Errorf("pruned engine: %w", err)
 	}
 	prunedWall := time.Since(prunedStart)
 
@@ -196,12 +196,12 @@ func run(out string, full bool, workers int) error {
 
 	rep.Engines = []engineReport{
 		tally("reference-sequential", refWall, 1, ref),
-		tally("pruned-cached", prunedWall, 1, pruned),
+		tally("pruned", prunedWall, 1, pruned),
 		tally("parallel", parWall, effectiveWorkers, par),
 		tally("search-sweep-table", tabWall, 1, tab),
 		tally("search-sweep-analytic", anaWall, 1, ana),
 	}
-	rep.SpeedupPrunedCached = ratio(refWall, prunedWall)
+	rep.SpeedupPruned = ratio(refWall, prunedWall)
 	rep.SpeedupTable = ratio(refWall, tabWall)
 	rep.SpeedupAnalytic = ratio(refWall, anaWall)
 	if !rep.SingleCore {
@@ -243,14 +243,14 @@ func run(out string, full bool, workers int) error {
 	if rep.SingleCore {
 		parNote = "single-core"
 	}
-	fmt.Printf("wrote %s: reference %.1fms, pruned+cached %.1fms (%s), parallel %.1fms (%s), table %.1fms (%s), analytic %.1fms (%s), polish-drop %.1fx, identical=%v\n",
-		out, ms(refWall), ms(prunedWall), fmtSpeedup(rep.SpeedupPrunedCached),
+	fmt.Printf("wrote %s: reference %.1fms, pruned %.1fms (%s), parallel %.1fms (%s), table %.1fms (%s), analytic %.1fms (%s), polish-drop %.1fx, identical=%v\n",
+		out, ms(refWall), ms(prunedWall), fmtSpeedup(rep.SpeedupPruned),
 		ms(parWall), parNote, ms(tabWall), fmtSpeedup(rep.SpeedupTable),
 		ms(anaWall), fmtSpeedup(rep.SpeedupAnalytic), rep.PolishEvalDrop, rep.IdenticalResults)
 	return nil
 }
 
-// gaPolishEvals prices the frozen GA polish — uncached, default options —
+// gaPolishEvals prices the frozen GA polish — default options —
 // over every sweep point and returns its summed evaluation count: the
 // denominatorless "before" column of the polish-drop gate.
 func gaPolishEvals(ops []op.MatMul, buffers []int64, seed int64) (int64, error) {
@@ -293,8 +293,9 @@ func sweep(full bool) ([]op.MatMul, []int64) {
 }
 
 // referenceFig9 reproduces experiments.Fig9 exactly, but drives the frozen
-// reference engines: unpruned coarse enumeration, no evaluation cache, and
-// the same engine-selection threshold and polish stage as search.Optimize.
+// reference engines: unpruned coarse enumeration priced one candidate at a
+// time, and the same engine-selection threshold and polish stage as
+// search.Optimize.
 func referenceFig9(ops []op.MatMul, buffers []int64, seed int64) ([]experiments.Fig9Result, error) {
 	var results []experiments.Fig9Result
 	for _, mm := range ops {
@@ -344,7 +345,7 @@ func referenceOptimize(mm op.MatMul, bufferSize, _ int64) (search.Result, error)
 	return r, nil
 }
 
-// tally sums an engine's evaluation and cache-hit counters over the sweep.
+// tally sums an engine's evaluation and table-hit counters over the sweep.
 func tally(name string, wall time.Duration, workers int, results []experiments.Fig9Result) engineReport {
 	rep := engineReport{Name: name, WallMs: ms(wall), Workers: workers}
 	for _, r := range results {
@@ -358,7 +359,7 @@ func tally(name string, wall time.Duration, workers int, results []experiments.F
 
 // identical reports whether two sweeps agree on every paper-facing value:
 // buffer point, principle MA, search MA, ideal bound, and the total
-// candidate-visit count (evaluations + cache hits, which caching must
+// candidate-visit count (evaluations + table hits, which a table must
 // conserve).
 func identical(a, b []experiments.Fig9Result) bool {
 	if len(a) != len(b) {

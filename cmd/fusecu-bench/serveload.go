@@ -61,8 +61,6 @@ type serveReport struct {
 	LatencyP50Ms float64 `json:"latency_p50_ms"`
 	LatencyP95Ms float64 `json:"latency_p95_ms"`
 	LatencyP99Ms float64 `json:"latency_p99_ms"`
-	CacheHits    int64   `json:"cache_hits"`
-	CacheMisses  int64   `json:"cache_misses"`
 	// Fleet-wide candidate-table registry activity: artifacts loaded from
 	// the pregenerated -table-dir, tables built at request time, and O(log n)
 	// answers served from resident tables. With a pregenerated directory the
@@ -336,9 +334,6 @@ func serveLoad(out string, clients, maxInFlight, workers, replicas int, tableDir
 		if p := snap["http_latency_ms:search_p99"]; p > rep.LatencyP99Ms {
 			rep.LatencyP99Ms = p
 		}
-		st := r.svc.Cache().Stats()
-		rep.CacheHits += st.Hits
-		rep.CacheMisses += st.Misses
 	}
 	rep.ZeroRuntimeBuilds = rep.TableBuilds == 0
 

@@ -89,7 +89,7 @@ func runSingle(w io.Writer, mm op.MatMul, buffer int64, check bool, workers int,
 		res.Access.PerTensor[0], res.Access.PerTensor[1], res.Access.PerTensor[2], res.Access.OutputReads)
 	fmt.Fprintf(w, "footprint:  %d / %d elements\n", res.Access.Footprint, buffer)
 	if check {
-		sr, err := search.OptimizeParallel(mm, buffer, search.GeneticOptions{Seed: 1, Polish: polish}, workers, nil)
+		sr, err := search.OptimizeParallel(mm, buffer, search.GeneticOptions{Seed: 1, Polish: polish}, workers)
 		if err != nil {
 			return err
 		}

@@ -166,7 +166,7 @@ func SearchOptimize(mm MatMul, bufferSize int64, seed int64) (SearchResult, erro
 // returns ctx's error. workers ≤ 0 selects GOMAXPROCS; the result is
 // bit-identical to SearchOptimize for any worker count.
 func SearchOptimizeCtx(ctx context.Context, mm MatMul, bufferSize int64, seed int64, workers int) (SearchResult, error) {
-	return search.OptimizeParallelCtx(ctx, mm, bufferSize, search.GeneticOptions{Seed: seed}, workers, nil)
+	return search.OptimizeParallelCtx(ctx, mm, bufferSize, search.GeneticOptions{Seed: seed}, workers)
 }
 
 // Platforms returns the five evaluation platforms in the paper's order.

@@ -8,9 +8,8 @@
 //   - Store(&x) publishes x's storage. Any later write to x (assignment,
 //     x.f = …, x[i] = …, x++) on any path after the Store mutates memory a
 //     reader may be traversing and is reported. Redeclaring x with := opens
-//     fresh storage and clears the taint — this is exactly the EvalCache
-//     loop shape, `next := make(…); fill next; snap.Store(&next)` once per
-//     iteration.
+//     fresh storage and clears the taint — the copy-on-write loop shape,
+//     `next := make(…); fill next; snap.Store(&next)` once per iteration.
 //
 //   - Store(p) for pointer-typed p publishes p's referent. Later writes
 //     through p (p.f = …, *p = …) are reported; rebinding p itself

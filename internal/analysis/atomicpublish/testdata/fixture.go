@@ -65,7 +65,7 @@ func publishLast(c *cache) {
 	c.snap.Store(&m)
 }
 
-// The EvalCache republish loop: := opens fresh storage each iteration, so
+// The copy-on-write republish loop: := opens fresh storage each iteration, so
 // the back edge's taint dies at the redeclaration.
 func freshPerIteration(c *cache, updates []string) {
 	for _, k := range updates {

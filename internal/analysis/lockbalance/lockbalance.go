@@ -5,20 +5,19 @@
 // without default, WaitGroup.Wait, time.Sleep — may run while a lock is
 // held.
 //
-// The EvalCache's two-tier read path, the parallel engines' merge sections
-// and the service's table registry all follow a hold-briefly discipline:
-// the mutex guards a few map operations and is released before anything
-// that can park the goroutine. Violating it doesn't fail loudly — it
-// deadlocks under load or stalls the lock-free readers the serve-path p95
-// depends on — so the invariant is enforced at vet time on the control-flow
+// The parallel engines' merge sections, the service's table registry and
+// the fault injector all follow a hold-briefly discipline: the mutex guards
+// a few map operations and is released before anything that can park the
+// goroutine. Violating it doesn't fail loudly — it deadlocks under load or
+// stalls every request queued on the lock — so the invariant is enforced at vet time on the control-flow
 // graph (internal/analysis/cfg) with a forward may-analysis of held locks:
 // a leak is reported when some path reaches a return still holding a lock
 // with no deferred unlock registered on that path.
 //
 // Allowances: calls to functions whose name ends in "Locked" are permitted
 // while holding a lock — the repo's convention for helpers documented as
-// "caller holds mu" (e.g. evalCacheShard.publishLocked, which republishes
-// the snapshot under the shard mutex by design). sync.Cond.Wait is likewise
+// "caller holds mu" (e.g. a publishLocked that republishes a snapshot
+// under the mutex by design). sync.Cond.Wait is likewise
 // exempt (it must be called with the lock held). Cross-function lock flow
 // (a method that locks and a sibling that unlocks) is out of scope; the
 // -race CI job backstops it dynamically.

@@ -2,8 +2,10 @@ package cost
 
 import (
 	"fmt"
+	"math"
 
 	"fusecu/internal/dataflow"
+	"fusecu/internal/errs"
 	"fusecu/internal/invariant"
 	"fusecu/internal/op"
 )
@@ -39,8 +41,7 @@ type Block struct {
 	// for pruning) and copied into Out[i].Footprint verbatim.
 	Foot []int64
 	// Out receives the evaluated access per candidate; len(Out) == Len()
-	// after an EvalBlock call. Entries for indices served from a cache are
-	// written by the caller before an EvalIndexed pass fills the rest.
+	// after an EvalBlock call.
 	Out []Access
 }
 
@@ -109,10 +110,15 @@ type BatchEval struct {
 
 // NewBatchEval validates mm and every order once and compiles the per-order
 // reuse plans. orders is typically dataflow.AllOrders(); candidates pushed
-// into blocks refer to it by index.
+// into blocks refer to it by index. Block stores tiles as int32, so an
+// extent above math.MaxInt32 is rejected with errs.ErrInvalidOperator
+// rather than truncated into a negative tile.
 func NewBatchEval(mm op.MatMul, orders []dataflow.Order) (*BatchEval, error) {
 	if err := mm.Validate(); err != nil {
 		return nil, err
+	}
+	if mm.M > math.MaxInt32 || mm.K > math.MaxInt32 || mm.L > math.MaxInt32 {
+		return nil, fmt.Errorf("cost: %v has an extent above the batch kernel's int32 tile range: %w", mm, errs.ErrInvalidOperator)
 	}
 	if len(orders) == 0 || len(orders) > 256 {
 		return nil, fmt.Errorf("cost: batch kernel needs 1-256 orders, got %d", len(orders))
@@ -207,14 +213,6 @@ func (k *BatchEval) Stationary(oi uint8) dataflow.StationaryKind {
 // results are bit-identical to Evaluate on the corresponding Dataflow.
 func (k *BatchEval) EvalBlock(b *Block) {
 	for i := range b.OI {
-		b.Out[i] = k.evalOne(b.OI[i], b.TM[i], b.TK[i], b.TL[i], b.Foot[i])
-	}
-}
-
-// EvalIndexed evaluates only the candidates at the given block indices —
-// the cache-miss residue of a block whose hits were already filled in.
-func (k *BatchEval) EvalIndexed(b *Block, idx []int32) {
-	for _, i := range idx {
 		b.Out[i] = k.evalOne(b.OI[i], b.TM[i], b.TK[i], b.TL[i], b.Foot[i])
 	}
 }

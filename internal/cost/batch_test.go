@@ -1,10 +1,12 @@
 package cost
 
 import (
-	"math/rand"
+	"errors"
+	"math"
 	"testing"
 
 	"fusecu/internal/dataflow"
+	"fusecu/internal/errs"
 	"fusecu/internal/invariant"
 	"fusecu/internal/op"
 )
@@ -87,44 +89,6 @@ func TestBatchEvalMatchesEvaluate(t *testing.T) {
 	}
 }
 
-// TestBatchEvalIndexed checks that EvalIndexed fills exactly the requested
-// indices and leaves the rest untouched — the cache-miss residue contract.
-func TestBatchEvalIndexed(t *testing.T) {
-	mm := op.MatMul{Name: "idx", M: 37, K: 53, L: 29}
-	orders := dataflow.AllOrders()
-	kern, err := NewBatchEval(mm, orders)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	blk := NewBlock(128)
-	for i := 0; i < 128; i++ {
-		oi := uint8(rng.Intn(len(orders)))
-		tm, tk, tl := 1+rng.Intn(mm.M), 1+rng.Intn(mm.K), 1+rng.Intn(mm.L)
-		df := dataflow.Must(mm, orders[oi], dataflow.MustTiling(mm, tm, tk, tl))
-		blk.Push(oi, int32(tm), int32(tk), int32(tl), df.Tiling.Footprint())
-	}
-	var idx []int32
-	for i := 0; i < blk.Len(); i += 3 {
-		idx = append(idx, int32(i))
-	}
-	kern.EvalIndexed(blk, idx)
-	picked := map[int32]bool{}
-	for _, i := range idx {
-		picked[i] = true
-	}
-	for i := 0; i < blk.Len(); i++ {
-		df := dataflow.Must(mm, orders[blk.OI[i]], dataflow.MustTiling(mm, int(blk.TM[i]), int(blk.TK[i]), int(blk.TL[i])))
-		if picked[int32(i)] {
-			if want := MustEvaluate(mm, df); blk.Out[i] != want {
-				t.Fatalf("indexed candidate %d: got %+v want %+v", i, blk.Out[i], want)
-			}
-		} else if (blk.Out[i] != Access{}) {
-			t.Fatalf("unrequested candidate %d was written: %+v", i, blk.Out[i])
-		}
-	}
-}
-
 // TestBatchEvalStationary checks the kernel re-exports each order's rotation
 // class correctly.
 func TestBatchEvalStationary(t *testing.T) {
@@ -141,10 +105,22 @@ func TestBatchEvalStationary(t *testing.T) {
 }
 
 // TestNewBatchEvalRejects checks construction-time validation: bad operator,
-// empty order list, malformed order.
+// extents beyond Block's int32 tile range, empty order list, malformed order.
 func TestNewBatchEvalRejects(t *testing.T) {
 	if _, err := NewBatchEval(op.MatMul{Name: "bad", M: 0, K: 1, L: 1}, dataflow.AllOrders()); err == nil {
 		t.Fatal("invalid operator accepted")
+	}
+	for _, mm := range []op.MatMul{
+		{Name: "huge-m", M: math.MaxInt32 + 1, K: 2, L: 2},
+		{Name: "huge-k", M: 2, K: 3_000_000_000, L: 2},
+		{Name: "huge-l", M: 2, K: 2, L: math.MaxInt64},
+	} {
+		if _, err := NewBatchEval(mm, dataflow.AllOrders()); !errors.Is(err, errs.ErrInvalidOperator) {
+			t.Fatalf("%v: err = %v, want ErrInvalidOperator", mm, err)
+		}
+	}
+	if _, err := NewBatchEval(op.MatMul{Name: "max", M: math.MaxInt32, K: 2, L: 2}, dataflow.AllOrders()); err != nil {
+		t.Fatalf("extent MaxInt32 rejected: %v", err)
 	}
 	if _, err := NewBatchEval(op.MatMul{Name: "ok", M: 4, K: 4, L: 4}, nil); err == nil {
 		t.Fatal("empty order list accepted")

@@ -12,7 +12,7 @@ import (
 // Fig9Analytic computes the validation sweep through the closed-form
 // analytic optimizer alone: one compiled engine per operator, and per
 // buffer point only the integer boundary candidates around each regime's
-// interior optimum — no lattice scan, no evaluation cache, no randomness.
+// interior optimum — no lattice scan, no randomness.
 // On shapes inside the engine's exact-extent regime the MA values match
 // the lattice+polish engines point for point; the per-point SearchEvals
 // are the analytic engine's own evaluation counts (tens, versus the GA

@@ -31,8 +31,7 @@ func TestFig9ParallelCtxMatchesSequential(t *testing.T) {
 	for i := range seq {
 		for j := range seq[i].Points {
 			a, b := seq[i].Points[j], par[i].Points[j]
-			if a.PrincipleMA != b.PrincipleMA || a.SearchMA != b.SearchMA ||
-				a.SearchEvals+a.SearchCacheHits != b.SearchEvals+b.SearchCacheHits {
+			if a != b {
 				t.Fatalf("point %d/%d diverged: %+v vs %+v", i, j, a, b)
 			}
 		}

@@ -38,14 +38,13 @@ type Fig9Point struct {
 	// DAT-style searcher found; Ideal is the unbounded-buffer lower bound.
 	PrincipleMA, SearchMA, Ideal int64
 	// SearchEvals counts the searcher's cost-model invocations (the
-	// principles use a constant-size candidate set). Candidates served from
-	// the sweep-level evaluation cache are counted in SearchCacheHits
-	// instead, so SearchEvals stays comparable to the paper's search-cost
-	// metric; SearchEvals + SearchCacheHits is the total candidate-visit
-	// count and is invariant under caching.
+	// principles use a constant-size candidate set), the paper's
+	// search-cost metric. SearchEvals + SearchCacheHits is the total
+	// candidate-visit count, identical on the scan and table paths.
 	SearchEvals int64
-	// SearchCacheHits counts candidate visits served from the shared
-	// per-operator evaluation cache without invoking the cost model.
+	// SearchCacheHits counts lattice visits a candidate table served
+	// without invoking the cost model (Fig9Sweep); the scan-backed sweeps
+	// report 0.
 	SearchCacheHits int64
 }
 
@@ -76,15 +75,15 @@ func Fig9Buffers() []int64 {
 }
 
 // fig9Point computes one (operator, buffer) point of the validation sweep:
-// the principle optimum, the DAT-style search result (memoized through the
-// per-operator cache), and the ideal lower bound. The search stage honours
-// ctx, so canceling it abandons the point mid-search.
-func fig9Point(ctx context.Context, mm op.MatMul, bs, seed int64, cache *search.EvalCache) (Fig9Point, error) {
+// the principle optimum, the DAT-style search result, and the ideal lower
+// bound. The search stage honours ctx, so canceling it abandons the point
+// mid-search.
+func fig9Point(ctx context.Context, mm op.MatMul, bs, seed int64) (Fig9Point, error) {
 	pr, err := core.Optimize(mm, bs)
 	if err != nil {
 		return Fig9Point{}, fmt.Errorf("experiments: fig9 %v BS=%d: %w", mm, bs, err)
 	}
-	sr, err := search.OptimizeParallelCtx(ctx, mm, bs, search.GeneticOptions{Seed: seed}, 1, cache)
+	sr, err := search.OptimizeParallelCtx(ctx, mm, bs, search.GeneticOptions{Seed: seed}, 1)
 	if err != nil {
 		return Fig9Point{}, fmt.Errorf("experiments: fig9 search %v BS=%d: %w", mm, bs, err)
 	}
@@ -100,10 +99,9 @@ func fig9Point(ctx context.Context, mm op.MatMul, bs, seed int64, cache *search.
 
 // Fig9 validates the principles against the search baseline across the
 // buffer sweep. seed feeds the polish engine when it is the GA (the
-// default analytic polish is seedless). Each operator owns one
-// evaluation cache spanning its buffer sweep, so a candidate dataflow is
-// costed once and every later sweep point filters it by footprint only
-// (the repeat visits land in Fig9Point.SearchCacheHits).
+// default analytic polish is seedless). Every point rescans the operator's
+// coarse lattice through the batch kernel; Fig9Sweep is the table-backed
+// equivalent.
 func Fig9(ops []op.MatMul, buffers []int64, seed int64) ([]Fig9Result, error) {
 	return Fig9Ctx(context.Background(), ops, buffers, seed)
 }
@@ -115,9 +113,8 @@ func Fig9Ctx(ctx context.Context, ops []op.MatMul, buffers []int64, seed int64) 
 	var results []Fig9Result
 	for _, mm := range ops {
 		r := Fig9Result{Op: mm}
-		cache := search.NewEvalCache()
 		for _, bs := range buffers {
-			p, err := fig9Point(ctx, mm, bs, seed, cache)
+			p, err := fig9Point(ctx, mm, bs, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -130,12 +127,9 @@ func Fig9Ctx(ctx context.Context, ops []op.MatMul, buffers []int64, seed int64) 
 
 // Fig9Parallel computes the same sweep as Fig9 with the (operator, buffer)
 // points fanned across a worker pool (workers ≤ 0 selects GOMAXPROCS).
-// Every MA value and the per-point SearchEvals + SearchCacheHits sum are
-// deterministic and identical to Fig9's — the polish stage is
-// cache-independent — but the split between evaluations and
-// cache hits at a given point depends on which point warmed the shared
-// per-operator cache first. Failed points are reported joined, sorted by
-// sweep position, so failures reproduce run to run.
+// Every point is deterministic and identical to Fig9's. Failed points are
+// reported joined, sorted by sweep position, so failures reproduce run to
+// run.
 func Fig9Parallel(ops []op.MatMul, buffers []int64, seed int64, workers int) ([]Fig9Result, error) {
 	return Fig9ParallelCtx(context.Background(), ops, buffers, seed, workers)
 }
@@ -148,10 +142,8 @@ func Fig9ParallelCtx(ctx context.Context, ops []op.MatMul, buffers []int64, seed
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	caches := make([]*search.EvalCache, len(ops))
 	points := make([][]Fig9Point, len(ops))
 	for i := range ops {
-		caches[i] = search.NewEvalCache()
 		points[i] = make([]Fig9Point, len(buffers))
 	}
 
@@ -170,7 +162,7 @@ func Fig9ParallelCtx(ctx context.Context, ops []op.MatMul, buffers []int64, seed
 			for j := range ch {
 				// Each worker writes a distinct points[oi][bi] slot; only
 				// the error list is shared.
-				p, err := fig9Point(ctx, ops[j.oi], buffers[j.bi], seed, caches[j.oi])
+				p, err := fig9Point(ctx, ops[j.oi], buffers[j.bi], seed)
 				if err != nil {
 					state.mu.Lock()
 					state.errs = append(state.errs, fig9Error{oi: j.oi, bi: j.bi, err: err})

@@ -12,8 +12,8 @@ import (
 
 // This file holds the candidate-table fast paths of the evaluation sweeps.
 // The plain Fig9/Fig9Parallel harnesses rescan each operator's coarse
-// lattice at every buffer point (memoized through the EvalCache, but still
-// O(lattice) visits per point); the fast paths build one footprint-indexed
+// lattice at every buffer point (O(lattice) visits per point); the fast
+// paths build one footprint-indexed
 // CandTable per operator shape and serve every sweep point with an O(log n)
 // query plus the unchanged polish stage (analytic by default, GA behind
 // PolishGA). Results are bit-identical —
@@ -23,11 +23,10 @@ import (
 // Fig9Sweep computes the same validation sweep as Fig9 through the
 // candidate-table engine: per operator, one coarse table build replaces the
 // per-point lattice scans. Deterministic and point-for-point identical to
-// Fig9 in every MA value and in SearchEvals + SearchCacheHits; the split
-// between the two shifts toward cache hits because the table build performs
-// the lattice's cost-model work once up front (reported as table-build
-// evaluations inside the first point's accounting, exactly like the scan
-// path's cold sweep point).
+// Fig9 in every MA value and in SearchEvals + SearchCacheHits; the lattice
+// visits move from SearchEvals into SearchCacheHits because the table
+// serves them from its prebuilt steps, leaving only the polish's
+// evaluations in SearchEvals.
 func Fig9Sweep(ops []op.MatMul, buffers []int64, seed int64) ([]Fig9Result, error) {
 	return Fig9SweepCtx(context.Background(), ops, buffers, seed)
 }
@@ -39,11 +38,10 @@ func Fig9SweepCtx(ctx context.Context, ops []op.MatMul, buffers []int64, seed in
 	var results []Fig9Result
 	for _, mm := range ops {
 		r := Fig9Result{Op: mm}
-		cache := search.NewEvalCache()
 		var tab *search.CandTable
 		if search.CoarseLattice(mm) <= search.CoarseLatticeLimit {
 			var err error
-			tab, err = search.NewCandTable(mm, search.GridCoarse, cache)
+			tab, err = search.NewCandTable(mm, search.GridCoarse, nil)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: fig9 table %v: %w", mm, err)
 			}
@@ -53,7 +51,7 @@ func Fig9SweepCtx(ctx context.Context, ops []op.MatMul, buffers []int64, seed in
 			if err != nil {
 				return nil, fmt.Errorf("experiments: fig9 %v BS=%d: %w", mm, bs, err)
 			}
-			sr, err := search.OptimizeTableCtx(ctx, mm, bs, search.GeneticOptions{Seed: seed}, tab, cache)
+			sr, err := search.OptimizeTableCtx(ctx, mm, bs, search.GeneticOptions{Seed: seed}, tab, nil)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: fig9 search %v BS=%d: %w", mm, bs, err)
 			}
@@ -95,9 +93,9 @@ type Fig11SearchStats struct {
 	// distinct shapes actually built — the gap is the sharing the registry
 	// exploits (LLaMA2's four projections collapse to one table per seq).
 	ShapeRefs, TableBuilds int64
-	// BuildEvals / BuildCacheHits aggregate the builds' cost-model
-	// invocations and cache-served candidates.
-	BuildEvals, BuildCacheHits int64
+	// BuildEvals aggregates the builds' cost-model invocations: one per
+	// candidate of each built table.
+	BuildEvals int64
 }
 
 // fig11Shape keys tables by operator shape; names and multiplicity are
@@ -113,7 +111,6 @@ type fig11Shape struct{ m, k, l int }
 func Fig11Search(seqs []int, buffers []int64) ([]Fig11SearchRow, Fig11SearchStats, error) {
 	var rows []Fig11SearchRow
 	var stats Fig11SearchStats
-	cache := search.NewEvalCache()
 	tables := map[fig11Shape]*search.CandTable{}
 	for _, s := range seqs {
 		w, err := model.LLaMA2WithSeq(s).Build()
@@ -140,14 +137,13 @@ func Fig11Search(seqs []int, buffers []int64) ([]Fig11SearchRow, Fig11SearchStat
 			stats.ShapeRefs++
 			tab, ok := tables[key]
 			if !ok {
-				tab, err = search.NewCandTable(mm, search.GridCoarse, cache)
+				tab, err = search.NewCandTable(mm, search.GridCoarse, nil)
 				if err != nil {
 					return nil, stats, fmt.Errorf("experiments: fig11 table %v: %w", mm, err)
 				}
 				tables[key] = tab
 				stats.TableBuilds++
-				stats.BuildEvals += tab.BuildEvals()
-				stats.BuildCacheHits += tab.BuildCacheHits()
+				stats.BuildEvals += tab.Candidates()
 			}
 			for _, bs := range buffers {
 				pr, err := core.Optimize(mm, bs)

@@ -142,7 +142,7 @@ func NewAnalytic(mm op.MatMul) (*Analytic, error) {
 		orders: orders,
 		kern:   kern,
 	}
-	a.scan = newBlockScanner(mm, 0, orders, kern, nil, &a.stop, &a.acc)
+	a.scan = newBlockScanner(mm, 0, orders, kern, &a.stop, &a.acc)
 	return a, nil
 }
 
@@ -157,9 +157,8 @@ func OptimizeAnalytic(mm op.MatMul, bufferSize int64) (Result, error) {
 // OptimizeAnalyticCtx is OptimizeAnalytic under a cancelable context. The
 // engine visits only tens-to-hundreds of candidates, so cancellation is
 // checked once per candidate stride and once before the result is returned;
-// Result.Evaluations counts the exact pricings (the engine is uncached —
-// its boundary candidates are off-lattice points that almost never repeat),
-// CacheHits is always zero, and Method is "analytic". Like every engine it
+// Result.Evaluations counts the exact pricings, CacheHits is always zero,
+// and Method is "analytic". Like every engine it
 // is a panic-containment boundary: injected faults (SiteAnalytic, SiteEval)
 // and organic cost-model panics return as ErrInternal.
 func OptimizeAnalyticCtx(ctx context.Context, mm op.MatMul, bufferSize int64) (Result, error) {

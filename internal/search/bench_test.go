@@ -32,22 +32,22 @@ func BenchmarkCoarsePruned(b *testing.B) {
 
 func BenchmarkCoarseParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := ParallelCoarse(benchOp, benchBuffer, 0, nil); err != nil {
+		if _, err := ParallelCoarse(benchOp, benchBuffer, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkCoarseCachedSweep measures a warm-cache buffer sweep — the
-// Fig. 9 access pattern where the same candidate lattice is revisited at
-// every buffer size.
-func BenchmarkCoarseCachedSweep(b *testing.B) {
-	buffers := []int64{8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10}
-	b.ResetTimer()
+// sweepBuffers is the five-point buffer sweep the sweep benchmarks walk —
+// the Fig. 9 access pattern where the same candidate lattice is revisited
+// at every buffer size.
+var sweepBuffers = []int64{8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10}
+
+// BenchmarkCoarseSweep rescans the coarse lattice at every sweep point.
+func BenchmarkCoarseSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cache := NewEvalCache()
-		for _, bs := range buffers {
-			if _, err := ExhaustiveCoarseCached(benchOp, bs, cache); err != nil {
+		for _, bs := range sweepBuffers {
+			if _, err := ExhaustiveCoarse(benchOp, bs); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -75,59 +75,14 @@ func BenchmarkExhaustivePruned(b *testing.B) {
 func BenchmarkExhaustiveParallel(b *testing.B) {
 	mm := op.MatMul{Name: "bench-small", M: 24, K: 20, L: 24}
 	for i := 0; i < b.N; i++ {
-		if _, err := ParallelExhaustive(mm, 512, 0, nil); err != nil {
+		if _, err := ParallelExhaustive(mm, 512, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkEvalHotPath is the cached-hit evaluation — the inner loop of
-// every warm sweep and of serving traffic on a hot shape. The acceptance
-// bar is 0 allocs/op: one atomic pointer load, one immutable map read, one
-// counter bump, no mutex.
-func BenchmarkEvalHotPath(b *testing.B) {
-	mm := op.MatMul{Name: "hot", M: 48, K: 32, L: 40}
-	cache := NewEvalCache()
-	df := dataflow.Must(mm, dataflow.AllOrders()[2], dataflow.MustTiling(mm, 8, 4, 5))
-	for i := 0; i < publishPressure+2; i++ {
-		cache.Evaluate(mm, df) // warm through publication
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, hit := cache.Evaluate(mm, df); !hit {
-			b.Fatal("warmed key missed")
-		}
-	}
-}
-
-// BenchmarkEvalHotPathParallel is the same hit under reader concurrency —
-// the serving profile where the old single-tier design serialized on the
-// shard mutex.
-func BenchmarkEvalHotPathParallel(b *testing.B) {
-	mm := op.MatMul{Name: "hot", M: 48, K: 32, L: 40}
-	cache := NewEvalCache()
-	dfs := cacheTestDataflows(b, mm)
-	for _, df := range dfs {
-		cache.Evaluate(mm, df)
-		cache.Evaluate(mm, df)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			df := dfs[i%len(dfs)]
-			i++
-			if _, hit := cache.Evaluate(mm, df); !hit {
-				b.Fatal("warmed key missed")
-			}
-		}
-	})
-}
-
-// BenchmarkCostEvaluate is the uncached cost model itself; also 0 allocs/op
-// — the scan path allocates only per-scan constants, nothing per candidate.
+// BenchmarkCostEvaluate is the scalar cost model itself; 0 allocs/op — the
+// scan path allocates only per-scan constants, nothing per candidate.
 func BenchmarkCostEvaluate(b *testing.B) {
 	mm := op.MatMul{Name: "raw", M: 48, K: 32, L: 40}
 	df := dataflow.Must(mm, dataflow.AllOrders()[0], dataflow.MustTiling(mm, 8, 4, 5))
@@ -167,16 +122,14 @@ func BenchmarkTableBest(b *testing.B) {
 
 // BenchmarkTableSweep is the Fig. 9 access pattern over the table API:
 // build once, query every buffer point. Compare against
-// BenchmarkCoarseCachedSweep, which rescans the lattice per point.
+// BenchmarkCoarseSweep, which rescans the lattice per point.
 func BenchmarkTableSweep(b *testing.B) {
-	buffers := []int64{8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10}
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tab, err := NewCandTable(benchOp, GridCoarse, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, bs := range buffers {
+		for _, bs := range sweepBuffers {
 			if _, err := tab.Best(bs); err != nil {
 				b.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"fusecu/internal/cost"
@@ -69,13 +70,24 @@ func gridValues(mm op.MatMul, g Grid) (gm, gk, gl []int) {
 }
 
 // TableCandidates returns the number of (order, tiling) candidates a table
-// over grid g would hold for mm — the sizing input for admission caps.
+// over grid g would hold for mm — the sizing input for admission caps. The
+// full lattice is counted, not materialized, and a count beyond int64
+// saturates at math.MaxInt64.
 func TableCandidates(mm op.MatMul, g Grid) int64 {
 	if mm.Validate() != nil {
 		return 0
 	}
-	gm, gk, gl := gridValues(mm, g)
-	return invariant.CheckedMul3(int64(len(gm)), int64(len(gk)), int64(len(gl))) * int64(len(dataflow.AllOrders()))
+	if g == GridCoarse {
+		return CoarseLattice(mm)
+	}
+	n := int64(len(dataflow.AllOrders()))
+	for _, ext := range []int64{int64(mm.M), int64(mm.K), int64(mm.L)} {
+		if invariant.MulOverflows(n, ext) {
+			return math.MaxInt64
+		}
+		n *= ext
+	}
+	return n
 }
 
 // MaxTableCandidates is the hard admission cap of NewCandTable: above it the
@@ -112,19 +124,25 @@ type CandTable struct {
 	steps      []tableStep
 	classSteps [3][]tableStep
 	candidates int64
-	buildEvals int64
-	buildHits  int64
 }
 
+// EvalCache is an empty placeholder kept only so that callers written
+// against the removed evaluation cache still compile: NewCandTable and
+// OptimizeTableCtx accept one and ignore it. It is due for removal, with
+// those parameters, at the next change to the benchmark module.
+type EvalCache struct{}
+
+// NewEvalCache returns nil; see EvalCache.
+func NewEvalCache() *EvalCache { return nil }
+
 // NewCandTable enumerates and evaluates every candidate of grid g for mm
-// once and folds the footprint-sorted prefix minima. Evaluations route
-// through cache when non-nil (sharing cost work with scan engines and other
-// tables); cache hits are counted separately so BuildEvals stays the honest
-// cost-model-invocation metric. Builds above MaxTableCandidates are refused
-// with an error wrapping errs.ErrInfeasible-free sizing text; a panic
-// escaping the cost model (organic or fault-injected) is contained and
-// returned as errs.ErrInternal, like every engine boundary.
-func NewCandTable(mm op.MatMul, g Grid, cache *EvalCache) (*CandTable, error) {
+// once — Candidates() cost-model invocations through the batch kernel — and
+// folds the footprint-sorted prefix minima. The EvalCache argument is
+// ignored (see EvalCache). Builds above MaxTableCandidates are refused with
+// an error wrapping errs.ErrInfeasible-free sizing text; a panic escaping
+// the cost model (organic or fault-injected) is contained and returned as
+// errs.ErrInternal, like every engine boundary.
+func NewCandTable(mm op.MatMul, g Grid, _ *EvalCache) (*CandTable, error) {
 	if err := mm.Validate(); err != nil {
 		return nil, err
 	}
@@ -137,7 +155,7 @@ func NewCandTable(mm op.MatMul, g Grid, cache *EvalCache) (*CandTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := guardScan(func() { t.build(kern, cache) }); err != nil {
+	if err := guardScan(func() { t.build(kern) }); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -147,50 +165,15 @@ func NewCandTable(mm op.MatMul, g Grid, cache *EvalCache) (*CandTable, error) {
 // (footprint, canonical key) and folds the prefix-minimum steps. Runs
 // inside guardScan. Candidates stream through one reused struct-of-arrays
 // block — the same layout the enumeration scans dispatch — so the lattice
-// pass constructs and validates nothing per candidate; cache traffic is one
-// lookupBulk per block plus a single end-of-build insertBulk (every
-// candidate of a build is distinct, so later blocks never need to see
-// earlier blocks' misses).
-func (t *CandTable) build(kern *cost.BatchEval, cache *EvalCache) {
+// pass constructs and validates nothing per candidate.
+func (t *CandTable) build(kern *cost.BatchEval) {
 	gm, gk, gl := gridValues(t.mm, t.grid)
 	orders := dataflow.AllOrders()
 	entries := make([]candEntry, 0, t.candidates)
-	var stash []bulkEntry
 	blk := cost.NewBlock(scanBlockSize)
-	var keys []evalKey
-	var miss []int32
-	var probe blockProbe
-	var oc *opEvalCache
-	if cache != nil {
-		oc = cache.opCache(opShape{t.mm.M, t.mm.K, t.mm.L})
-		keys = make([]evalKey, 0, scanBlockSize)
-		miss = make([]int32, 0, scanBlockSize)
-	}
 	flush := func() {
-		n := blk.Len()
-		if n == 0 {
-			return
-		}
-		if oc == nil {
-			kern.EvalBlock(blk)
-			t.buildEvals += int64(n)
-		} else {
-			keys = keys[:0]
-			for i := 0; i < n; i++ {
-				keys = append(keys, evalKey{
-					tm: blk.TM[i], tk: blk.TK[i], tl: blk.TL[i],
-					oi: int32(blk.OI[i]),
-				})
-			}
-			miss = probe.lookupBulk(oc, keys, blk.Out, miss[:0])
-			kern.EvalIndexed(blk, miss)
-			for _, i := range miss {
-				stash = append(stash, bulkEntry{key: keys[i], access: blk.Out[i]})
-			}
-			t.buildEvals += int64(len(miss))
-			t.buildHits += int64(n - len(miss))
-		}
-		for i := 0; i < n; i++ {
+		kern.EvalBlock(blk)
+		for i := range blk.Out {
 			entries = append(entries, candEntry{
 				foot: blk.Foot[i], total: blk.Out[i].Total,
 				oi: int32(blk.OI[i]), tm: blk.TM[i], tk: blk.TK[i], tl: blk.TL[i],
@@ -217,9 +200,6 @@ func (t *CandTable) build(kern *cost.BatchEval, cache *EvalCache) {
 		}
 	}
 	flush()
-	if oc != nil {
-		oc.insertBulk(stash)
-	}
 	// Footprint-major sort with the canonical key as tie-break makes the
 	// fold deterministic; the fold itself is a min over the total order
 	// (total, key), so the optimum per prefix is independent of the order
@@ -283,16 +263,9 @@ func (t *CandTable) Op() op.MatMul { return t.mm }
 func (t *CandTable) Grid() Grid { return t.grid }
 
 // Candidates returns the number of (order, tiling) candidates the table
-// covers — the work one scan over the same lattice with an unbounded buffer
-// would do.
+// covers — the cost-model invocations its build performed, and the work
+// one scan over the same lattice with an unbounded buffer would do.
 func (t *CandTable) Candidates() int64 { return t.candidates }
-
-// BuildEvals returns the cost-model invocations the build performed;
-// BuildCacheHits the candidates served from the shared cache instead.
-func (t *CandTable) BuildEvals() int64 { return t.buildEvals }
-
-// BuildCacheHits returns the build's cache-served candidate count.
-func (t *CandTable) BuildCacheHits() int64 { return t.buildHits }
 
 // MemoryBytes estimates the table's resident size (footprint index plus
 // steps) for registry accounting.
@@ -329,10 +302,9 @@ func stepAt(steps []tableStep, bs int64) (tableStep, bool) {
 }
 
 // Best returns the optimal feasible candidate for bufferSize — the exact
-// Result a pruned cached scan over the same lattice would return, in
-// O(log n). Evaluations is 0 and CacheHits the number of feasible
-// candidates, so Evaluations + CacheHits stays invariant with every other
-// engine over the lattice.
+// Result a pruned scan over the same lattice would return, in O(log n).
+// Evaluations is 0 and CacheHits the number of feasible candidates the
+// table served, so Evaluations + CacheHits equals the scan's Evaluations.
 func (t *CandTable) Best(bufferSize int64) (Result, error) {
 	if bufferSize < 3 {
 		return Result{}, fmt.Errorf("search: buffer %d cannot hold 1×1 tiles: %w", bufferSize, errs.ErrBufferTooSmall)

@@ -19,7 +19,6 @@ import (
 // Evaluations + CacheHits == reference Evaluations.
 func TestCandTableMatchesReferenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	cache := NewEvalCache()
 	for trial := 0; trial < 25; trial++ {
 		mm := op.MatMul{
 			Name: "rand",
@@ -27,7 +26,7 @@ func TestCandTableMatchesReferenceRandomized(t *testing.T) {
 			K:    rng.Intn(9) + 1,
 			L:    rng.Intn(9) + 1,
 		}
-		tab, err := NewCandTable(mm, GridFull, cache)
+		tab, err := NewCandTable(mm, GridFull, nil)
 		if err != nil {
 			t.Fatalf("%v: build: %v", mm, err)
 		}
@@ -54,7 +53,6 @@ func TestCandTableMatchesReferenceRandomized(t *testing.T) {
 // enough that the coarse grid is a strict subset of the integer lattice.
 func TestCandTableCoarseMatchesReferenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	cache := NewEvalCache()
 	for trial := 0; trial < 20; trial++ {
 		mm := op.MatMul{
 			Name: "rand",
@@ -62,7 +60,7 @@ func TestCandTableCoarseMatchesReferenceRandomized(t *testing.T) {
 			K:    rng.Intn(60) + 1,
 			L:    rng.Intn(60) + 1,
 		}
-		tab, err := NewCandTable(mm, GridCoarse, cache)
+		tab, err := NewCandTable(mm, GridCoarse, nil)
 		if err != nil {
 			t.Fatalf("%v: build: %v", mm, err)
 		}
@@ -189,24 +187,21 @@ func TestCandTableStationaryClasses(t *testing.T) {
 	}
 }
 
-// TestCandTableBuildSharesCache asserts a rebuild of the same shape — even
-// under a different operator name — is served entirely from the shared
-// cache: zero cost-model invocations.
-func TestCandTableBuildSharesCache(t *testing.T) {
-	cache := NewEvalCache()
-	a, err := NewCandTable(op.MatMul{Name: "first", M: 10, K: 8, L: 6}, GridFull, cache)
+// TestCandTableIgnoresOperatorName asserts tables for identically shaped
+// operators under different names answer identically — cost depends only
+// on the dimensions, which is what lets the service share one table per
+// shape.
+func TestCandTableIgnoresOperatorName(t *testing.T) {
+	a, err := NewCandTable(op.MatMul{Name: "first", M: 10, K: 8, L: 6}, GridFull, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.BuildEvals() != a.Candidates() || a.BuildCacheHits() != 0 {
-		t.Fatalf("cold build: evals %d hits %d, want %d evals 0 hits", a.BuildEvals(), a.BuildCacheHits(), a.Candidates())
-	}
-	b, err := NewCandTable(op.MatMul{Name: "second", M: 10, K: 8, L: 6}, GridFull, cache)
+	b, err := NewCandTable(op.MatMul{Name: "second", M: 10, K: 8, L: 6}, GridFull, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.BuildEvals() != 0 || b.BuildCacheHits() != b.Candidates() {
-		t.Fatalf("warm build: evals %d hits %d, want 0 evals %d hits", b.BuildEvals(), b.BuildCacheHits(), b.Candidates())
+	if a.Candidates() != b.Candidates() {
+		t.Fatalf("candidate counts differ: %d vs %d", a.Candidates(), b.Candidates())
 	}
 	r1, err1 := a.Best(96)
 	r2, err2 := b.Best(96)
@@ -270,7 +265,7 @@ func TestCandTableBestZeroAllocs(t *testing.T) {
 
 // TestOptimizeTableMatchesOptimize is the engine-level identity: the
 // table-backed Optimize — table lookup for the lattice stage, unchanged
-// genetic polish — must reproduce OptimizeCached bit for bit, including the
+// genetic polish — must reproduce Optimize bit for bit, including the
 // combined Evaluations+CacheHits accounting and both selection branches
 // (lattice stage kept vs. genetic polish winning).
 func TestOptimizeTableMatchesOptimize(t *testing.T) {
@@ -289,8 +284,8 @@ func TestOptimizeTableMatchesOptimize(t *testing.T) {
 		}
 		maxFP := mm.SizeA() + mm.SizeB() + mm.SizeC()
 		for _, bs := range []int64{2, 16, maxFP / 2, maxFP * 2} {
-			want, wantErr := OptimizeCached(mm, bs, opts, NewEvalCache())
-			got, err := OptimizeTableCtx(context.Background(), mm, bs, opts, tab, NewEvalCache())
+			want, wantErr := Optimize(mm, bs, opts)
+			got, err := OptimizeTableCtx(context.Background(), mm, bs, opts, tab, nil)
 			if (err == nil) != (wantErr == nil) {
 				t.Fatalf("%v BS=%d: err=%v, optimize err=%v", mm, bs, err, wantErr)
 			}
@@ -316,8 +311,8 @@ func TestOptimizeTableLargeShapeSkipsLattice(t *testing.T) {
 		t.Skipf("shape no longer exceeds the lattice limit (%d)", CoarseLattice(mm))
 	}
 	opts := GeneticOptions{Seed: 5, Generations: 6, Population: 16}
-	want, wantErr := OptimizeCached(mm, 1<<16, opts, nil)
-	got, err := OptimizeTable(mm, 1<<16, opts, nil, nil)
+	want, wantErr := Optimize(mm, 1<<16, opts)
+	got, err := OptimizeTable(mm, 1<<16, opts, nil)
 	if (err == nil) != (wantErr == nil) {
 		t.Fatalf("err=%v, optimize err=%v", err, wantErr)
 	}
@@ -331,21 +326,21 @@ func TestOptimizeTableLargeShapeSkipsLattice(t *testing.T) {
 // answer.
 func TestOptimizeTableRejectsMismatchedTable(t *testing.T) {
 	mm := op.MatMul{Name: "t", M: 8, K: 8, L: 8}
-	if _, err := OptimizeTable(mm, 64, GeneticOptions{Seed: 1}, nil, nil); !errors.Is(err, errs.ErrInternal) {
+	if _, err := OptimizeTable(mm, 64, GeneticOptions{Seed: 1}, nil); !errors.Is(err, errs.ErrInternal) {
 		t.Fatalf("nil table err = %v, want ErrInternal", err)
 	}
 	wrong, err := NewCandTable(op.MatMul{Name: "w", M: 9, K: 8, L: 8}, GridCoarse, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OptimizeTable(mm, 64, GeneticOptions{Seed: 1}, wrong, nil); !errors.Is(err, errs.ErrInternal) {
+	if _, err := OptimizeTable(mm, 64, GeneticOptions{Seed: 1}, wrong); !errors.Is(err, errs.ErrInternal) {
 		t.Fatalf("wrong-shape table err = %v, want ErrInternal", err)
 	}
 	full, err := NewCandTable(mm, GridFull, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OptimizeTable(mm, 64, GeneticOptions{Seed: 1}, full, nil); !errors.Is(err, errs.ErrInternal) {
+	if _, err := OptimizeTable(mm, 64, GeneticOptions{Seed: 1}, full); !errors.Is(err, errs.ErrInternal) {
 		t.Fatalf("wrong-grid table err = %v, want ErrInternal", err)
 	}
 }

@@ -42,14 +42,14 @@ const SiteEval = "search.eval"
 // (cost.BatchEval) prices the whole block per call. Nothing per candidate is
 // validated, dispatched through an interface, or allocated — the reference
 // engines' per-candidate construction overhead is exactly the regression
-// this layout removes. Cache traffic is block-batched too: one lookupBulk
-// and one insertBulk per flushed block, each paying one lock acquisition and
-// at most one snapshot republish per touched shard.
+// this layout removes.
 
 // scanBlockSize is the candidate capacity of one struct-of-arrays scan
-// block. 2048 rows keep the per-worker block under ~200 KiB (resident in
-// L2) while amortizing the per-block cache round-trip to noise.
-const scanBlockSize = 2048
+// block. 256 rows (~24 KiB) keep each scanner's block in L1/L2 and the
+// per-call allocation small: the analytic engine prices only a few hundred
+// candidates per request, and a larger block would be allocated and dropped
+// whole on every /v1/search call.
+const scanBlockSize = 256
 
 // candKey identifies one enumeration candidate by its canonical
 // coordinates, used to break MA ties deterministically.
@@ -89,22 +89,18 @@ func fullRange(n int) []int {
 	return out
 }
 
-// evalDataflow routes one cost evaluation through the cache when present.
-// The boolean reports a cache hit, which callers count separately from
-// Evaluations so the paper's search-cost metric stays honest. This is the
-// genetic engine's evaluation path; the enumeration scans batch through
-// blockScanner instead — GA candidates are sparse, data-dependent points
-// that gain nothing from blocking.
-func evalDataflow(mm op.MatMul, df dataflow.Dataflow, cache *EvalCache) (cost.Access, bool) {
+// evalDataflow prices one candidate through the scalar cost model, firing
+// the per-visit fault-injection site first. This is the genetic engine's
+// evaluation path; the enumeration scans batch through blockScanner instead
+// — GA candidates are sparse, data-dependent points that gain nothing from
+// blocking.
+func evalDataflow(mm op.MatMul, df dataflow.Dataflow) cost.Access {
 	if err := faultinject.Active().Fire(SiteEval); err != nil {
 		// The evaluation path has no error return; the scan-level recover
-		// boundary (guardScan / geneticCtx) converts this into ErrInternal.
+		// boundary (guardScan / GeneticCtx) converts this into ErrInternal.
 		panic(err)
 	}
-	if cache != nil {
-		return cache.Evaluate(mm, df)
-	}
-	return cost.MustEvaluate(mm, df), false
+	return cost.MustEvaluate(mm, df)
 }
 
 // panicError converts a recovered panic value into the taxonomy's
@@ -192,55 +188,31 @@ func (e *enumBest) take(df dataflow.Dataflow, a cost.Access, key candKey) {
 // compete under the canonical tie-break.
 func (e *enumBest) merge(o enumBest) {
 	e.best.Evaluations += o.best.Evaluations
-	e.best.CacheHits += o.best.CacheHits
 	if o.found {
 		e.take(o.best.Dataflow, o.best.Access, o.bestKey)
 	}
 }
 
 // blockScanner owns one goroutine's slice of a scan: a reused candidate
-// block, the scratch for bulk cache traffic, and the chunk-local optimum.
-// Generation pushes candidates; a full block flushes through the batch
-// kernel (misses only, when a cache is present) and folds into acc. The
-// steady state allocates nothing per candidate — every slice below is
-// capacity-stable after the first flush.
+// block and the chunk-local optimum. Generation pushes candidates; a full
+// block flushes through the batch kernel and folds into acc. The steady
+// state allocates nothing per candidate — the block is capacity-stable.
 type blockScanner struct {
 	mm         op.MatMul
 	bufferSize int64
 	orders     []dataflow.Order
 	kern       *cost.BatchEval
-	oc         *opEvalCache // the operator's cache slice; nil for uncached scans
-	oidx       []int32      // orders[i] → canonical order index for cache keys
 	stop       *cancelCheck
 	acc        *enumBest
-
-	blk   *cost.Block
-	keys  []evalKey
-	miss  []int32
-	stash []bulkEntry
-	probe blockProbe
+	blk        *cost.Block
 }
 
-func newBlockScanner(mm op.MatMul, bufferSize int64, orders []dataflow.Order, kern *cost.BatchEval, cache *EvalCache, stop *cancelCheck, acc *enumBest) *blockScanner {
-	s := &blockScanner{
+func newBlockScanner(mm op.MatMul, bufferSize int64, orders []dataflow.Order, kern *cost.BatchEval, stop *cancelCheck, acc *enumBest) *blockScanner {
+	return &blockScanner{
 		mm: mm, bufferSize: bufferSize, orders: orders,
-		stop: stop, acc: acc,
-		kern: kern,
-		blk:  cost.NewBlock(scanBlockSize),
+		kern: kern, stop: stop, acc: acc,
+		blk: cost.NewBlock(scanBlockSize),
 	}
-	if cache != nil {
-		// Resolve the shape's sub-cache once; flushes then probe shards
-		// directly with compact per-candidate keys.
-		s.oc = cache.opCache(opShape{mm.M, mm.K, mm.L})
-		s.oidx = make([]int32, len(orders))
-		for i, o := range orders {
-			s.oidx[i] = orderIndex(o)
-		}
-		s.keys = make([]evalKey, 0, scanBlockSize)
-		s.miss = make([]int32, 0, scanBlockSize)
-		s.stash = make([]bulkEntry, 0, scanBlockSize)
-	}
-	return s
 }
 
 // push appends one candidate, firing the per-visit fault-injection site the
@@ -257,37 +229,17 @@ func (s *blockScanner) push(oi, tm, tk, tl int, foot int64) {
 	}
 }
 
-// flush prices the buffered candidates — whole-block through the kernel
-// without a cache; bulk-probe then miss-only kernel passes with one — and
-// folds them into the running optimum. A Dataflow is constructed only when a
-// candidate actually improves the optimum, so the per-candidate path stays
-// free of validation and allocation.
+// flush prices the buffered candidates through the kernel and folds them
+// into the running optimum. A Dataflow is constructed only when a candidate
+// actually improves the optimum, so the per-candidate path stays free of
+// validation and allocation.
 func (s *blockScanner) flush() {
 	n := s.blk.Len()
 	if n == 0 {
 		return
 	}
-	if s.oc == nil {
-		s.kern.EvalBlock(s.blk)
-		s.acc.best.Evaluations += int64(n)
-	} else {
-		s.keys = s.keys[:0]
-		for i := 0; i < n; i++ {
-			s.keys = append(s.keys, evalKey{
-				tm: s.blk.TM[i], tk: s.blk.TK[i], tl: s.blk.TL[i],
-				oi: s.oidx[s.blk.OI[i]],
-			})
-		}
-		s.miss = s.probe.lookupBulk(s.oc, s.keys, s.blk.Out, s.miss[:0])
-		s.kern.EvalIndexed(s.blk, s.miss)
-		s.stash = s.stash[:0]
-		for _, i := range s.miss {
-			s.stash = append(s.stash, bulkEntry{key: s.keys[i], access: s.blk.Out[i]})
-		}
-		s.oc.insertBulk(s.stash)
-		s.acc.best.Evaluations += int64(len(s.miss))
-		s.acc.best.CacheHits += int64(n - len(s.miss))
-	}
+	s.kern.EvalBlock(s.blk)
+	s.acc.best.Evaluations += int64(n)
 	for i := 0; i < n; i++ {
 		key := candKey{int(s.blk.OI[i]), int(s.blk.TM[i]), int(s.blk.TK[i]), int(s.blk.TL[i])}
 		if s.acc.improves(s.blk.Out[i].Total, key) {
@@ -350,7 +302,7 @@ type enumState struct {
 // immutable, is shared. On ctx cancellation dispatch stops, workers abandon
 // their current chunk at the next poll, and the (partial) accumulator is
 // returned for the caller to discard.
-func scanParallel(ctx context.Context, mm op.MatMul, bufferSize int64, orders []dataflow.Order, kern *cost.BatchEval, gm, gk, gl []int, cache *EvalCache, workers int) (enumBest, error) {
+func scanParallel(ctx context.Context, mm op.MatMul, bufferSize int64, orders []dataflow.Order, kern *cost.BatchEval, gm, gk, gl []int, workers int) (enumBest, error) {
 	type span struct{ lo, hi int }
 	// Several chunks per worker load-balance the ragged pruning: small-tm
 	// chunks admit far more feasible (tk, tl) partners than large-tm ones.
@@ -366,7 +318,7 @@ func scanParallel(ctx context.Context, mm op.MatMul, bufferSize int64, orders []
 		go func() {
 			defer wg.Done()
 			var local enumBest
-			scanner := newBlockScanner(mm, bufferSize, orders, kern, cache, newCancelCheck(ctx), &local)
+			scanner := newBlockScanner(mm, bufferSize, orders, kern, newCancelCheck(ctx), &local)
 			var failed error
 			for s := range ch {
 				if failed != nil {
@@ -416,29 +368,35 @@ dispatch:
 	return state.acc, state.err
 }
 
-// enumerate runs the pruned block scan over the given grids, sequentially
-// for workers == 1 and on a worker pool otherwise (workers ≤ 0 selects
-// GOMAXPROCS), and packages the optimum as a Result. Cancelling ctx stops
-// the scan promptly and surfaces ctx.Err(); a Background context restores
-// the historical non-cancellable behaviour at negligible cost.
-func enumerate(ctx context.Context, mm op.MatMul, bufferSize int64, gm, gk, gl []int, cache *EvalCache, workers int, method string) (Result, error) {
+// enumerate runs the pruned block scan over mm's lattice g, sequentially
+// for workers == 1 and on a worker pool otherwise, and packages the optimum
+// as a Result. The lattice is materialized only after the batch kernel
+// accepts mm, so an extent beyond the kernel's int32 tile range fails at
+// once instead of first allocating a full-range grid. workers ≤ 0 selects GOMAXPROCS, and larger requests are
+// clamped to it: every worker allocates its own scan block up front, and
+// the result is bit-identical for any worker count, so extra workers would
+// only cost memory. Cancelling ctx stops the scan promptly and surfaces
+// ctx.Err(); a Background context restores the historical non-cancellable
+// behaviour at negligible cost.
+func enumerate(ctx context.Context, mm op.MatMul, bufferSize int64, g Grid, workers int, method string) (Result, error) {
 	if err := mm.Validate(); err != nil {
 		return Result{}, err
 	}
 	if bufferSize < 3 {
 		return Result{}, fmt.Errorf("search: buffer %d cannot hold 1×1 tiles: %w", bufferSize, errs.ErrBufferTooSmall)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if procs := runtime.GOMAXPROCS(0); workers <= 0 || workers > procs {
+		workers = procs
 	}
 	orders := dataflow.AllOrders()
 	kern, err := cost.NewBatchEval(mm, orders)
 	if err != nil {
 		return Result{}, err
 	}
+	gm, gk, gl := gridValues(mm, g)
 	var acc enumBest
 	if workers == 1 {
-		scanner := newBlockScanner(mm, bufferSize, orders, kern, cache, newCancelCheck(ctx), &acc)
+		scanner := newBlockScanner(mm, bufferSize, orders, kern, newCancelCheck(ctx), &acc)
 		if err := guardScan(func() {
 			scanner.scanSpan(gm, gk, gl, 0, len(gm))
 			scanner.flush()
@@ -446,7 +404,7 @@ func enumerate(ctx context.Context, mm op.MatMul, bufferSize int64, gm, gk, gl [
 			return Result{}, err
 		}
 	} else {
-		acc, err = scanParallel(ctx, mm, bufferSize, orders, kern, gm, gk, gl, cache, workers)
+		acc, err = scanParallel(ctx, mm, bufferSize, orders, kern, gm, gk, gl, workers)
 		if err != nil {
 			return Result{}, err
 		}

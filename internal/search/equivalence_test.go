@@ -14,32 +14,28 @@ type engineCase struct {
 	run  func(op.MatMul, int64) (Result, error)
 }
 
-// prunedAndParallelEngines lists every optimized exhaustive variant that
-// must reproduce ReferenceExhaustive bit for bit. cache is shared across
-// calls when non-nil.
-func exhaustiveVariants(cache *EvalCache) []engineCase {
+// exhaustiveVariants lists every optimized exhaustive variant that must
+// reproduce ReferenceExhaustive bit for bit.
+func exhaustiveVariants() []engineCase {
 	return []engineCase{
 		{"pruned", Exhaustive},
-		{"pruned-cached", func(mm op.MatMul, bs int64) (Result, error) { return ExhaustiveCached(mm, bs, cache) }},
-		{"parallel-2", func(mm op.MatMul, bs int64) (Result, error) { return ParallelExhaustive(mm, bs, 2, nil) }},
-		{"parallel-5-cached", func(mm op.MatMul, bs int64) (Result, error) { return ParallelExhaustive(mm, bs, 5, cache) }},
-		{"parallel-auto", func(mm op.MatMul, bs int64) (Result, error) { return ParallelExhaustive(mm, bs, 0, nil) }},
+		{"parallel-2", func(mm op.MatMul, bs int64) (Result, error) { return ParallelExhaustive(mm, bs, 2) }},
+		{"parallel-5", func(mm op.MatMul, bs int64) (Result, error) { return ParallelExhaustive(mm, bs, 5) }},
+		{"parallel-auto", func(mm op.MatMul, bs int64) (Result, error) { return ParallelExhaustive(mm, bs, 0) }},
 	}
 }
 
-func coarseVariants(cache *EvalCache) []engineCase {
+func coarseVariants() []engineCase {
 	return []engineCase{
 		{"pruned", ExhaustiveCoarse},
-		{"pruned-cached", func(mm op.MatMul, bs int64) (Result, error) { return ExhaustiveCoarseCached(mm, bs, cache) }},
-		{"parallel-3", func(mm op.MatMul, bs int64) (Result, error) { return ParallelCoarse(mm, bs, 3, nil) }},
-		{"parallel-3-cached", func(mm op.MatMul, bs int64) (Result, error) { return ParallelCoarse(mm, bs, 3, cache) }},
+		{"parallel-3", func(mm op.MatMul, bs int64) (Result, error) { return ParallelCoarse(mm, bs, 3) }},
+		{"parallel-auto", func(mm op.MatMul, bs int64) (Result, error) { return ParallelCoarse(mm, bs, 0) }},
 	}
 }
 
 // checkEquivalent asserts got reproduces the reference optimum exactly:
 // same dataflow (including the deterministic tie-break), same access
-// breakdown, and the same total candidate-visit count, with cache hits
-// never hidden inside Evaluations.
+// breakdown, and the same total candidate-visit count.
 func checkEquivalent(t *testing.T, label string, ref, got Result) {
 	t.Helper()
 	if got.Dataflow != ref.Dataflow {
@@ -56,7 +52,6 @@ func checkEquivalent(t *testing.T, label string, ref, got Result) {
 
 func TestExhaustiveEnginesMatchReferenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	cache := NewEvalCache()
 	for trial := 0; trial < 25; trial++ {
 		mm := op.MatMul{
 			Name: "rand",
@@ -68,7 +63,7 @@ func TestExhaustiveEnginesMatchReferenceRandomized(t *testing.T) {
 		maxFP := mm.SizeA() + mm.SizeB() + mm.SizeC()
 		for _, bs := range []int64{2, 3, 7, maxFP / 2, maxFP, maxFP * 2} {
 			ref, refErr := ReferenceExhaustive(mm, bs)
-			for _, eng := range exhaustiveVariants(cache) {
+			for _, eng := range exhaustiveVariants() {
 				got, err := eng.run(mm, bs)
 				if (err == nil) != (refErr == nil) {
 					t.Fatalf("%v BS=%d %s: err=%v, reference err=%v", mm, bs, eng.name, err, refErr)
@@ -84,7 +79,6 @@ func TestExhaustiveEnginesMatchReferenceRandomized(t *testing.T) {
 
 func TestCoarseEnginesMatchReferenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	cache := NewEvalCache()
 	for trial := 0; trial < 20; trial++ {
 		mm := op.MatMul{
 			Name: "rand",
@@ -95,7 +89,7 @@ func TestCoarseEnginesMatchReferenceRandomized(t *testing.T) {
 		maxFP := mm.SizeA() + mm.SizeB() + mm.SizeC()
 		for _, bs := range []int64{2, 5, 16, maxFP / 3, maxFP * 2} {
 			ref, refErr := ReferenceCoarse(mm, bs)
-			for _, eng := range coarseVariants(cache) {
+			for _, eng := range coarseVariants() {
 				got, err := eng.run(mm, bs)
 				if (err == nil) != (refErr == nil) {
 					t.Fatalf("%v BS=%d %s: err=%v, reference err=%v", mm, bs, eng.name, err, refErr)
@@ -127,7 +121,6 @@ func TestDecodeShapeEnginesMatchReference(t *testing.T) {
 
 		// Full lattice via the exhaustive variants on a shrunken copy (the
 		// full grid over K=48 stays cheap because M or L is degenerate).
-		exCache := NewEvalCache()
 		exact := mm
 		if exact.M > 8 {
 			exact.M = 8
@@ -140,7 +133,7 @@ func TestDecodeShapeEnginesMatchReference(t *testing.T) {
 		}
 		for _, bs := range buffers {
 			ref, refErr := ReferenceExhaustive(exact, bs)
-			for _, eng := range exhaustiveVariants(exCache) {
+			for _, eng := range exhaustiveVariants() {
 				got, err := eng.run(exact, bs)
 				if (err == nil) != (refErr == nil) {
 					t.Fatalf("%v BS=%d %s: err=%v, reference err=%v", exact, bs, eng.name, err, refErr)
@@ -153,10 +146,9 @@ func TestDecodeShapeEnginesMatchReference(t *testing.T) {
 		}
 
 		// Coarse lattice at the real decode dimensions.
-		coCache := NewEvalCache()
 		for _, bs := range buffers {
 			ref, refErr := ReferenceCoarse(mm, bs)
-			for _, eng := range coarseVariants(coCache) {
+			for _, eng := range coarseVariants() {
 				got, err := eng.run(mm, bs)
 				if (err == nil) != (refErr == nil) {
 					t.Fatalf("%v BS=%d %s: err=%v, reference err=%v", mm, bs, eng.name, err, refErr)
@@ -170,92 +162,66 @@ func TestDecodeShapeEnginesMatchReference(t *testing.T) {
 	}
 }
 
-func TestEvalCacheServesRepeatSweepsEntirely(t *testing.T) {
-	mm := op.MatMul{M: 12, K: 10, L: 8}
-	cache := NewEvalCache()
+// TestOptimizeConservationWithAnalyticPolish pins the visit-conservation
+// story for the hybrid entry points: Optimize's evaluations are the lattice
+// scan's plus the analytic polish's small exact count, and OptimizeTable
+// serves the same lattice visits from a candidate table as CacheHits,
+// conserving the sum, while the polish contributes zero hits.
+func TestOptimizeConservationWithAnalyticPolish(t *testing.T) {
+	mm := op.MatMul{Name: "conserve", M: 96, K: 48, L: 64}
+	const bs = 4096
 
-	cold, err := ExhaustiveCached(mm, 1<<20, cache)
+	lattice, err := ExhaustiveCoarse(mm, bs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.CacheHits != 0 {
-		t.Errorf("cold run reported %d hits", cold.CacheHits)
-	}
-	if cold.Evaluations == 0 {
-		t.Fatal("cold run reported no evaluations")
-	}
-
-	// A second identical run must be served entirely from the cache without
-	// changing the optimum or the visit count.
-	warm, err := ExhaustiveCached(mm, 1<<20, cache)
+	polish, err := OptimizeAnalytic(mm, bs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Evaluations != 0 {
-		t.Errorf("warm run invoked the cost model %d times", warm.Evaluations)
-	}
-	if warm.CacheHits != cold.Evaluations {
-		t.Errorf("warm hits %d != cold evals %d", warm.CacheHits, cold.Evaluations)
-	}
-	if warm.Dataflow != cold.Dataflow || warm.Access != cold.Access {
-		t.Errorf("cache changed the optimum: %+v vs %+v", warm, cold)
+	if polish.CacheHits != 0 {
+		t.Fatalf("analytic polish reported %d cache hits, want 0", polish.CacheHits)
 	}
 
-	// A smaller buffer revisits a subset of cached candidates: still zero
-	// fresh evaluations, fewer visits, and footprint filtering intact.
-	small, err := ExhaustiveCached(mm, 40, cache)
+	scan, err := Optimize(mm, bs, GeneticOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if small.Evaluations != 0 {
-		t.Errorf("subset run invoked the cost model %d times", small.Evaluations)
+	if scan.CacheHits != 0 {
+		t.Errorf("scan-backed optimize reported %d cache hits", scan.CacheHits)
 	}
-	if small.CacheHits >= warm.CacheHits {
-		t.Errorf("subset visits %d not below full-sweep visits %d", small.CacheHits, warm.CacheHits)
-	}
-	if small.Access.Footprint > 40 {
-		t.Errorf("cached engine returned infeasible footprint %d", small.Access.Footprint)
+	if want := lattice.Evaluations + polish.Evaluations; scan.Evaluations != want {
+		t.Errorf("optimize evaluations %d != lattice %d + analytic polish %d",
+			scan.Evaluations, lattice.Evaluations, polish.Evaluations)
 	}
 
-	s := cache.Stats()
-	if s.Misses != cold.Evaluations || s.Entries != s.Misses {
-		t.Errorf("stats %+v inconsistent with cold evals %d", s, cold.Evaluations)
-	}
-	if s.Hits != warm.CacheHits+small.CacheHits {
-		t.Errorf("stats hits %d != %d + %d", s.Hits, warm.CacheHits, small.CacheHits)
-	}
-}
-
-func TestGeneticCacheDoesNotAlterResult(t *testing.T) {
-	mm := op.MatMul{M: 48, K: 36, L: 24}
-	opts := GeneticOptions{Seed: 9, Population: 24, Generations: 12}
-	plain, err := Genetic(mm, 1024, opts)
+	tab, err := NewCandTable(mm, GridCoarse, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewEvalCache()
-	for run := 0; run < 2; run++ {
-		cached, err := GeneticCached(mm, 1024, opts, cache)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cached.Dataflow != plain.Dataflow || cached.Access != plain.Access {
-			t.Fatalf("run %d: cache altered the GA result: %+v vs %+v", run, cached, plain)
-		}
-		if cached.Evaluations+cached.CacheHits != plain.Evaluations {
-			t.Fatalf("run %d: evals %d + hits %d != uncached evals %d",
-				run, cached.Evaluations, cached.CacheHits, plain.Evaluations)
-		}
-	}
-	// The second run's fitness stream is warm: the GA trajectory repeats, so
-	// nearly every visit must be a hit (the trajectory itself revisits
-	// genomes, so even the first run records some).
-	warm, err := GeneticCached(mm, 1024, opts, cache)
+	served, err := OptimizeTable(mm, bs, GeneticOptions{}, tab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Evaluations != 0 {
-		t.Errorf("fully warmed GA still invoked the cost model %d times", warm.Evaluations)
+	if served.Evaluations+served.CacheHits != scan.Evaluations {
+		t.Errorf("table visits %d+%d break conservation with scan %d",
+			served.Evaluations, served.CacheHits, scan.Evaluations)
+	}
+	// The table serves every lattice visit, so the only remaining cost-model
+	// invocations are the polish's own — the small exact count that replaced
+	// the GA's thousands.
+	if served.Evaluations != polish.Evaluations {
+		t.Errorf("table-served evaluations %d != analytic polish count %d",
+			served.Evaluations, polish.Evaluations)
+	}
+	if ga, err := Genetic(mm, bs, GeneticOptions{}); err != nil {
+		t.Fatal(err)
+	} else if polish.Evaluations*10 > ga.Evaluations {
+		t.Errorf("analytic polish %d evals not 10x below the GA's %d",
+			polish.Evaluations, ga.Evaluations)
+	}
+	if served.Access != scan.Access || served.Dataflow != scan.Dataflow {
+		t.Errorf("table-served optimum diverged: %+v vs %+v", served, scan)
 	}
 }
 

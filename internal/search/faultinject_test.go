@@ -50,7 +50,7 @@ func TestInjectedPanicContainedSequential(t *testing.T) {
 // and the scan reports ErrInternal instead of a partial optimum.
 func TestInjectedPanicContainedParallel(t *testing.T) {
 	armEval(t, faultinject.Plan{Site: SiteEval, Mode: faultinject.ModePanic, Offset: 500, Times: 1})
-	_, err := ParallelExhaustive(faultOp, 2048, 4, nil)
+	_, err := ParallelExhaustive(faultOp, 2048, 4)
 	if err == nil {
 		t.Fatal("parallel scan swallowed the injected panic")
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // This file freezes the original single-threaded engines exactly as first
-// written: no footprint pruning, no evaluation cache, no workers. They are
+// written: no footprint pruning, no batch kernel, no workers. They are
 // the ground truth the optimized engines (Exhaustive, ExhaustiveCoarse,
 // ParallelExhaustive, ParallelCoarse) are property-tested bit-identical
 // against, and the baseline the BENCH_search.json speedups are measured

@@ -21,9 +21,10 @@
 //     the GA pays thousands. It is the default polish stage of Optimize/
 //     OptimizeTable and the sole engine above CoarseLatticeLimit.
 //
-// Every engine has a *Cached variant accepting an EvalCache so buffer-size
-// sweeps evaluate each candidate dataflow once (cost does not depend on the
-// buffer size; only feasibility filtering does).
+// Every engine prices its candidates directly: the enumeration engines and
+// the analytic engine through the cost.BatchEval kernel, the GA through
+// cost.Evaluate. Only candidate tables (CandTable) amortize pricing across
+// calls, by folding a whole lattice into footprint-indexed step functions.
 package search
 
 import (
@@ -45,12 +46,13 @@ type Result struct {
 	Dataflow dataflow.Dataflow
 	Access   cost.Access
 	// Evaluations counts cost-model invocations, the search-cost metric the
-	// paper contrasts with one-shot principle optimization. Candidates
-	// served from an EvalCache are NOT counted here.
+	// paper contrasts with one-shot principle optimization.
 	Evaluations int64
-	// CacheHits counts candidate visits served from an EvalCache without
-	// invoking the cost model. Evaluations + CacheHits is the engine's
-	// total candidate-visit count and is invariant under caching.
+	// CacheHits counts candidate visits a CandTable served from its
+	// prebuilt step functions without invoking the cost model; every other
+	// engine reports 0. Evaluations + CacheHits is the engine's total
+	// candidate-visit count, equal on the table and scan paths over the
+	// same lattice.
 	CacheHits int64
 	Method    string
 }
@@ -61,23 +63,14 @@ type Result struct {
 // footprint monotonicity and is proven bit-identical to
 // ReferenceExhaustive.
 func Exhaustive(mm op.MatMul, bufferSize int64) (Result, error) {
-	return ExhaustiveCached(mm, bufferSize, nil)
+	return ExhaustiveCtx(context.Background(), mm, bufferSize)
 }
 
-// ExhaustiveCached is Exhaustive with candidate evaluations memoized in
-// cache (which may be nil).
-func ExhaustiveCached(mm op.MatMul, bufferSize int64, cache *EvalCache) (Result, error) {
-	return ExhaustiveCachedCtx(context.Background(), mm, bufferSize, cache)
-}
-
-// ExhaustiveCachedCtx is ExhaustiveCached with cooperative cancellation:
-// when ctx is canceled the scan abandons its sweep at the next poll and
-// returns ctx.Err() instead of a partial optimum.
-func ExhaustiveCachedCtx(ctx context.Context, mm op.MatMul, bufferSize int64, cache *EvalCache) (Result, error) {
-	if err := mm.Validate(); err != nil {
-		return Result{}, err
-	}
-	return enumerate(ctx, mm, bufferSize, fullRange(mm.M), fullRange(mm.K), fullRange(mm.L), cache, 1, "exhaustive")
+// ExhaustiveCtx is Exhaustive with cooperative cancellation: when ctx is
+// canceled the scan abandons its sweep at the next poll and returns
+// ctx.Err() instead of a partial optimum.
+func ExhaustiveCtx(ctx context.Context, mm op.MatMul, bufferSize int64) (Result, error) {
+	return enumerate(ctx, mm, bufferSize, GridFull, 1, "exhaustive")
 }
 
 // TileGrid returns the candidate tile values for one dimension extent used
@@ -108,57 +101,41 @@ func TileGrid(extent int) []int {
 // explore for large operators. Pruned like Exhaustive; proven bit-identical
 // to ReferenceCoarse.
 func ExhaustiveCoarse(mm op.MatMul, bufferSize int64) (Result, error) {
-	return ExhaustiveCoarseCached(mm, bufferSize, nil)
+	return ExhaustiveCoarseCtx(context.Background(), mm, bufferSize)
 }
 
-// ExhaustiveCoarseCached is ExhaustiveCoarse with candidate evaluations
-// memoized in cache (which may be nil).
-func ExhaustiveCoarseCached(mm op.MatMul, bufferSize int64, cache *EvalCache) (Result, error) {
-	return ExhaustiveCoarseCachedCtx(context.Background(), mm, bufferSize, cache)
-}
-
-// ExhaustiveCoarseCachedCtx is ExhaustiveCoarseCached with cooperative
-// cancellation, under the same promptness contract as ExhaustiveCachedCtx.
-func ExhaustiveCoarseCachedCtx(ctx context.Context, mm op.MatMul, bufferSize int64, cache *EvalCache) (Result, error) {
-	if err := mm.Validate(); err != nil {
-		return Result{}, err
-	}
-	return enumerate(ctx, mm, bufferSize, TileGrid(mm.M), TileGrid(mm.K), TileGrid(mm.L), cache, 1, "exhaustive-coarse")
+// ExhaustiveCoarseCtx is ExhaustiveCoarse with cooperative cancellation,
+// under the same promptness contract as ExhaustiveCtx.
+func ExhaustiveCoarseCtx(ctx context.Context, mm op.MatMul, bufferSize int64) (Result, error) {
+	return enumerate(ctx, mm, bufferSize, GridCoarse, 1, "exhaustive-coarse")
 }
 
 // ParallelExhaustive is Exhaustive sharded across a worker pool (workers ≤ 0
-// selects GOMAXPROCS). The result — dataflow, access, tie-break and
-// evaluation count — is bit-identical to the sequential engine's; only the
-// split between Evaluations and CacheHits can vary with scheduling when a
-// cache is shared.
-func ParallelExhaustive(mm op.MatMul, bufferSize int64, workers int, cache *EvalCache) (Result, error) {
-	return ParallelExhaustiveCtx(context.Background(), mm, bufferSize, workers, cache)
+// selects GOMAXPROCS, and larger counts are clamped to it). The result —
+// dataflow, access, tie-break and evaluation count — is bit-identical to
+// the sequential engine's for any worker count.
+func ParallelExhaustive(mm op.MatMul, bufferSize int64, workers int) (Result, error) {
+	return ParallelExhaustiveCtx(context.Background(), mm, bufferSize, workers)
 }
 
 // ParallelExhaustiveCtx is ParallelExhaustive with cooperative cancellation:
 // when ctx is canceled the dispatcher stops sharding, every worker abandons
 // its chunk at the next poll (at most ~1024 candidate visits away), and the
 // call returns ctx.Err() instead of a partial optimum.
-func ParallelExhaustiveCtx(ctx context.Context, mm op.MatMul, bufferSize int64, workers int, cache *EvalCache) (Result, error) {
-	if err := mm.Validate(); err != nil {
-		return Result{}, err
-	}
-	return enumerate(ctx, mm, bufferSize, fullRange(mm.M), fullRange(mm.K), fullRange(mm.L), cache, nonUnitWorkers(workers), "exhaustive-parallel")
+func ParallelExhaustiveCtx(ctx context.Context, mm op.MatMul, bufferSize int64, workers int) (Result, error) {
+	return enumerate(ctx, mm, bufferSize, GridFull, nonUnitWorkers(workers), "exhaustive-parallel")
 }
 
 // ParallelCoarse is ExhaustiveCoarse sharded across a worker pool, with the
 // same bit-identical-result guarantee as ParallelExhaustive.
-func ParallelCoarse(mm op.MatMul, bufferSize int64, workers int, cache *EvalCache) (Result, error) {
-	return ParallelCoarseCtx(context.Background(), mm, bufferSize, workers, cache)
+func ParallelCoarse(mm op.MatMul, bufferSize int64, workers int) (Result, error) {
+	return ParallelCoarseCtx(context.Background(), mm, bufferSize, workers)
 }
 
 // ParallelCoarseCtx is ParallelCoarse with cooperative cancellation, under
 // the same promptness contract as ParallelExhaustiveCtx.
-func ParallelCoarseCtx(ctx context.Context, mm op.MatMul, bufferSize int64, workers int, cache *EvalCache) (Result, error) {
-	if err := mm.Validate(); err != nil {
-		return Result{}, err
-	}
-	return enumerate(ctx, mm, bufferSize, TileGrid(mm.M), TileGrid(mm.K), TileGrid(mm.L), cache, nonUnitWorkers(workers), "exhaustive-coarse-parallel")
+func ParallelCoarseCtx(ctx context.Context, mm op.MatMul, bufferSize int64, workers int) (Result, error) {
+	return enumerate(ctx, mm, bufferSize, GridCoarse, nonUnitWorkers(workers), "exhaustive-coarse-parallel")
 }
 
 // nonUnitWorkers keeps an explicit workers=1 request on the sequential
@@ -240,29 +217,17 @@ func infeasibleFitness(total, overflow int64) int64 {
 // tilings. It is deterministic for a fixed seed. Like DAT it may return a
 // locally rather than globally optimal dataflow.
 func Genetic(mm op.MatMul, bufferSize int64, opts GeneticOptions) (Result, error) {
-	return GeneticCached(mm, bufferSize, opts, nil)
+	return GeneticCtx(context.Background(), mm, bufferSize, opts)
 }
 
-// GeneticCached is Genetic with fitness evaluations memoized in cache
-// (which may be nil). The cache never alters the GA's trajectory — the RNG
-// stream is independent of it — only the Evaluations/CacheHits split.
-func GeneticCached(mm op.MatMul, bufferSize int64, opts GeneticOptions, cache *EvalCache) (Result, error) {
-	return geneticCtx(context.Background(), mm, bufferSize, opts, cache)
-}
-
-// GeneticCtx is GeneticCached under a cancelable context: the generation
-// loop stops promptly when ctx is done, returning ctx's error.
-func GeneticCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticOptions, cache *EvalCache) (Result, error) {
-	return geneticCtx(ctx, mm, bufferSize, opts, cache)
-}
-
-// geneticCtx is the cancellation-aware GA core: the generation loop checks
-// ctx between generations (one generation is a bounded Population-sized
-// batch of closed-form evaluations, so the check cadence is milliseconds).
-// Like the enumeration engines it is a panic-containment boundary: a panic
-// escaping a fitness evaluation (injected or organic) is returned as an
-// ErrInternal error instead of unwinding into the caller.
-func geneticCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticOptions, cache *EvalCache) (res Result, err error) {
+// GeneticCtx is Genetic under a cancelable context: the generation loop
+// checks ctx between generations (one generation is a bounded
+// Population-sized batch of closed-form evaluations, so the check cadence is
+// milliseconds) and returns ctx's error once it is done. Like the
+// enumeration engines it is a panic-containment boundary: a panic escaping
+// a fitness evaluation (injected or organic) is returned as an ErrInternal
+// error instead of unwinding into the caller.
+func GeneticCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticOptions) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = Result{}, panicError(r)
@@ -278,15 +243,11 @@ func geneticCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts Geneti
 	rng := rand.New(rand.NewSource(opts.Seed))
 	orders := dataflow.AllOrders()
 
-	var evals, hits int64
+	var evals int64
 	fitness := func(g genome) int64 {
 		df := dataflow.Must(mm, orders[g.order], dataflow.ClampedTiling(mm, g.tm, g.tk, g.tl))
-		a, hit := evalDataflow(mm, df, cache)
-		if hit {
-			hits++
-		} else {
-			evals++
-		}
+		a := evalDataflow(mm, df)
+		evals++
 		if a.Footprint > bufferSize {
 			// Penalize infeasible individuals proportionally to overflow so
 			// repair pressure points back into the feasible region.
@@ -426,30 +387,19 @@ func geneticCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts Geneti
 	if a.Footprint > bufferSize {
 		return Result{}, fmt.Errorf("search: genetic search found no feasible dataflow for %v in buffer %d: %w", mm, bufferSize, errs.ErrInfeasible)
 	}
-	return Result{Dataflow: df, Access: a, Evaluations: evals, CacheHits: hits, Method: "genetic"}, nil
+	return Result{Dataflow: df, Access: a, Evaluations: evals, Method: "genetic"}, nil
 }
 
-// polishCtx runs the configured polish engine. Both modes deliberately run
-// uncached: their candidates are off-lattice tilings that almost never
-// repeat, so probing and flooding the shared cache with them costs more
-// than the evaluation it would save — the cacheable (lattice) work already
-// lives in the scan or the table. Both modes are deterministic and
-// cache-independent, so the hybrid entry points stay bit-identical across
-// the scan-backed, parallel and table-backed paths, including the
-// Evaluations+CacheHits conservation sum the equivalence tests pin.
+// polishCtx runs the configured polish engine: the analytic engine by
+// default (it needs no lattice and prices O(1) candidates), the GA behind
+// PolishGA. It is the second stage of the hybrid entry points and the only
+// stage above CoarseLatticeLimit. Both modes are deterministic, so the
+// hybrid entry points stay bit-identical across the scan-backed, parallel
+// and table-backed paths, including the Evaluations+CacheHits conservation
+// sum the equivalence tests pin.
 func polishCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticOptions) (Result, error) {
 	if opts.Polish == PolishGA {
-		return geneticCtx(ctx, mm, bufferSize, opts, nil)
-	}
-	return OptimizeAnalyticCtx(ctx, mm, bufferSize)
-}
-
-// solePolish is the engine selection above CoarseLatticeLimit, where the
-// polish is the only stage: the analytic engine by default (it needs no
-// lattice and prices O(1) candidates), the cached GA behind PolishGA.
-func solePolish(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticOptions, cache *EvalCache) (Result, error) {
-	if opts.Polish == PolishGA {
-		return geneticCtx(ctx, mm, bufferSize, opts, cache)
+		return GeneticCtx(ctx, mm, bufferSize, opts)
 	}
 	return OptimizeAnalyticCtx(ctx, mm, bufferSize)
 }
@@ -459,22 +409,15 @@ func solePolish(ctx context.Context, mm op.MatMul, bufferSize int64, opts Geneti
 // polish engine alone. This is the entry point the Fig. 9 harness uses as
 // "DAT".
 func Optimize(mm op.MatMul, bufferSize int64, opts GeneticOptions) (Result, error) {
-	return OptimizeCached(mm, bufferSize, opts, nil)
-}
-
-// OptimizeCached is Optimize with every candidate evaluation memoized in
-// cache (which may be nil) — the buffer-sweep entry point: across sweep
-// points the same candidates recur and are served as CacheHits.
-func OptimizeCached(mm op.MatMul, bufferSize int64, opts GeneticOptions, cache *EvalCache) (Result, error) {
-	return optimize(context.Background(), mm, bufferSize, opts, cache, 1)
+	return optimize(context.Background(), mm, bufferSize, opts, 1)
 }
 
 // OptimizeParallel is Optimize with the lattice stage sharded across
 // workers (workers ≤ 0 selects GOMAXPROCS); the polish stays sequential —
 // it prices only a handful of closed-form candidates (or, under PolishGA,
 // is a dependent chain by construction).
-func OptimizeParallel(mm op.MatMul, bufferSize int64, opts GeneticOptions, workers int, cache *EvalCache) (Result, error) {
-	return OptimizeParallelCtx(context.Background(), mm, bufferSize, opts, workers, cache)
+func OptimizeParallel(mm op.MatMul, bufferSize int64, opts GeneticOptions, workers int) (Result, error) {
+	return OptimizeParallelCtx(context.Background(), mm, bufferSize, opts, workers)
 }
 
 // OptimizeParallelCtx is OptimizeParallel with cooperative cancellation
@@ -483,8 +426,8 @@ func OptimizeParallel(mm op.MatMul, bufferSize int64, opts GeneticOptions, worke
 // stride. When ctx is canceled the call returns an error
 // wrapping ctx.Err(); an uncancelled ctx changes nothing — results stay
 // bit-identical to OptimizeParallel.
-func OptimizeParallelCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticOptions, workers int, cache *EvalCache) (Result, error) {
-	return optimize(ctx, mm, bufferSize, opts, cache, workers)
+func OptimizeParallelCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticOptions, workers int) (Result, error) {
+	return optimize(ctx, mm, bufferSize, opts, workers)
 }
 
 // CoarseLatticeLimit is the coarse-lattice size up to which Optimize runs
@@ -500,8 +443,8 @@ func CoarseLattice(mm op.MatMul) int64 {
 }
 
 // OptimizeTable is OptimizeTableCtx without cancellation.
-func OptimizeTable(mm op.MatMul, bufferSize int64, opts GeneticOptions, table *CandTable, cache *EvalCache) (Result, error) {
-	return OptimizeTableCtx(context.Background(), mm, bufferSize, opts, table, cache)
+func OptimizeTable(mm op.MatMul, bufferSize int64, opts GeneticOptions, table *CandTable) (Result, error) {
+	return OptimizeTableCtx(context.Background(), mm, bufferSize, opts, table, nil)
 }
 
 // OptimizeTableCtx is Optimize with the coarse lattice stage served by a
@@ -512,13 +455,14 @@ func OptimizeTable(mm op.MatMul, bufferSize int64, opts GeneticOptions, table *C
 //
 // table must cover mm's shape over GridCoarse when mm's coarse lattice is
 // within CoarseLatticeLimit; above the limit the lattice stage is skipped —
-// exactly as in Optimize — and table may be nil.
-func OptimizeTableCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticOptions, table *CandTable, cache *EvalCache) (Result, error) {
+// exactly as in Optimize — and table may be nil. The EvalCache argument is
+// ignored (see EvalCache).
+func OptimizeTableCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticOptions, table *CandTable, _ *EvalCache) (Result, error) {
 	if err := mm.Validate(); err != nil {
 		return Result{}, err
 	}
 	if CoarseLattice(mm) > CoarseLatticeLimit {
-		return solePolish(ctx, mm, bufferSize, opts, cache)
+		return polishCtx(ctx, mm, bufferSize, opts)
 	}
 	if table == nil {
 		return Result{}, fmt.Errorf("search: OptimizeTable needs a coarse candidate table for %v: %w", mm, errs.ErrInternal)
@@ -534,8 +478,8 @@ func OptimizeTableCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts 
 		return Result{}, err
 	}
 	// Same polish-and-keep-better rule as optimize(); the polish is
-	// deterministic and uncached (see polishCtx), so the combined result —
-	// including the conservation sum — matches the scan path bit for bit.
+	// deterministic (see polishCtx), so the combined result — including the
+	// conservation sum — matches the scan path bit for bit.
 	g, gerr := polishCtx(ctx, mm, bufferSize, opts)
 	if gerr == nil && g.Access.Total < r.Access.Total {
 		g.Evaluations += r.Evaluations
@@ -544,11 +488,10 @@ func OptimizeTableCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts 
 		return g, nil
 	}
 	r.Evaluations += g.Evaluations
-	r.CacheHits += g.CacheHits
 	return r, nil
 }
 
-func optimize(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticOptions, cache *EvalCache, workers int) (Result, error) {
+func optimize(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticOptions, workers int) (Result, error) {
 	lattice := CoarseLattice(mm)
 	if lattice <= CoarseLatticeLimit {
 		var (
@@ -556,9 +499,9 @@ func optimize(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticO
 			err error
 		)
 		if workers == 1 {
-			r, err = enumerate(ctx, mm, bufferSize, TileGrid(mm.M), TileGrid(mm.K), TileGrid(mm.L), cache, 1, "exhaustive-coarse")
+			r, err = ExhaustiveCoarseCtx(ctx, mm, bufferSize)
 		} else {
-			r, err = ParallelCoarseCtx(ctx, mm, bufferSize, workers, cache)
+			r, err = ParallelCoarseCtx(ctx, mm, bufferSize, workers)
 		}
 		if err != nil {
 			return Result{}, err
@@ -566,21 +509,17 @@ func optimize(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticO
 		// The coarse lattice can miss boundary tile values such as
 		// (BS−K)/(K+1); polish — the analytic engine's closed-form boundary
 		// candidates by default, DAT's MIP+GA hybrid under PolishGA — and
-		// keep the better of the two. The polish runs uncached (see
-		// polishCtx); its deterministic evaluation count only moves the
-		// Evaluations/CacheHits split, never the conserved sum.
+		// keep the better of the two.
 		g, gerr := polishCtx(ctx, mm, bufferSize, opts)
 		if gerr == nil && g.Access.Total < r.Access.Total {
 			g.Evaluations += r.Evaluations
-			g.CacheHits += r.CacheHits
 			g.Method = "coarse+" + opts.Polish.methodSuffix()
 			return g, nil
 		}
 		r.Evaluations += g.Evaluations
-		r.CacheHits += g.CacheHits
 		return r, nil
 	}
-	return solePolish(ctx, mm, bufferSize, opts, cache)
+	return polishCtx(ctx, mm, bufferSize, opts)
 }
 
 func clampT(v, hi int) int {

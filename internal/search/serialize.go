@@ -66,8 +66,11 @@ func EncodeTable(t *CandTable) []byte {
 		e.i64(int64(t.mm.L))
 		e.u8(uint8(t.grid))
 		e.i64(t.candidates)
-		e.i64(t.buildEvals)
-		e.i64(t.buildHits)
+		// Build counters (evaluations, cache hits): a build prices every
+		// candidate once, so they are (candidates, 0). The slots keep the
+		// layout, so artifacts whose builds reported cache hits still decode.
+		e.i64(t.candidates)
+		e.i64(0)
 	})
 	for ci := range t.classFoot {
 		foot := t.classFoot[ci]
@@ -298,7 +301,7 @@ func (d *tableDecoder) decode() (*CandTable, error) {
 		return nil, fmt.Errorf("build counters %d+%d do not partition %d candidates", buildEvals, buildHits, candidates)
 	}
 
-	t := &CandTable{mm: mm, grid: grid, candidates: candidates, buildEvals: buildEvals, buildHits: buildHits}
+	t := &CandTable{mm: mm, grid: grid, candidates: candidates}
 	var indexed int64
 	for ci := range t.classFoot {
 		d.beginSection()

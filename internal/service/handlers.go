@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"runtime"
 	"time"
 
 	"fusecu/api"
@@ -119,12 +118,11 @@ func (s *Server) handleSearch(ctx context.Context, body []byte) (any, error) {
 	if err := decodeStrict(body, &req); err != nil {
 		return nil, err
 	}
+	// The engines select GOMAXPROCS for a non-positive count and clamp
+	// larger ones to it, so a client cannot size the pool past the host.
 	workers := req.Workers
 	if workers <= 0 {
 		workers = s.cfg.SearchWorkers
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	mm := matmulOf(req.Op)
 
@@ -156,9 +154,9 @@ func (s *Server) handleSearch(ctx context.Context, body []byte) (any, error) {
 		if tab, used, terr := s.searchTable(mm, search.GridCoarse, search.CoarseLattice(mm) <= search.CoarseLatticeLimit); terr != nil {
 			err = terr
 		} else if used {
-			res, err = search.OptimizeTableCtx(scanCtx, mm, req.Buffer, opts, tab, s.cache)
+			res, err = search.OptimizeTableCtx(scanCtx, mm, req.Buffer, opts, tab, nil)
 		} else {
-			res, err = search.OptimizeParallelCtx(scanCtx, mm, req.Buffer, opts, workers, s.cache)
+			res, err = search.OptimizeParallelCtx(scanCtx, mm, req.Buffer, opts, workers)
 		}
 		if err == nil && s.cfg.Polish == search.PolishAnalytic {
 			// Observability for the polish migration: how many auto answers
@@ -171,7 +169,7 @@ func (s *Server) handleSearch(ctx context.Context, body []byte) (any, error) {
 		} else if used {
 			res, err = tab.Best(req.Buffer)
 		} else {
-			res, err = search.ParallelExhaustiveCtx(scanCtx, mm, req.Buffer, workers, s.cache)
+			res, err = search.ParallelExhaustiveCtx(scanCtx, mm, req.Buffer, workers)
 		}
 	case "coarse":
 		if tab, used, terr := s.searchTable(mm, search.GridCoarse, true); terr != nil {
@@ -179,10 +177,10 @@ func (s *Server) handleSearch(ctx context.Context, body []byte) (any, error) {
 		} else if used {
 			res, err = tab.Best(req.Buffer)
 		} else {
-			res, err = search.ParallelCoarseCtx(scanCtx, mm, req.Buffer, workers, s.cache)
+			res, err = search.ParallelCoarseCtx(scanCtx, mm, req.Buffer, workers)
 		}
 	case "genetic":
-		res, err = search.GeneticCtx(scanCtx, mm, req.Buffer, search.GeneticOptions{Seed: req.Seed}, s.cache)
+		res, err = search.GeneticCtx(scanCtx, mm, req.Buffer, search.GeneticOptions{Seed: req.Seed})
 	default:
 		return nil, badRequest("service: unknown engine %q (want auto, exhaustive, coarse or genetic)", req.Engine)
 	}

@@ -4,7 +4,7 @@
 //
 //   - POST /v1/optimize  — Principles 1–3, one-shot intra-operator optimum
 //   - POST /v1/plan      — Principle 4, chain-level fusion planning
-//   - POST /v1/search    — the DAT-style search baseline (parallel, memoized)
+//   - POST /v1/search    — the DAT-style search baseline (parallel, table-backed)
 //   - POST /v1/evaluate  — cross-platform workload evaluation (Fig. 10/11)
 //   - GET  /metrics      — Prometheus-style text exposition
 //   - GET  /healthz      — liveness probe (200 while the process lives)
@@ -15,8 +15,8 @@
 // strict request validation mapped onto the library's unified error
 // sentinels, per-request deadlines whose cancellation is threaded into the
 // search worker pools, a bounded-concurrency admission gate (429 +
-// Retry-After on saturation), and a process-wide shared evaluation cache so
-// repeated operators across requests hit memoized cost evaluations.
+// Retry-After on saturation), and a per-shape candidate-table registry so
+// repeated operators across requests are answered by an O(log n) lookup.
 //
 // The resilience layer on top:
 //
@@ -131,13 +131,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server holds the shared state of the service: the evaluation cache every
-// search request feeds, the metrics registry, the admission gate, and the
+// Server holds the shared state of the service: the candidate-table
+// registry, the metrics registry, the admission gate, and the
 // readiness/drain state machine.
 type Server struct {
-	cfg   Config
-	cache *search.EvalCache
-	reg   *metrics.Registry
+	cfg Config
+	reg *metrics.Registry
 	// tables shares footprint-indexed candidate tables across requests for
 	// identically shaped operators (metrics: table_builds/hits/evictions).
 	tables *tableRegistry
@@ -157,12 +156,11 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:   cfg,
-		cache: search.NewEvalCache(),
-		reg:   metrics.NewRegistry(),
-		gate:  make(chan struct{}, cfg.MaxInFlight),
+		cfg:  cfg,
+		reg:  metrics.NewRegistry(),
+		gate: make(chan struct{}, cfg.MaxInFlight),
 	}
-	s.tables = newTableRegistry(cfg.TableCapacity, s.cache, s.reg, cfg.TableStore, s.logf)
+	s.tables = newTableRegistry(cfg.TableCapacity, s.reg, cfg.TableStore, s.logf)
 	return s
 }
 
@@ -187,9 +185,6 @@ func (s *Server) BeginDrain() {
 
 // Draining reports whether BeginDrain was called.
 func (s *Server) Draining() bool { return s.draining.Load() }
-
-// Cache exposes the process-wide evaluation cache (tests assert hit rates).
-func (s *Server) Cache() *search.EvalCache { return s.cache }
 
 // Registry exposes the metrics registry (tests assert counters and the
 // in-flight high-water mark).
@@ -421,22 +416,9 @@ func decodeStrict(body []byte, v any) error {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	// Fold the shared cache's counters in at scrape time so operators see
-	// hit rate without a background updater.
-	st := s.cache.Stats()
-	setCounter(s.reg.Counter("search_cache_hits_total"), st.Hits)
-	setCounter(s.reg.Counter("search_cache_misses_total"), st.Misses)
-	setCounter(s.reg.Counter("search_cache_entries"), st.Entries)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	if err := s.reg.WriteText(w); err != nil {
 		s.reg.Counter("http_encode_errors_total").Inc()
-	}
-}
-
-// setCounter forces a counter to an absolute externally-tracked value.
-func setCounter(c *metrics.Counter, v int64) {
-	if d := v - c.Value(); d > 0 {
-		c.Add(d)
 	}
 }
 

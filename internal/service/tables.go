@@ -28,14 +28,12 @@ import (
 //
 // Eviction only unlinks the registry's reference; requests already holding
 // a table keep using it (tables are immutable), and the next request for an
-// evicted shape resolves again through the disk store or the shared
-// EvalCache, which typically still holds the candidates' evaluations.
+// evicted shape resolves again through the disk store or a fresh build.
 type tableRegistry struct {
 	mu      sync.Mutex
 	cap     int
 	lru     *list.List // of tableKey; front = most recently used
 	entries map[tableKey]*tableEntry
-	cache   *search.EvalCache
 	store   *tablestore.Store
 	logf    func(format string, args ...any)
 
@@ -72,13 +70,12 @@ type tableEntry struct {
 	elem    *list.Element
 }
 
-func newTableRegistry(capacity int, cache *search.EvalCache, reg *metrics.Registry,
+func newTableRegistry(capacity int, reg *metrics.Registry,
 	store *tablestore.Store, logf func(format string, args ...any)) *tableRegistry {
 	return &tableRegistry{
 		cap:        capacity,
 		lru:        list.New(),
 		entries:    map[tableKey]*tableEntry{},
-		cache:      cache,
 		store:      store,
 		logf:       logf,
 		builds:     reg.Counter("table_builds"),
@@ -141,7 +138,7 @@ func (r *tableRegistry) get(mm op.MatMul, grid search.Grid) (*search.CandTable, 
 			}
 		}
 		r.builds.Inc()
-		e.table, e.err = search.NewCandTable(mm, grid, r.cache)
+		e.table, e.err = search.NewCandTable(mm, grid, nil)
 		e.source = "built"
 	})
 	if e.err != nil {

@@ -3,8 +3,11 @@ package service
 import (
 	"fmt"
 	"net/http"
+	"runtime"
 	"testing"
+	"time"
 
+	"fusecu/api"
 	"fusecu/internal/faultinject"
 	"fusecu/internal/op"
 	"fusecu/internal/search"
@@ -55,7 +58,7 @@ func TestSearchTableBitIdentityAcrossEngines(t *testing.T) {
 	}
 	// auto on a small lattice goes through OptimizeTableCtx (table + genetic
 	// polish); it must match the scan-backed auto engine bit for bit.
-	wantAuto, err := search.OptimizeParallel(mm, buffer, search.GeneticOptions{}, 1, nil)
+	wantAuto, err := search.OptimizeParallel(mm, buffer, search.GeneticOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,21 +166,70 @@ func TestTableBuildErrorRetries(t *testing.T) {
 }
 
 // TestDisableTablesRestoresScan: with the fast path off, repeated identical
-// requests exercise the per-request scans and the shared eval cache, as
-// before this feature existed.
+// requests each run the per-request scan, pricing every visit.
 func TestDisableTablesRestoresScan(t *testing.T) {
 	s, ts := newTestServer(t, Config{DisableTables: true})
 	body := searchBody(op.MatMul{Name: "scan", M: 24, K: 20, L: 22}, 1024, "exhaustive")
 	for i := 0; i < 2; i++ {
-		if code, raw := post(t, ts, "/v1/search", body, nil); code != http.StatusOK {
+		var resp searchResponse
+		if code, raw := post(t, ts, "/v1/search", body, &resp); code != http.StatusOK {
 			t.Fatalf("status %d: %s", code, raw)
+		}
+		if resp.Evaluations == 0 || resp.CacheHits != 0 {
+			t.Fatalf("request %d: %d evals + %d table hits, want a full scan", i, resp.Evaluations, resp.CacheHits)
 		}
 	}
 	if tb := s.Registry().Counter("table_builds").Value(); tb != 0 {
 		t.Fatalf("table_builds = %d with tables disabled", tb)
 	}
-	if st := s.Cache().Stats(); st.Hits == 0 {
-		t.Fatalf("scan path did not use the shared cache: %+v", st)
+}
+
+// TestSearchWorkersClamped sends a client-sized worker count far beyond the
+// host's GOMAXPROCS down the scan path: the answer must match the reference
+// and the request must not allocate a scan block per requested worker.
+func TestSearchWorkersClamped(t *testing.T) {
+	_, ts := newTestServer(t, Config{DisableTables: true})
+	mm := op.MatMul{Name: "workers", M: 24, K: 20, L: 24}
+	want, err := search.ReferenceCoarse(mm, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"op":{"m":%d,"k":%d,"l":%d},"buffer":512,"engine":"coarse","workers":%d}`,
+		mm.M, mm.K, mm.L, 1<<20)
+	var resp searchResponse
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	code, raw := post(t, ts, "/v1/search", body, &resp)
+	runtime.ReadMemStats(&after)
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, raw)
+	}
+	if resp.Dataflow.MemoryAccess != want.Access.Total || resp.Dataflow.TM != want.Dataflow.Tiling.TM ||
+		resp.Dataflow.TK != want.Dataflow.Tiling.TK || resp.Dataflow.TL != want.Dataflow.Tiling.TL ||
+		resp.Evaluations != want.Evaluations {
+		t.Fatalf("answer %+v (%d evals) != reference %v (%d evals)",
+			resp.Dataflow, resp.Evaluations, want.Dataflow, want.Evaluations)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 16<<20 {
+		t.Fatalf("request allocated %d bytes, want ≤ 16 MiB", n)
+	}
+}
+
+// TestSearchHugeExtentIsInvalidRequest pins the typed rejection of extents
+// beyond the batch kernel's int32 tile range: 400 invalid_request at once on
+// every engine that prices through the kernel, never a degraded fallback.
+func TestSearchHugeExtentIsInvalidRequest(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	mm := op.MatMul{Name: "huge", M: 3_000_000_000, K: 2, L: 2}
+	for _, engine := range []string{"auto", "exhaustive", "coarse"} {
+		start := time.Now()
+		code, raw := post(t, ts, "/v1/search", searchBody(mm, 1<<40, engine), nil)
+		if code != http.StatusBadRequest || errCode(t, raw) != api.CodeInvalidRequest {
+			t.Fatalf("%s: status %d: %s, want 400 invalid_request", engine, code, raw)
+		}
+		if el := time.Since(start); el > 2*time.Second {
+			t.Errorf("%s: rejection took %v", engine, el)
+		}
 	}
 }
 
