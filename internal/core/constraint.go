@@ -117,6 +117,13 @@ func OptimizeConstrained(mm op.MatMul, bufferSize int64, c Constraint) (Result, 
 // frontierCandidate sweeps the feasible (T_d1, T_d2) frontier of the
 // stationary tensor's dimensions over the constraint's tile lattice, with
 // the third dimension's tile pinned to its minimum allowed value.
+//
+// T_d1 walks the left endpoints of its ceil(ext1/T_d1) plateaus on the
+// lattice (dataflow.NextPlateauTile) and returns the first minimizer of the
+// full lattice sweep: the largest T_d2 that fits never grows with T_d1, so
+// the traffic is non-decreasing along each plateau. Square breaks that
+// premise (T_d2 follows T_d1 upward), so it keeps the per-lattice-point
+// scan.
 func frontierCandidate(mm op.MatMul, bufferSize int64, stationary dataflow.Tensor, c Constraint) (Candidate, bool) {
 	dd := stationary.Dims()
 	d1, d2 := dd[0], dd[1]
@@ -139,14 +146,11 @@ func frontierCandidate(mm op.MatMul, bufferSize int64, stationary dataflow.Tenso
 	}
 
 	var (
-		found      bool
-		bestMA     int64
-		bestTiling dataflow.Tiling
+		found bool
+		best  dataflow.Dataflow
+		acc   cost.Access
 	)
 	try := func(t1 int) {
-		if t1 == 0 {
-			return
-		}
 		// Footprint: t1·t2 + t1·t3 + t2·t3 ≤ BS ⇒ t2 ≤ (BS − t1·t3)/(t1 + t3).
 		lim := (bufferSize - int64(t1)*int64(t3)) / (int64(t1) + int64(t3))
 		if lim < 1 {
@@ -165,33 +169,32 @@ func frontierCandidate(mm op.MatMul, bufferSize int64, stationary dataflow.Tenso
 		if t2 == 0 {
 			return
 		}
-		ti := dataflow.UnitTiling().
-			WithTile(third, t3).WithTile(d1, t1).WithTile(d2, t2)
-		a := cost.MustEvaluate(mm, dataflow.Must(mm, order, ti))
+		df := dataflow.Must(mm, order, dataflow.UnitTiling().
+			WithTile(third, t3).WithTile(d1, t1).WithTile(d2, t2))
+		a := cost.MustEvaluate(mm, df)
 		if a.Footprint > bufferSize {
 			return
 		}
-		if !found || a.Total < bestMA {
-			found, bestMA, bestTiling = true, a.Total, ti
+		if !found || a.Total < acc.Total {
+			found, best, acc = true, df, a
 		}
 	}
 	q := c.quantum()
-	for t1 := q; t1 < cap1; t1 += q {
-		try(t1)
-	}
-	try(cap1)
-	if q > 1 && cap1 > 1 {
-		// The lattice also admits the minimum tile when the extent is not a
-		// quantum multiple.
-		try(minAllowedTile(c, cap1))
+	if c.Square {
+		for t1 := q; t1 < cap1; t1 += q {
+			try(t1)
+		}
+		try(cap1)
+	} else {
+		for t1, ok := min(q, cap1), true; ok; t1, ok = dataflow.NextPlateauTile(ext1, t1, q, cap1) {
+			try(t1)
+		}
 	}
 	if !found {
 		return Candidate{}, false
 	}
-	df := dataflow.Must(mm, order, bestTiling)
-	acc := cost.MustEvaluate(mm, df)
 	return Candidate{
-		Dataflow:  df,
+		Dataflow:  best,
 		Access:    acc,
 		Principle: principleForNRA(acc.NRA),
 		Note: fmt.Sprintf("constrained frontier: %s stationary (%s), quantum %d",
@@ -241,6 +244,12 @@ func DecideFusionConstrained(pair fusion.Pair, bufferSize int64, c Constraint) (
 	if err != nil {
 		return FusionDecision{}, fmt.Errorf("core: consumer: %w", err)
 	}
+	return decideFusion(pair, bufferSize, c, first, second), nil
+}
+
+// decideFusion applies Principle 4 to a pair whose operators' constrained
+// optima are already known.
+func decideFusion(pair fusion.Pair, bufferSize int64, c Constraint, first, second Result) FusionDecision {
 	d := FusionDecision{
 		Pair:      pair,
 		FirstNRA:  first.Access.NRA,
@@ -251,11 +260,11 @@ func DecideFusionConstrained(pair fusion.Pair, bufferSize int64, c Constraint) (
 	}
 	d.SameNRA = d.FirstNRA == d.SecondNRA
 	if !d.SameNRA {
-		return d, nil
+		return d
 	}
 	best, ok := fusion.BestAligned(pair, bufferSize, c.FusedTileAlign)
 	if !ok {
-		return d, nil
+		return d
 	}
 	d.FusedMA = best.Access.Total
 	d.Gain = d.UnfusedMA - d.FusedMA
@@ -263,7 +272,7 @@ func DecideFusionConstrained(pair fusion.Pair, bufferSize int64, c Constraint) (
 		d.Fuse = true
 		d.Fused = best
 	}
-	return d, nil
+	return d
 }
 
 // PlanChainOpts is PlanChain under a platform's dataflow-space restrictions.
@@ -288,10 +297,9 @@ func PlanChainOpts(c *op.Chain, bufferSize int64, opts PlanOptions) (ChainPlan, 
 			if err != nil {
 				return ChainPlan{}, fmt.Errorf("core: chain link %d: %w", i, err)
 			}
-			d, err := DecideFusionConstrained(pair, bufferSize, opts.Constraint)
-			if err != nil {
-				return ChainPlan{}, err
-			}
+			// Each operator is planned once: the pair reuses the intra
+			// optima instead of re-optimizing both of its operators.
+			d := decideFusion(pair, bufferSize, opts.Constraint, intra[i], intra[i+1])
 			decisions = append(decisions, d)
 			if d.Fuse {
 				dd := d
@@ -343,11 +351,4 @@ func PlanChainOpts(c *op.Chain, bufferSize int64, opts PlanOptions) (ChainPlan, 
 		UnfusedMA: unfused,
 		Decisions: decisions,
 	}, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

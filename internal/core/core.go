@@ -118,10 +118,11 @@ func Optimize(mm op.MatMul, bufferSize int64) (Result, error) {
 	// the winner should name the principle that predicts it.
 	//
 	// Optimality: for any loop order the MA depends on exactly two tile
-	// dimensions (the third is free and set to 1), and the P1 sweep walks
-	// the full feasible frontier of those two for each of the three
-	// order classes — so the best candidate here is the exact optimum of
-	// the entire tiling/scheduling space, which the test suite
+	// dimensions (the third is free and set to 1), and the P1 solve covers
+	// the feasible frontier of those two for each of the three order
+	// classes — every trip-count plateau's left endpoint, which dominates
+	// the rest of its plateau — so the best candidate here is the exact
+	// optimum of the entire tiling/scheduling space, which the test suite
 	// cross-validates against exhaustive search.
 	var cands []Candidate
 	if c, ok := ThreeNRACandidate(mm, bufferSize, smallestTensor(mm)); ok {
@@ -177,50 +178,18 @@ func CandidateSet(mm op.MatMul, bufferSize int64) []Candidate {
 // SingleNRACandidate constructs the Principle 1 dataflow with the given
 // stationary tensor: the stationary tensor's two tile dimensions are
 // maximized (balanced against each other under the Eq. 2 constraint) and the
-// remaining dimension's tile is 1.
+// remaining dimension's tile is 1. It is the exact integer solve of
+// min MKL(1/T1 + 1/T2) s.t. T1·T2 + T1 + T2 ≤ BS, which the unconstrained
+// frontier walk (frontierCandidate) performs over at most 2√ext1 values of
+// T1.
 func SingleNRACandidate(mm op.MatMul, bufferSize int64, stationary dataflow.Tensor) (Candidate, bool) {
-	if bufferSize < minimumBuffer {
+	c, ok := frontierCandidate(mm, bufferSize, stationary, Unconstrained)
+	if !ok {
 		return Candidate{}, false
 	}
-	dd := stationary.Dims()
-	d1, d2 := dd[0], dd[1]
-	order := canonicalOrderForStationary(stationary)
-
-	ext1, ext2 := int64(d1.Extent(mm)), int64(d2.Extent(mm))
-	bestTiling, found := dataflow.Tiling{}, false
-	var bestMA int64
-	// Exact integer solve of: min MKL(1/T1 + 1/T2) s.t. T1·T2 + T1 + T2 ≤ BS.
-	// The sweep is over one variable only (≤ min(ext1, BS) steps), solving
-	// the other from the linear-in-T2 constraint.
-	for t1 := int64(1); t1 <= ext1; t1++ {
-		// T1·T2 + T1 + T2 ≤ BS  ⇒  T2 ≤ (BS − T1)/(T1 + 1)
-		t2 := (bufferSize - t1) / (t1 + 1)
-		if t2 < 1 {
-			break
-		}
-		if t2 > ext2 {
-			t2 = ext2
-		}
-		ti := dataflow.UnitTiling().
-			WithTile(d1, int(t1)).WithTile(d2, int(t2))
-		a := cost.MustEvaluate(mm, dataflow.Must(mm, order, ti))
-		if a.Footprint > bufferSize {
-			continue
-		}
-		if !found || a.Total < bestMA {
-			found, bestMA, bestTiling = true, a.Total, ti
-		}
-	}
-	if !found {
-		return Candidate{}, false
-	}
-	df := dataflow.Must(mm, order, bestTiling)
-	return Candidate{
-		Dataflow:  df,
-		Access:    cost.MustEvaluate(mm, df),
-		Principle: 1,
-		Note:      fmt.Sprintf("P1: %s stationary (%s)", stationary, stationary.Kind()),
-	}, true
+	c.Principle = 1
+	c.Note = fmt.Sprintf("P1: %s stationary (%s)", stationary, stationary.Kind())
+	return c, true
 }
 
 // TwoNRACandidate constructs the Principle 2 dataflow that untiles dimension

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"fusecu/internal/cost"
 	"fusecu/internal/dataflow"
+	"fusecu/internal/errs"
 	"fusecu/internal/op"
 	"fusecu/internal/search"
 )
@@ -114,6 +116,33 @@ func TestOptimizeErrors(t *testing.T) {
 	}
 	if _, err := Optimize(op.MatMul{M: 4, K: 4, L: 4}, 2); err == nil {
 		t.Error("impossible buffer accepted")
+	}
+	for _, mm := range overflowingOps() {
+		if _, err := Optimize(mm, 1<<20); !errors.Is(err, errs.ErrInvalidOperator) {
+			t.Errorf("%v: err = %v, want ErrInvalidOperator", mm, err)
+		}
+	}
+}
+
+// overflowingOps are shapes whose traffic can overflow int64 (3·M·K·L does).
+func overflowingOps() []op.MatMul {
+	return []op.MatMul{
+		{Name: "cube21", M: 1 << 21, K: 1 << 21, L: 1 << 21},
+		{Name: "cube24", M: 1 << 24, K: 1 << 24, L: 1 << 24},
+		{Name: "near", M: 1572864, K: 1 << 21, L: 1 << 21},
+	}
+}
+
+// The largest power-of-two cube whose traffic fits int64 still answers, at
+// or above the communication lower bound.
+func TestOptimizeLargestCube(t *testing.T) {
+	mm := op.MatMul{M: 1 << 20, K: 1 << 20, L: 1 << 20}
+	res, err := Optimize(mm, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Access.Total < mm.IdealMA() {
+		t.Fatalf("Total = %d, below IdealMA %d", res.Access.Total, mm.IdealMA())
 	}
 }
 

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"fusecu/internal/dataflow"
+	"fusecu/internal/errs"
 	"fusecu/internal/fusion"
 	"fusecu/internal/op"
 )
@@ -175,6 +177,12 @@ func TestPlanChainInvalidChain(t *testing.T) {
 	bad := &op.Chain{Name: "bad", Ops: []op.MatMul{{M: 2, K: 2, L: 2}, {M: 3, K: 2, L: 2}}, Elementwise: make([]op.Elementwise, 1)}
 	if _, err := PlanChain(bad, 1024); err == nil {
 		t.Fatal("invalid chain accepted")
+	}
+	for _, mm := range overflowingOps() {
+		huge := &op.Chain{Name: "huge", Ops: []op.MatMul{mm}}
+		if _, err := PlanChain(huge, 1<<20); !errors.Is(err, errs.ErrInvalidOperator) {
+			t.Errorf("%v: err = %v, want ErrInvalidOperator", mm, err)
+		}
 	}
 }
 

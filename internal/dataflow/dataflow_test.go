@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"math/rand"
 	"testing"
 
 	"fusecu/internal/op"
@@ -220,5 +221,46 @@ func TestStringersDoNotPanic(t *testing.T) {
 	df := Dataflow{Order: OrderWS, Tiling: Tiling{TM: 1, TK: 2, TL: 3}}
 	if df.String() == "" {
 		t.Fatal("empty dataflow string")
+	}
+}
+
+// NextPlateauTile steps exactly through the tiles of the quantized lattice
+// whose trip count differs from the previous lattice tile's.
+func TestNextPlateauTileVisitsLeftEndpoints(t *testing.T) {
+	type walk struct{ ext, q, limit int }
+	cases := []walk{
+		{1, 1, 1}, {7, 1, 7}, {100, 1, 100}, {100, 3, 100}, {100, 8, 40},
+		{100, 128, 100}, {1000, 7, 999}, {4096, 128, 512}, {11008, 1, 11008},
+		{262144, 1, 262144}, {300, 8, 300},
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 500; i++ {
+		ext := rng.Intn(5000) + 1
+		cases = append(cases, walk{ext, rng.Intn(150) + 1, rng.Intn(ext) + 1})
+	}
+	for _, tc := range cases {
+		var want []int
+		prev := -1
+		for tile := min(tc.q, tc.limit); ; tile = min(tile+tc.q, tc.limit) {
+			if n := (tc.ext + tile - 1) / tile; n != prev {
+				want = append(want, tile)
+				prev = n
+			}
+			if tile == tc.limit {
+				break
+			}
+		}
+		var got []int
+		for tile, ok := min(tc.q, tc.limit), true; ok; tile, ok = NextPlateauTile(tc.ext, tile, tc.q, tc.limit) {
+			got = append(got, tile)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("ext=%d q=%d limit=%d: walk %v, left endpoints %v", tc.ext, tc.q, tc.limit, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("ext=%d q=%d limit=%d: walk %v, left endpoints %v", tc.ext, tc.q, tc.limit, got, want)
+			}
+		}
 	}
 }

@@ -282,22 +282,24 @@ func ConstructTileOSIS(p Pair, bufferSize int64) (Candidate, bool) {
 // tile keeps every pass fully occupied; FuseCU constructs its fused tiles
 // aligned to the CU dimension for exactly this reason (§IV-A: "the
 // stationary tile size has to match the array size").
+//
+// T_M walks the left endpoints of its ceil(M/T_M) plateaus on the aligned
+// lattice (dataflow.NextPlateauTile) and returns the first minimizer of the
+// full T_M sweep: the largest T_L that fits never grows with T_M, so the
+// traffic is non-decreasing along each plateau.
 func ConstructTileOSISAligned(p Pair, bufferSize int64, align int) (Candidate, bool) {
 	if align < 1 {
 		align = 1
 	}
-	M, L := int64(p.M()), int64(p.L())
-	best, found := FusedDataflow{}, false
-	var bestMA int64
-	try := func(tm int64) {
-		if tm < 1 || tm > M {
-			return
-		}
+	M, L := p.M(), int64(p.L())
+	var best Candidate
+	found := false
+	for tm, ok := min(align, M), true; ok; tm, ok = dataflow.NextPlateauTile(M, tm, align, M) {
 		// Footprint with T_K = T_N = 1: tm·tl + 2tm + 2tl ≤ BS
 		//   ⇒ tl ≤ (BS − 2tm) / (tm + 2)
-		tl := (bufferSize - 2*tm) / (tm + 2)
+		tl := (bufferSize - 2*int64(tm)) / (int64(tm) + 2)
 		if tl < 1 {
-			return
+			break
 		}
 		if tl > L {
 			tl = L
@@ -307,38 +309,17 @@ func ConstructTileOSISAligned(p Pair, bufferSize int64, align int) (Candidate, b
 				tl = snapped
 			}
 		}
-		fd := FusedDataflow{Pattern: PatternTileOSIS, TM: int(tm), TK: 1, TL: int(tl), TN: 1}
+		fd := FusedDataflow{Pattern: PatternTileOSIS, TM: tm, TK: 1, TL: int(tl), TN: 1}
 		a, err := Evaluate(p, fd)
 		if err != nil || a.Footprint > bufferSize {
-			return
+			continue
 		}
-		if !found || a.Total < bestMA {
-			found, bestMA, best = true, a.Total, fd
-		}
-	}
-	if align == 1 {
-		for tm := int64(1); tm <= M; tm++ {
-			try(tm)
-		}
-	} else {
-		for tm := int64(align); tm < M; tm += int64(align) {
-			try(tm)
-		}
-		try(M)
-		if M < int64(align) {
-			try(M)
+		if !found || a.Total < best.Access.Total {
+			best = Candidate{Dataflow: fd, Access: a, Note: "tile fusion: OS producer → IS consumer"}
+			found = true
 		}
 	}
-	if !found {
-		return Candidate{}, false
-	}
-	a, err := Evaluate(p, best)
-	if err != nil {
-		// best was admitted by a successful Evaluate inside try, so this is
-		// unreachable; fail closed rather than report zero traffic.
-		return Candidate{}, false
-	}
-	return Candidate{Dataflow: best, Access: a, Note: "tile fusion: OS producer → IS consumer"}, true
+	return best, found
 }
 
 // ConstructColumn builds the principle-optimal column-fusion dataflow:

@@ -1,8 +1,11 @@
 package op
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"fusecu/internal/errs"
 )
 
 func TestMatMulValidate(t *testing.T) {
@@ -12,6 +15,27 @@ func TestMatMulValidate(t *testing.T) {
 	for _, bad := range []MatMul{{M: 0, K: 1, L: 1}, {M: 1, K: -2, L: 1}, {M: 1, K: 1, L: 0}} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("matmul %+v accepted", bad)
+		}
+	}
+}
+
+// Validate rejects shapes whose worst-case traffic 3·M·K·L overflows int64,
+// and accepts the largest cube whose traffic still fits.
+func TestMatMulValidateOverflow(t *testing.T) {
+	for _, bad := range []MatMul{
+		{M: 1 << 21, K: 1 << 21, L: 1 << 21},       // M·K·L = 2^63
+		{M: 1572864, K: 1 << 21, L: 1 << 21},       // M·K·L fits, 3·M·K·L does not
+		{M: 1 << 24, K: 1 << 24, L: 1 << 24},       // M·K·L overflows
+		{M: 1 << 62, K: 4, L: 1},                   // M·K overflows
+		{M: 3_037_000_499, K: 3_037_000_499, L: 2}, // M·K fits, M·K·L does not
+	} {
+		if err := bad.Validate(); !errors.Is(err, errs.ErrInvalidOperator) {
+			t.Errorf("%v: err = %v, want ErrInvalidOperator", bad, err)
+		}
+	}
+	for _, ok := range []MatMul{{M: 1 << 20, K: 1 << 20, L: 1 << 20}, {M: 1 << 27, K: 1 << 27, L: 1 << 6}} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("%v rejected: %v", ok, err)
 		}
 	}
 }

@@ -144,6 +144,17 @@ func TestAnalyticErrorContract(t *testing.T) {
 	if _, err := OptimizeAnalytic(op.MatMul{Name: "bad", M: 0, K: 4, L: 4}, 64); err == nil {
 		t.Error("invalid operator accepted")
 	}
+	// Shapes whose traffic can overflow int64 (3·M·K·L does) are invalid
+	// rather than answered with a wrapped total.
+	for _, mm := range []op.MatMul{
+		{Name: "cube21", M: 1 << 21, K: 1 << 21, L: 1 << 21},
+		{Name: "cube24", M: 1 << 24, K: 1 << 24, L: 1 << 24},
+		{Name: "near", M: 1572864, K: 1 << 21, L: 1 << 21},
+	} {
+		if _, err := OptimizeAnalytic(mm, 1<<20); !errors.Is(err, errs.ErrInvalidOperator) {
+			t.Errorf("%v: err = %v, want ErrInvalidOperator", mm, err)
+		}
+	}
 	mm := op.MatMul{Name: "tiny", M: 5, K: 6, L: 7}
 	if _, err := OptimizeAnalytic(mm, 2); !errors.Is(err, errs.ErrBufferTooSmall) {
 		t.Errorf("BS=2: %v, want ErrBufferTooSmall", err)

@@ -195,6 +195,10 @@ func TestErrorModel(t *testing.T) {
 		{"unknown field", "/v1/optimize", `{"op":{"m":8,"k":8,"l":8},"buffer":64,"bogus":1}`, http.StatusBadRequest, "invalid_request"},
 		{"trailing garbage", "/v1/optimize", `{"op":{"m":8,"k":8,"l":8},"buffer":64} {}`, http.StatusBadRequest, "invalid_request"},
 		{"invalid operator", "/v1/optimize", `{"op":{"m":0,"k":8,"l":8},"buffer":64}`, http.StatusBadRequest, "invalid_request"},
+		{"overflowing operator", "/v1/optimize", `{"op":{"m":2097152,"k":2097152,"l":2097152},"buffer":1048576}`, http.StatusBadRequest, "invalid_request"},
+		{"overflowing chain", "/v1/plan", `{"name":"x","ops":[{"m":16777216,"k":16777216,"l":16777216}],"buffer":1048576}`, http.StatusBadRequest, "invalid_request"},
+		{"overflowing search", "/v1/search", `{"op":{"m":1572864,"k":2097152,"l":2097152},"buffer":1048576,"engine":"exhaustive"}`, http.StatusBadRequest, "invalid_request"},
+		{"overflowing search auto", "/v1/search", `{"op":{"m":2097152,"k":2097152,"l":2097152},"buffer":1048576}`, http.StatusBadRequest, "invalid_request"},
 		{"buffer too small", "/v1/optimize", `{"op":{"m":8,"k":8,"l":8},"buffer":1}`, http.StatusUnprocessableEntity, "buffer_too_small"},
 		{"broken chain", "/v1/plan", `{"name":"x","ops":[{"m":8,"k":8,"l":8},{"m":9,"k":9,"l":9}],"buffer":64}`, http.StatusBadRequest, "invalid_request"},
 		{"unknown engine", "/v1/search", `{"op":{"m":8,"k":8,"l":8},"buffer":64,"engine":"oracle"}`, http.StatusBadRequest, "invalid_request"},
