@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"fusecu/internal/cost"
 	"fusecu/internal/dataflow"
@@ -123,7 +124,9 @@ func OptimizeConstrained(mm op.MatMul, bufferSize int64, c Constraint) (Result, 
 // full lattice sweep: the largest T_d2 that fits never grows with T_d1, so
 // the traffic is non-decreasing along each plateau. Square breaks that
 // premise (T_d2 follows T_d1 upward), so it keeps the per-lattice-point
-// scan.
+// scan. Either walk stops at the first T_d1 beside which no allowed T_d2
+// fits: the footprint's room for T_d2 only shrinks as T_d1 grows, so no
+// later tile fits either.
 func frontierCandidate(mm op.MatMul, bufferSize int64, stationary dataflow.Tensor, c Constraint) (Candidate, bool) {
 	dd := stationary.Dims()
 	d1, d2 := dd[0], dd[1]
@@ -150,11 +153,12 @@ func frontierCandidate(mm op.MatMul, bufferSize int64, stationary dataflow.Tenso
 		best  dataflow.Dataflow
 		acc   cost.Access
 	)
-	try := func(t1 int) {
+	// try prices T_d1 = t1 and reports whether any T_d2 fits beside it.
+	try := func(t1 int) bool {
 		// Footprint: t1·t2 + t1·t3 + t2·t3 ≤ BS ⇒ t2 ≤ (BS − t1·t3)/(t1 + t3).
 		lim := (bufferSize - int64(t1)*int64(t3)) / (int64(t1) + int64(t3))
 		if lim < 1 {
-			return
+			return false
 		}
 		if lim > int64(cap2) {
 			lim = int64(cap2)
@@ -167,27 +171,25 @@ func frontierCandidate(mm op.MatMul, bufferSize int64, stationary dataflow.Tenso
 		}
 		t2 := c.snapDown(int(lim), ext2)
 		if t2 == 0 {
-			return
+			return false
 		}
 		df := dataflow.Must(mm, order, dataflow.UnitTiling().
 			WithTile(third, t3).WithTile(d1, t1).WithTile(d2, t2))
 		a := cost.MustEvaluate(mm, df)
-		if a.Footprint > bufferSize {
-			return
-		}
-		if !found || a.Total < acc.Total {
+		if a.Footprint <= bufferSize && (!found || a.Total < acc.Total) {
 			found, best, acc = true, df, a
 		}
+		return true
 	}
 	q := c.quantum()
+	next := func(t1 int) (int, bool) { return dataflow.NextPlateauTile(ext1, t1, q, cap1) }
 	if c.Square {
-		for t1 := q; t1 < cap1; t1 += q {
-			try(t1)
-		}
-		try(cap1)
-	} else {
-		for t1, ok := min(q, cap1), true; ok; t1, ok = dataflow.NextPlateauTile(ext1, t1, q, cap1) {
-			try(t1)
+		// Every lattice point: q, 2q, … below cap1, then cap1.
+		next = func(t1 int) (int, bool) { return min(t1+q, cap1), t1 < cap1 }
+	}
+	for t1, ok := min(q, cap1), true; ok; t1, ok = next(t1) {
+		if !try(t1) {
+			break
 		}
 	}
 	if !found {
@@ -308,7 +310,7 @@ func PlanChainOpts(c *op.Chain, bufferSize int64, opts PlanOptions) (ChainPlan, 
 		}
 	}
 
-	const inf = int64(1) << 62
+	const inf = int64(math.MaxInt64) // op.ValidateAll keeps every real total below it
 	best := make([]int64, n+1)
 	choice := make([]int, n+1)
 	for i := 1; i <= n; i++ {

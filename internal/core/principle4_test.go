@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
+	"time"
 
 	"fusecu/internal/dataflow"
 	"fusecu/internal/errs"
@@ -183,6 +185,75 @@ func TestPlanChainInvalidChain(t *testing.T) {
 		if _, err := PlanChain(huge, 1<<20); !errors.Is(err, errs.ErrInvalidOperator) {
 			t.Errorf("%v: err = %v, want ErrInvalidOperator", mm, err)
 		}
+	}
+	// Each operator fits int64 alone; the chain's summed traffic does not.
+	cube := op.MatMul{M: 1_400_000, K: 1_400_000, L: 1_400_000}
+	pair := &op.Chain{Name: "pair", Ops: []op.MatMul{cube, cube}, Elementwise: make([]op.Elementwise, 1)}
+	if _, err := PlanChain(pair, 3); !errors.Is(err, errs.ErrInvalidOperator) {
+		t.Errorf("two %v: err = %v, want ErrInvalidOperator", cube, err)
+	}
+}
+
+// A long, thin operator prices a few hundred tiles, not one per plateau of
+// its 2^61 rows: the P1 walks stop at the first tile the buffer cannot
+// hold. A walk that went on to the end would take minutes here. The
+// one-operator plan's total, just above 2^62, also pins the chain DP's
+// sentinel above every total a valid chain can reach.
+func TestLongThinOperatorStopsAtBuffer(t *testing.T) {
+	thin := op.MatMul{M: 1 << 61, K: 1, L: 1}
+	half := op.MatMul{M: 1 << 60, K: 1, L: 1}
+	single, err := op.NewChain("thin", thin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused, err := op.NewChain("halves", half, half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	constraints := []Constraint{
+		Unconstrained,
+		{TileQuantum: 8},
+		{TileQuantum: 4, Square: true},
+		{TileQuantum: 128, FusedTileAlign: 128},
+	}
+	errc := make(chan error, 1)
+	go func() {
+		errc <- func() error {
+			res, err := Optimize(thin, 1024)
+			if err != nil {
+				return err
+			}
+			if res.Access.Total < thin.IdealMA() {
+				return fmt.Errorf("Optimize: Total %d below IdealMA %d", res.Access.Total, thin.IdealMA())
+			}
+			for _, c := range constraints {
+				if _, err := OptimizeConstrained(thin, 1024, c); err != nil {
+					return err
+				}
+				for _, chain := range []*op.Chain{single, fused} {
+					plan, err := PlanChainOpts(chain, 1024, PlanOptions{Constraint: c, AllowFusion: true})
+					if err != nil {
+						return err
+					}
+					var sum int64
+					for _, g := range plan.Groups {
+						sum += g.MA
+					}
+					if plan.TotalMA != sum || plan.TotalMA < chain.Ops[0].IdealMA() {
+						return fmt.Errorf("%s under %+v: TotalMA %d, groups sum to %d", chain.Name, c, plan.TotalMA, sum)
+					}
+				}
+			}
+			return nil
+		}()
+	}()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("still planning after 10 s: a tile walk does not stop at the buffer")
 	}
 }
 

@@ -11,7 +11,8 @@
 //
 // Taxonomy:
 //
-//   - ErrInvalidOperator — a malformed operator shape (non-positive dims).
+//   - ErrInvalidOperator — a malformed operator shape (non-positive dims),
+//     or operators too large for their traffic to fit int64.
 //   - ErrInvalidChain    — a chain whose operators do not connect, whose
 //     elementwise slots mismatch, or that is empty; also covers
 //     producer/consumer pairs that cannot fuse structurally.

@@ -37,12 +37,10 @@ type Pair struct {
 	First, Second op.MatMul
 }
 
-// NewPair validates producer/consumer shape compatibility.
+// NewPair validates both operators together (op.ValidateAll) and their
+// producer/consumer shape compatibility.
 func NewPair(first, second op.MatMul) (Pair, error) {
-	if err := first.Validate(); err != nil {
-		return Pair{}, err
-	}
-	if err := second.Validate(); err != nil {
+	if err := op.ValidateAll(first, second); err != nil {
 		return Pair{}, err
 	}
 	if first.M != second.M || first.L != second.K {

@@ -1,10 +1,12 @@
 package fusion
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"fusecu/internal/dataflow"
+	"fusecu/internal/errs"
 	"fusecu/internal/op"
 )
 
@@ -32,6 +34,11 @@ func TestNewPairValidation(t *testing.T) {
 	}
 	if _, err := NewPair(op.MatMul{M: 0, K: 2, L: 6}, op.MatMul{M: 0, K: 6, L: 3}); err == nil {
 		t.Fatal("invalid op accepted")
+	}
+	// Each cube's 3·M·K·L fits int64, their sum does not.
+	cube := op.MatMul{M: 1_400_000, K: 1_400_000, L: 1_400_000}
+	if _, err := NewPair(cube, cube); !errors.Is(err, errs.ErrInvalidOperator) {
+		t.Fatalf("pair whose summed traffic overflows: err = %v, want ErrInvalidOperator", err)
 	}
 }
 

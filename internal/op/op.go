@@ -7,6 +7,7 @@ package op
 
 import (
 	"fmt"
+	"math"
 
 	"fusecu/internal/errs"
 	"fusecu/internal/invariant"
@@ -22,7 +23,8 @@ type MatMul struct {
 
 // Validate reports an error when any dimension is non-positive, or when
 // 3·M·K·L overflows int64. No tiling moves more than M·K·L elements of any
-// one tensor, so the bound guarantees every memory-access total fits.
+// one tensor, so the bound guarantees the operator's memory-access totals
+// fit. Sums over several operators are bounded by ValidateAll.
 func (m MatMul) Validate() error {
 	if m.M <= 0 || m.K <= 0 || m.L <= 0 {
 		return fmt.Errorf("op: %s has non-positive dims M=%d K=%d L=%d: %w", m.label(), m.M, m.K, m.L, errs.ErrInvalidOperator)
@@ -35,6 +37,25 @@ func (m MatMul) Validate() error {
 			invariant.MulOverflows(m.SizeA(), int64(m.L)) ||
 			invariant.MulOverflows(3, m.MACs())) {
 		return fmt.Errorf("op: %s is too large: 3·M·K·L overflows int64 (M=%d K=%d L=%d): %w", m.label(), m.M, m.K, m.L, errs.ErrInvalidOperator)
+	}
+	return nil
+}
+
+// ValidateAll validates every operator and reports an error when the
+// operators' summed 3·M·K·L overflows int64. A fused pair moves no more than
+// its two operators' bounds, so the check guarantees that every memory-access
+// total summed over a plan of these operators fits.
+func ValidateAll(ops ...MatMul) error {
+	var sum int64
+	for _, o := range ops {
+		if err := o.Validate(); err != nil {
+			return err
+		}
+		b := invariant.CheckedMul(3, o.MACs())
+		if b > math.MaxInt64-sum {
+			return fmt.Errorf("op: %d operators are too large together: their summed 3·M·K·L overflows int64: %w", len(ops), errs.ErrInvalidOperator)
+		}
+		sum += b
 	}
 	return nil
 }
@@ -146,15 +167,14 @@ func (c *Chain) WithElementwise(i int, name string) (*Chain, error) {
 	return c, nil
 }
 
-// Validate checks every operator and every producer/consumer shape match.
+// Validate checks every operator (together, with ValidateAll) and every
+// producer/consumer shape match.
 func (c *Chain) Validate() error {
 	if len(c.Ops) == 0 {
 		return ErrEmptyChain
 	}
-	for _, o := range c.Ops {
-		if err := o.Validate(); err != nil {
-			return err
-		}
+	if err := ValidateAll(c.Ops...); err != nil {
+		return err
 	}
 	for i := 0; i+1 < len(c.Ops); i++ {
 		p, q := c.Ops[i], c.Ops[i+1]

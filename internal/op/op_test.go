@@ -40,6 +40,31 @@ func TestMatMulValidateOverflow(t *testing.T) {
 	}
 }
 
+// Operators that each fit can still overflow together: a chain's or a
+// pair's summed traffic must fit too.
+func TestValidateAllSummedOverflow(t *testing.T) {
+	cube := MatMul{M: 1_400_000, K: 1_400_000, L: 1_400_000} // 3·M·K·L ≈ 8.2e18
+	if err := cube.Validate(); err != nil {
+		t.Fatalf("%v rejected alone: %v", cube, err)
+	}
+	if err := ValidateAll(cube, cube); !errors.Is(err, errs.ErrInvalidOperator) {
+		t.Errorf("ValidateAll(cube, cube) = %v, want ErrInvalidOperator", err)
+	}
+	if _, err := NewChain("huge", cube, cube); !errors.Is(err, errs.ErrInvalidOperator) {
+		t.Errorf("NewChain(cube, cube) = %v, want ErrInvalidOperator", err)
+	}
+	thin := MatMul{M: 1 << 60, K: 1, L: 1} // two of them sum to 3·2^61 < 2^63
+	if _, err := NewChain("thin", thin, thin); err != nil {
+		t.Errorf("NewChain(thin, thin) rejected: %v", err)
+	}
+	if err := ValidateAll(thin, thin, thin); !errors.Is(err, errs.ErrInvalidOperator) {
+		t.Errorf("ValidateAll(thin ×3) = %v, want ErrInvalidOperator", err)
+	}
+	if err := ValidateAll(thin, MatMul{M: 0, K: 1, L: 1}); !errors.Is(err, errs.ErrInvalidOperator) {
+		t.Errorf("ValidateAll with a non-positive operator = %v, want ErrInvalidOperator", err)
+	}
+}
+
 func TestMatMulSizes(t *testing.T) {
 	m := MatMul{M: 1024, K: 768, L: 768}
 	if m.SizeA() != 1024*768 || m.SizeB() != 768*768 || m.SizeC() != 1024*768 {

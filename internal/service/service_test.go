@@ -197,6 +197,7 @@ func TestErrorModel(t *testing.T) {
 		{"invalid operator", "/v1/optimize", `{"op":{"m":0,"k":8,"l":8},"buffer":64}`, http.StatusBadRequest, "invalid_request"},
 		{"overflowing operator", "/v1/optimize", `{"op":{"m":2097152,"k":2097152,"l":2097152},"buffer":1048576}`, http.StatusBadRequest, "invalid_request"},
 		{"overflowing chain", "/v1/plan", `{"name":"x","ops":[{"m":16777216,"k":16777216,"l":16777216}],"buffer":1048576}`, http.StatusBadRequest, "invalid_request"},
+		{"overflowing chain sum", "/v1/plan", `{"name":"x","ops":[{"m":1400000,"k":1400000,"l":1400000},{"m":1400000,"k":1400000,"l":1400000}],"buffer":3}`, http.StatusBadRequest, "invalid_request"},
 		{"overflowing search", "/v1/search", `{"op":{"m":1572864,"k":2097152,"l":2097152},"buffer":1048576,"engine":"exhaustive"}`, http.StatusBadRequest, "invalid_request"},
 		{"overflowing search auto", "/v1/search", `{"op":{"m":2097152,"k":2097152,"l":2097152},"buffer":1048576}`, http.StatusBadRequest, "invalid_request"},
 		{"buffer too small", "/v1/optimize", `{"op":{"m":8,"k":8,"l":8},"buffer":1}`, http.StatusUnprocessableEntity, "buffer_too_small"},
