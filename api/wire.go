@@ -86,21 +86,23 @@ type PlanResponse struct {
 	Saving    float64        `json:"saving"`
 }
 
-// SearchRequest asks /v1/search for a DAT-style search-baseline answer.
+// SearchRequest asks /v1/search for a search answer: the exact analytic
+// engine's, or one of the DAT-style baseline engines'.
 type SearchRequest struct {
 	Op     OpSpec `json:"op"`
 	Buffer int64  `json:"buffer"`
-	Seed   int64  `json:"seed,omitempty"`
+	// Seed seeds the "genetic" engine; 0 selects its default seed 1. The
+	// other engines are deterministic and ignore it.
+	Seed int64 `json:"seed,omitempty"`
 	// Workers sizes this request's scan pool; 0 inherits the server's
 	// configured pool size (which itself defaults to GOMAXPROCS). Counts
 	// above the server's GOMAXPROCS are clamped to it; the answer is
 	// identical for any worker count.
 	Workers int `json:"workers,omitempty"`
-	// Engine selects the search strategy: "auto" (default — coarse
-	// enumeration plus the server's configured polish on small lattices,
-	// reported as "coarse+analytic"/"table+analytic" or the "+genetic"
-	// variants under -polish=ga, polish alone otherwise), "exhaustive",
-	// "coarse", or "genetic".
+	// Engine selects the search strategy: "auto" (default — the exact
+	// closed-form analytic engine, reported as "analytic" with cache_hits
+	// 0), "exhaustive" (every integer tiling), "coarse" (the TileGrid
+	// lattice), or "genetic" (DAT's GA).
 	Engine    string `json:"engine,omitempty"`
 	TimeoutMS int64  `json:"timeout_ms,omitempty"`
 }

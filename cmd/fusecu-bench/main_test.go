@@ -66,9 +66,8 @@ func TestRunWritesConsistentReport(t *testing.T) {
 			t.Errorf("%s: %d table-served visits", e.Name, e.CacheHits)
 		}
 	}
-	// The polish-drop gate is the new path's acceptance criterion: the
-	// analytic polish must price at least 10× fewer candidates than the GA
-	// it replaced, over the same sweep points.
+	// The polish-drop gate holds the analytic engine to pricing at least
+	// 10× fewer candidates than the GA, over the same sweep points.
 	if rep.PolishEvalsGA <= 0 || rep.PolishEvalsAnalytic <= 0 {
 		t.Fatalf("polish eval counts not reported: GA %d, analytic %d",
 			rep.PolishEvalsGA, rep.PolishEvalsAnalytic)
@@ -77,7 +76,7 @@ func TestRunWritesConsistentReport(t *testing.T) {
 		t.Errorf("polish eval drop %.1fx below the %dx floor", rep.PolishEvalDrop, minPolishDrop)
 	}
 	if rep.Engines[4].Evaluations != rep.PolishEvalsAnalytic {
-		t.Errorf("analytic polish evals %d != analytic engine evals %d",
+		t.Errorf("analytic evals %d != analytic engine evals %d",
 			rep.PolishEvalsAnalytic, rep.Engines[4].Evaluations)
 	}
 	for i, e := range rep.Engines {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fusecu/internal/op"
-	"fusecu/internal/search"
 )
 
 func opFor(m, k, l int) op.MatMul {
@@ -39,10 +38,10 @@ func TestParseChainErrors(t *testing.T) {
 
 func TestRunSingleAndChain(t *testing.T) {
 	var out bytes.Buffer
-	if err := runSingle(&out, opFor(64, 32, 48), 4096, true, 0, search.PolishAnalytic); err != nil {
+	if err := runSingle(&out, opFor(64, 32, 48), 4096, true, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := runSingle(&out, opFor(64, 32, 48), 4096, true, 2, search.PolishGA); err != nil {
+	if err := runSingle(&out, opFor(64, 32, 48), 4096, true, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := runChain(&out, "64x16x64,64x64x16", 4096); err != nil {

@@ -38,7 +38,6 @@ import (
 	"syscall"
 	"time"
 
-	"fusecu/internal/search"
 	"fusecu/internal/service"
 	"fusecu/internal/tablestore"
 )
@@ -67,16 +66,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 			"directory of pregenerated candidate-table artifacts (fusecu-tablegen output); resolved before building at request time")
 		admin = fs.Bool("admin", false,
 			"enable the admin endpoints (GET /v1/tables, DELETE /v1/tables/{shapeHash})")
-		polish = fs.String("polish", "analytic",
-			"auto-engine polish stage: analytic (closed-form) or ga (genetic escape hatch)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	pol, err := search.ParsePolishMode(*polish)
-	if err != nil {
-		fmt.Fprintln(stderr, "fusecu-serve:", err)
-		fs.Usage()
 		return 2
 	}
 	if fs.NArg() > 0 {
@@ -104,7 +95,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		MaxInFlight:    *maxInflight,
 		DefaultTimeout: *timeout,
 		SearchWorkers:  *workers,
-		Polish:         pol,
 		TableStore:     store,
 		EnableAdmin:    *admin,
 		Logf:           logger.Printf,

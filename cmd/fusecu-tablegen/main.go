@@ -8,7 +8,7 @@
 //
 //   - table2: the deduplicated operator shapes of the Table II evaluation
 //     models plus the Fig. 11 LLaMA2 sequence sweep, on the coarse lattice
-//     (what /v1/search engine=auto and engine=coarse consult).
+//     (what /v1/search engine=coarse consults).
 //   - bench: the serve-load benchmark shapes on the full lattice (what
 //     engine=exhaustive consults), for the routed-fleet load bench.
 //   - all: both.

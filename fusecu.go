@@ -156,7 +156,8 @@ func NewFusedPair(first, second MatMul) (FusedPair, error) {
 }
 
 // SearchOptimize runs the DAT-style search baseline over the same dataflow
-// space (exhaustive on small lattices, genetic otherwise).
+// space (coarse-lattice enumeration polished by the GA on small lattices,
+// the GA alone otherwise).
 func SearchOptimize(mm MatMul, bufferSize int64, seed int64) (SearchResult, error) {
 	return search.Optimize(mm, bufferSize, search.GeneticOptions{Seed: seed})
 }

@@ -97,10 +97,10 @@ func fig9Point(ctx context.Context, mm op.MatMul, bs, seed int64) (Fig9Point, er
 	}, nil
 }
 
-// Fig9 validates the principles against the search baseline across the
-// buffer sweep. seed feeds the polish engine when it is the GA (the
-// default analytic polish is seedless). Every point rescans the operator's
-// coarse lattice through the batch kernel; Fig9Sweep is the table-backed
+// Fig9 validates the principles against the search baseline (DAT:
+// search.Optimize, the coarse lattice polished by the GA) across the buffer
+// sweep. seed seeds the GA. Every point rescans the operator's coarse
+// lattice through the batch kernel; Fig9Sweep is the table-backed
 // equivalent.
 func Fig9(ops []op.MatMul, buffers []int64, seed int64) ([]Fig9Result, error) {
 	return Fig9Ctx(context.Background(), ops, buffers, seed)

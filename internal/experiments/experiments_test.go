@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -109,6 +110,69 @@ func TestFig9DefaultsArePaperSweep(t *testing.T) {
 	}
 	if len(Fig9Ops()) < 4 {
 		t.Fatal("too few validation operators")
+	}
+}
+
+// TestFig9DATAboveLineAtSmallBuffers pins the paper's Fig. 9 result on its
+// own sweep: DAT (coarse lattice + GA, seed 1) never beats the principle
+// line and lands strictly above it at exactly three small-buffer points,
+// while the exact analytic engine sits on the line at all 44.
+func TestFig9DATAboveLineAtSmallBuffers(t *testing.T) {
+	ops, buffers := Fig9Ops(), Fig9Buffers()
+	dat, err := Fig9(ops, buffers, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each point above the line, with its search and principle MA as
+	// multiples of the ideal MA.
+	type above struct {
+		op         string
+		buffer     int64
+		search, pr float64
+	}
+	want := []above{
+		{"proj", 32 << 10, 3.727, 3.545},
+		{"ffn", 32 << 10, 5.125, 4.500},
+		{"ffn", 64 << 10, 3.625, 3.500},
+	}
+	var got []above
+	for _, r := range dat {
+		for _, p := range r.Points {
+			if p.SearchMA < p.PrincipleMA {
+				t.Errorf("%v BS=%d: search %d beats principles %d", r.Op, p.BufferElems, p.SearchMA, p.PrincipleMA)
+			}
+			if p.SearchMA > p.PrincipleMA {
+				got = append(got, above{r.Op.Name, p.BufferElems,
+					float64(p.SearchMA) / float64(p.Ideal), float64(p.PrincipleMA) / float64(p.Ideal)})
+			}
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("search above the line at %+v, want %+v", got, want)
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.op != w.op || g.buffer != w.buffer ||
+			math.Abs(g.search-w.search) > 5e-4 || math.Abs(g.pr-w.pr) > 5e-4 {
+			t.Errorf("point %d above the line: %+v, want %+v", i, g, w)
+		}
+	}
+
+	ana, err := Fig9Analytic(ops, buffers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, r := range ana {
+		for _, p := range r.Points {
+			n++
+			if p.SearchMA != p.PrincipleMA {
+				t.Errorf("%v BS=%d: analytic %d off the principle line %d", r.Op, p.BufferElems, p.SearchMA, p.PrincipleMA)
+			}
+		}
+	}
+	if n != 44 {
+		t.Fatalf("analytic sweep has %d points, want 44", n)
 	}
 }
 

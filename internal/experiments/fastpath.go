@@ -15,8 +15,7 @@ import (
 // lattice at every buffer point (O(lattice) visits per point); the fast
 // paths build one footprint-indexed
 // CandTable per operator shape and serve every sweep point with an O(log n)
-// query plus the unchanged polish stage (analytic by default, GA behind
-// PolishGA). Results are bit-identical —
+// query plus the unchanged GA polish. Results are bit-identical —
 // same MA values, same total candidate-visit counts — which the tests pin
 // against the plain harness.
 
@@ -25,8 +24,8 @@ import (
 // per-point lattice scans. Deterministic and point-for-point identical to
 // Fig9 in every MA value and in SearchEvals + SearchCacheHits; the lattice
 // visits move from SearchEvals into SearchCacheHits because the table
-// serves them from its prebuilt steps, leaving only the polish's
-// evaluations in SearchEvals.
+// serves them from its prebuilt steps, leaving only the GA's evaluations in
+// SearchEvals.
 func Fig9Sweep(ops []op.MatMul, buffers []int64, seed int64) ([]Fig9Result, error) {
 	return Fig9SweepCtx(context.Background(), ops, buffers, seed)
 }

@@ -15,7 +15,7 @@ import (
 var raceEnabled bool
 
 // TestOptimizeAnalyticAllocBytesPerCall pins the per-request heap cost of
-// the analytic engine — the /v1/search auto polish — at a few KiB beyond
+// the analytic engine — the /v1/search auto engine — at a few KiB beyond
 // one scan block, so serving traffic does not churn the GC with large
 // short-lived blocks.
 func TestOptimizeAnalyticAllocBytesPerCall(t *testing.T) {

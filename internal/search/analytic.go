@@ -3,7 +3,6 @@ package search
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"fusecu/internal/cost"
 	"fusecu/internal/dataflow"
@@ -19,10 +18,10 @@ import (
 // the disarmed cost is one atomic load per candidate.
 const SiteAnalytic = "search.analytic"
 
-// This file is the analytic tile optimizer: the closed-form replacement for
-// the genetic polish (ROADMAP item 3, mirroring FADiff's observation that
-// fusion-aware schedules optimize by smooth relaxation rather than
-// stochastic search). The cost model is piecewise affine in the trip counts
+// This file is the analytic tile optimizer, the exact engine behind
+// /v1/search auto (mirroring FADiff's observation that fusion-aware
+// schedules optimize by their cost structure rather than by stochastic
+// search). The cost model is piecewise affine in the trip counts
 // n_D = ceil(D/T_D): fixing which trips exceed one — an "activity cell",
 // eight per loop order — freezes every streaming condition, and
 // cost.BatchEval.Regime exposes the cell's exact form
@@ -40,84 +39,25 @@ const SiteAnalytic = "search.analytic"
 //   - One free tile x under footprint x·a + x·b + a·b ≤ BS is monotone:
 //     cost falls as x grows, so the single candidate is the largest
 //     feasible x (clamped to extent−1 to stay inside the cell).
-//   - Two free tiles (x, y) with third tile c minimize α/x + β/y over the
-//     constraint (x+c)(y+c) ≤ BS+c² in the continuous relaxation, with the
-//     interior optimum x* = BS/(c + sqrt(β(BS+c²)/α)). On the integer
-//     lattice the optimum lies on the constraint's Pareto frontier: for any
-//     trip count n_x, sliding x down to its plateau's left endpoint
-//     ceil(ext_x/n_x) keeps the cost term fixed while loosening the
-//     constraint on y, so WLOG x ∈ {ceil(ext_x/n) : n} (≈2√ext_x values)
-//     and y is the largest feasible partner. Enumerating those boundary
-//     candidates over the smaller extent is therefore *exact*; when that
-//     extent is huge (beyond analyticExactExtent) the engine enumerates
-//     only a window of plateaus around the closed-form interior optimum
-//     plus the two extremes, trading provable exactness for O(1) work —
-//     the regime the property tests cover stays on the exact path.
+//   - Two free tiles (x, y): the optimum lies on the footprint
+//     constraint's Pareto frontier. For any trip count n_x, sliding x down
+//     to its plateau's left endpoint ceil(ext_x/n_x) keeps the cost term
+//     fixed while loosening the constraint on y, so WLOG
+//     x ∈ {ceil(ext_x/n) : n} and y is the largest feasible partner.
+//     Walking every such left endpoint of the smaller extent is *exact*,
+//     and it prices at most 2√ext_x ≤ 2√MaxInt32 candidates per cell,
+//     since cost.NewBatchEval rejects larger extents.
 //
 // Every candidate is priced exactly through the same cost.BatchEval kernel
 // the enumeration engines use, so the result is a true lattice point with a
 // bit-exact Access — no rounding error survives into the answer. The whole
-// engine prices tens-to-hundreds of candidates per request where the GA
-// polish priced Population×(Generations+1) ≈ 3,900.
-
-// analyticExactExtent bounds the enumerated extent up to which the
-// two-variable cells run the full (provably exact) Pareto-frontier scan,
-// ≈ 2√4096 = 128 candidates per distinct cell. Above it the windowed scan
-// around the continuous interior optimum keeps the candidate count O(1).
-const analyticExactExtent = 4096
-
-// analyticWindow is the plateau half-window enumerated around the
-// continuous interior optimum when an extent exceeds analyticExactExtent.
-const analyticWindow = 24
-
-// PolishMode selects the polish engine Optimize, OptimizeParallel and
-// OptimizeTable run after the lattice stage — and the sole engine above
-// CoarseLatticeLimit.
-type PolishMode uint8
-
-const (
-	// PolishAnalytic — the zero value and the default — prices the analytic
-	// engine's closed-form boundary candidates: deterministic, exact on its
-	// cells, and two orders of magnitude fewer evaluations than the GA.
-	PolishAnalytic PolishMode = iota
-	// PolishGA is the pre-analytic behaviour — the DAT-style genetic
-	// algorithm — kept as an escape hatch behind -polish=ga during the
-	// transition.
-	PolishGA
-)
-
-// String renders the mode in the -polish flag vocabulary.
-func (m PolishMode) String() string {
-	if m == PolishGA {
-		return "ga"
-	}
-	return "analytic"
-}
-
-// methodSuffix is the Result.Method fragment the hybrid entry points append
-// after "coarse+"/"table+" when the polish wins.
-func (m PolishMode) methodSuffix() string {
-	if m == PolishGA {
-		return "genetic"
-	}
-	return "analytic"
-}
-
-// ParsePolishMode maps a -polish flag value to a PolishMode.
-func ParsePolishMode(s string) (PolishMode, error) {
-	switch s {
-	case "analytic", "":
-		return PolishAnalytic, nil
-	case "ga", "genetic":
-		return PolishGA, nil
-	}
-	return PolishAnalytic, fmt.Errorf("unknown polish mode %q (want analytic or ga)", s)
-}
+// engine prices tens-to-hundreds of candidates per request on the paper's
+// shapes, where the GA prices Population×(Generations+1) ≈ 3,900.
 
 // Analytic is the analytic optimizer compiled for one operator: the batch
 // kernel, the per-order regime descriptors, and reusable scan scratch. One
 // Analytic serves any number of sequential OptimizeCtx calls (buffer sweeps,
-// the serve polish path) without allocating per call; it is not safe for
+// the /v1/search auto path) without allocating per call; it is not safe for
 // concurrent use.
 type Analytic struct {
 	mm     op.MatMul
@@ -155,8 +95,9 @@ func OptimizeAnalytic(mm op.MatMul, bufferSize int64) (Result, error) {
 }
 
 // OptimizeAnalyticCtx is OptimizeAnalytic under a cancelable context. The
-// engine visits only tens-to-hundreds of candidates, so cancellation is
-// checked once per candidate stride and once before the result is returned;
+// engine prices hundreds of candidates on the paper's shapes and about 10^5
+// (a few ms) at the int32 extent limit, so a canceled ctx is reported when
+// the scan returns rather than mid-scan;
 // Result.Evaluations counts the exact pricings, CacheHits is always zero,
 // and Method is "analytic". Like every engine it
 // is a panic-containment boundary: injected faults (SiteAnalytic, SiteEval)
@@ -282,7 +223,7 @@ func (a *Analytic) emitOrder(oi int) {
 					continue
 				}
 			}
-			a.emitTwo(oi, tiles, free[0], free[1], coef)
+			a.emitTwo(oi, tiles, free[0], free[1])
 		}
 	}
 }
@@ -309,61 +250,25 @@ func (a *Analytic) emitOne(oi int, tiles [3]int64, d int) {
 }
 
 // emitTwo handles a cell with two free positive-coefficient tiles. It
-// enumerates Pareto-frontier candidates over the smaller-extent dim e: each
-// distinct trip count's plateau left endpoint x = ceil(ext_e/n), paired
-// with the largest partner tile the footprint admits. Within
-// analyticExactExtent every achievable trip count is visited (exact);
-// beyond it only a window around the continuous interior optimum plus the
-// two extremes.
-func (a *Analytic) emitTwo(oi int, tiles [3]int64, d1, d2 int, coef [3]int64) {
+// walks the Pareto frontier over the smaller-extent dim e: every distinct
+// trip count's plateau left endpoint x = ceil(ext_e/n), paired with the
+// largest partner tile the footprint admits. From x, the next smaller
+// endpoint is ceil(ext_e/n) at the first n whose ceil drops below x, i.e.
+// n = ceil(ext_e/(x−1)), so unachievable trip counts are skipped.
+func (a *Analytic) emitTwo(oi int, tiles [3]int64, d1, d2 int) {
 	e, p := d1, d2
 	if a.ext[d2] < a.ext[d1] {
 		e, p = d2, d1
 	}
 	exE := a.ext[e]
-	if exE <= analyticExactExtent {
-		// Walk the distinct plateau left endpoints: from x, the next smaller
-		// endpoint is ceil(exE/n) at the first n whose ceil drops below x,
-		// i.e. n = ceil(exE/(x−1)). Unachievable trip counts are skipped.
-		for n := int64(2); ; {
-			x := ceilDiv(exE, n)
-			a.emitPair(oi, tiles, e, x, p)
-			if x == 1 {
-				return
-			}
-			n = ceilDiv(exE, x-1)
-		}
-	}
-	// Windowed scan: center on the continuous interior optimum of
-	// α/x + β/y s.t. (x+c)(y+c) = BS+c², x* = BS/(c + sqrt(β(BS+c²)/α)).
-	c := float64(tiles[3-e-p])
-	bs := float64(a.scan.bufferSize)
-	alpha := float64(coef[e]) * float64(exE)
-	beta := float64(coef[p]) * float64(a.ext[p])
-	xStar := bs / (c + math.Sqrt(beta*(bs+c*c)/alpha))
-	nStar := int64(2)
-	if xStar >= 1 {
-		nStar = int64(math.Ceil(float64(exE) / xStar))
-	}
-	lo, hi := nStar-analyticWindow, nStar+analyticWindow
-	if lo < 2 {
-		lo = 2
-	}
-	if hi > exE {
-		hi = exE
-	}
-	var lastX int64
-	for n := lo; n <= hi; n++ {
-		if x := ceilDiv(exE, n); x != lastX {
-			lastX = x
-			a.emitPair(oi, tiles, e, x, p)
-		}
-	}
-	// The extremes bound the window: the largest in-cell tile and T = 1.
-	if x := ceilDiv(exE, 2); x != 0 {
+	for n := int64(2); ; {
+		x := ceilDiv(exE, n)
 		a.emitPair(oi, tiles, e, x, p)
+		if x == 1 {
+			return
+		}
+		n = ceilDiv(exE, x-1)
 	}
-	a.emitPair(oi, tiles, e, 1, p)
 }
 
 // emitPair fixes the enumerated tile x on dim e and pairs it with the

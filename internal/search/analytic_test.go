@@ -36,7 +36,7 @@ func analyticBuffers(mm op.MatMul) []int64 {
 // shape the full-space reference can enumerate, the analytic engine's Total
 // must equal ReferenceExhaustive's global optimum bit for bit (every
 // boundary candidate is a true lattice point priced by the same kernel), and
-// in particular never lose to the GA polish it replaces.
+// in particular never lose to the GA.
 func TestAnalyticExactOnSmallShapes(t *testing.T) {
 	for _, mm := range analyticShapes {
 		for _, bs := range analyticBuffers(mm) {
@@ -78,8 +78,8 @@ func TestAnalyticExactOnSmallShapes(t *testing.T) {
 }
 
 // TestAnalyticExactOnRandomShapes is the bounded property run at ε=0: across
-// randomized shapes and buffers inside the exact-extent regime, the analytic
-// Total matches the full-space reference optimum exactly.
+// randomized shapes and buffers small enough for the unpruned full-space
+// reference, the analytic Total matches its optimum exactly.
 func TestAnalyticExactOnRandomShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 60; trial++ {
@@ -187,26 +187,23 @@ func TestAnalyticCancellation(t *testing.T) {
 }
 
 // TestAnalyticSolePolishAboveLimit pins the engine selection: above
-// CoarseLatticeLimit the default polish mode answers with the analytic
-// engine alone, and the PolishGA escape hatch restores the GA.
+// CoarseLatticeLimit DAT (Optimize) runs the GA as its sole stage, and the
+// exact analytic engine is never worse than it.
 func TestAnalyticSolePolishAboveLimit(t *testing.T) {
 	mm := op.MatMul{Name: "huge", M: 1260, K: 1260, L: 1260}
 	if CoarseLattice(mm) <= CoarseLatticeLimit {
 		t.Fatalf("shape %v unexpectedly inside the lattice limit", mm)
 	}
-	r, err := Optimize(mm, 1<<20, GeneticOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Method != "analytic" {
-		t.Errorf("default polish method = %q, want analytic", r.Method)
-	}
-	g, err := Optimize(mm, 1<<20, GeneticOptions{Polish: PolishGA})
+	g, err := Optimize(mm, 1<<20, GeneticOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.Method != "genetic" {
-		t.Errorf("escape-hatch method = %q, want genetic", g.Method)
+		t.Errorf("DAT method above the lattice limit = %q, want genetic", g.Method)
+	}
+	r, err := OptimizeAnalytic(mm, 1<<20)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if r.Access.Total > g.Access.Total {
 		t.Errorf("analytic %d worse than GA %d above the lattice limit",
@@ -214,22 +211,49 @@ func TestAnalyticSolePolishAboveLimit(t *testing.T) {
 	}
 }
 
-// TestParsePolishMode pins the -polish flag vocabulary.
-func TestParsePolishMode(t *testing.T) {
-	for s, want := range map[string]PolishMode{
-		"": PolishAnalytic, "analytic": PolishAnalytic,
-		"ga": PolishGA, "genetic": PolishGA,
+// TestAnalyticExactOnLargeExtents holds the engine to the optimum where
+// every extent exceeds 4096, so each two-free-tile cell walks hundreds of
+// plateaus: on random shapes at small buffers (where the pruned exhaustive
+// scan stays cheap) the analytic Total must equal Exhaustive's, which is
+// proven bit-identical to ReferenceExhaustive. Two shapes are also pinned
+// to their optima, as Exhaustive computes them.
+func TestAnalyticExactOnLargeExtents(t *testing.T) {
+	for _, tc := range []struct {
+		mm   op.MatMul
+		bs   int64
+		want int64
+	}{
+		{op.MatMul{Name: "pin-bs10", M: 58253, K: 55134, L: 57472}, 10, 184_587_192_340_992},
+		{op.MatMul{Name: "pin-bs28", M: 64619, K: 53388, L: 31126}, 28, 53_693_281_268_448},
 	} {
-		got, err := ParsePolishMode(s)
-		if err != nil || got != want {
-			t.Errorf("ParsePolishMode(%q) = %v, %v", s, got, err)
+		got, err := OptimizeAnalytic(tc.mm, tc.bs)
+		if err != nil {
+			t.Fatalf("%v BS=%d: %v", tc.mm, tc.bs, err)
+		}
+		if got.Access.Total != tc.want {
+			t.Errorf("%v BS=%d: analytic %d, optimum %d", tc.mm, tc.bs, got.Access.Total, tc.want)
 		}
 	}
-	if _, err := ParsePolishMode("simulated-annealing"); err == nil {
-		t.Error("unknown mode accepted")
-	}
-	if PolishAnalytic.String() != "analytic" || PolishGA.String() != "ga" {
-		t.Errorf("String() vocabulary drifted: %q/%q", PolishAnalytic, PolishGA)
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 300; trial++ {
+		mm := op.MatMul{
+			Name: "large",
+			M:    4097 + rng.Intn(65535-4097+1),
+			K:    4097 + rng.Intn(65535-4097+1),
+			L:    4097 + rng.Intn(65535-4097+1),
+		}
+		bs := 3 + rng.Int63n(598)
+		want, err := Exhaustive(mm, bs)
+		if err != nil {
+			t.Fatalf("%v BS=%d: exhaustive: %v", mm, bs, err)
+		}
+		got, err := OptimizeAnalytic(mm, bs)
+		if err != nil {
+			t.Fatalf("%v BS=%d: analytic: %v", mm, bs, err)
+		}
+		if got.Access.Total != want.Access.Total {
+			t.Errorf("%v BS=%d: analytic %d != optimum %d", mm, bs, got.Access.Total, want.Access.Total)
+		}
 	}
 }
 
@@ -327,9 +351,8 @@ func TestAnalyticSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkAnalyticPolish times the steady-state polish path on the Fig. 9
-// projection shape — the request the serve path pays above the table-hit
-// floor.
+// BenchmarkAnalyticPolish times the steady-state engine on the Fig. 9
+// projection shape, reusing one compiled Analytic across calls.
 func BenchmarkAnalyticPolish(b *testing.B) {
 	eng, err := NewAnalytic(op.MatMul{Name: "proj", M: 1024, K: 768, L: 768})
 	if err != nil {
@@ -341,6 +364,22 @@ func BenchmarkAnalyticPolish(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.OptimizeCtx(ctx, 32<<10); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAnalyticLLM is one OptimizeAnalytic per Fig. 9 buffer (32 Ki–32 Mi
+// elements) on the LLaMA2 fc1 shape, as /v1/search auto serves it: every
+// extent is at least 4096, so each two-free-tile cell walks hundreds of
+// plateaus.
+func BenchmarkAnalyticLLM(b *testing.B) {
+	mm := op.MatMul{Name: "fc1", M: 262144, K: 4096, L: 11008}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for bs := int64(32 << 10); bs <= 32<<20; bs *= 2 {
+			if _, err := OptimizeAnalytic(mm, bs); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -163,10 +163,12 @@ func TestDecodeShapeEnginesMatchReference(t *testing.T) {
 }
 
 // TestOptimizeConservationWithAnalyticPolish pins the visit-conservation
-// story for the hybrid entry points: Optimize's evaluations are the lattice
-// scan's plus the analytic polish's small exact count, and OptimizeTable
-// serves the same lattice visits from a candidate table as CacheHits,
-// conserving the sum, while the polish contributes zero hits.
+// story for DAT's hybrid entry points: Optimize's evaluations are the
+// lattice scan's plus the GA polish's, and OptimizeTable serves the same
+// lattice visits from a candidate table as CacheHits, conserving the sum,
+// while the GA contributes zero hits. The analytic engine, which replaces
+// the whole hybrid on /v1/search auto, prices ≥ 10× fewer candidates than
+// the GA alone.
 func TestOptimizeConservationWithAnalyticPolish(t *testing.T) {
 	mm := op.MatMul{Name: "conserve", M: 96, K: 48, L: 64}
 	const bs = 4096
@@ -175,12 +177,12 @@ func TestOptimizeConservationWithAnalyticPolish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	polish, err := OptimizeAnalytic(mm, bs)
+	ga, err := Genetic(mm, bs, GeneticOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if polish.CacheHits != 0 {
-		t.Fatalf("analytic polish reported %d cache hits, want 0", polish.CacheHits)
+	if ga.CacheHits != 0 {
+		t.Fatalf("GA reported %d cache hits, want 0", ga.CacheHits)
 	}
 
 	scan, err := Optimize(mm, bs, GeneticOptions{})
@@ -190,9 +192,9 @@ func TestOptimizeConservationWithAnalyticPolish(t *testing.T) {
 	if scan.CacheHits != 0 {
 		t.Errorf("scan-backed optimize reported %d cache hits", scan.CacheHits)
 	}
-	if want := lattice.Evaluations + polish.Evaluations; scan.Evaluations != want {
-		t.Errorf("optimize evaluations %d != lattice %d + analytic polish %d",
-			scan.Evaluations, lattice.Evaluations, polish.Evaluations)
+	if want := lattice.Evaluations + ga.Evaluations; scan.Evaluations != want {
+		t.Errorf("optimize evaluations %d != lattice %d + GA %d",
+			scan.Evaluations, lattice.Evaluations, ga.Evaluations)
 	}
 
 	tab, err := NewCandTable(mm, GridCoarse, nil)
@@ -208,20 +210,19 @@ func TestOptimizeConservationWithAnalyticPolish(t *testing.T) {
 			served.Evaluations, served.CacheHits, scan.Evaluations)
 	}
 	// The table serves every lattice visit, so the only remaining cost-model
-	// invocations are the polish's own — the small exact count that replaced
-	// the GA's thousands.
-	if served.Evaluations != polish.Evaluations {
-		t.Errorf("table-served evaluations %d != analytic polish count %d",
-			served.Evaluations, polish.Evaluations)
-	}
-	if ga, err := Genetic(mm, bs, GeneticOptions{}); err != nil {
-		t.Fatal(err)
-	} else if polish.Evaluations*10 > ga.Evaluations {
-		t.Errorf("analytic polish %d evals not 10x below the GA's %d",
-			polish.Evaluations, ga.Evaluations)
+	// invocations are the GA's own.
+	if served.Evaluations != ga.Evaluations {
+		t.Errorf("table-served evaluations %d != GA count %d",
+			served.Evaluations, ga.Evaluations)
 	}
 	if served.Access != scan.Access || served.Dataflow != scan.Dataflow {
 		t.Errorf("table-served optimum diverged: %+v vs %+v", served, scan)
+	}
+	if an, err := OptimizeAnalytic(mm, bs); err != nil {
+		t.Fatal(err)
+	} else if an.Evaluations*10 > ga.Evaluations {
+		t.Errorf("analytic %d evals not 10x below the GA's %d",
+			an.Evaluations, ga.Evaluations)
 	}
 }
 

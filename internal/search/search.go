@@ -15,11 +15,14 @@
 //   - Genetic is a DAT-style genetic algorithm for spaces where exhaustive
 //     enumeration is intractable. Like DAT's GA it does not guarantee the
 //     global optimum, which is exactly the behaviour Fig. 9 exercises.
+//   - Optimize, OptimizeParallel and OptimizeTable are DAT itself: exact
+//     enumeration over the coarse lattice polished by the GA, keeping the
+//     better of the two (MIP+GA), or the GA alone above CoarseLatticeLimit.
 //   - OptimizeAnalytic derives per-regime closed-form optima of the
 //     piecewise-affine cost model and prices only the integer boundary
 //     candidates around them — tens-to-hundreds of exact evaluations where
-//     the GA pays thousands. It is the default polish stage of Optimize/
-//     OptimizeTable and the sole engine above CoarseLatticeLimit.
+//     the GA pays thousands. It is exact over the full integer space and
+//     is the engine behind /v1/search auto.
 //
 // Every engine prices its candidates directly: the enumeration engines and
 // the analytic engine through the cost.BatchEval kernel, the GA through
@@ -162,12 +165,6 @@ type GeneticOptions struct {
 	// 0 selects the default of 4; a negative value requests no elitism
 	// (the zero value cannot, since it must keep the default behaviour).
 	Elitism int
-	// Polish selects the engine Optimize/OptimizeTable polish with (and run
-	// exclusively above CoarseLatticeLimit): the analytic closed-form
-	// optimizer by default (the zero value), or the genetic algorithm behind
-	// the -polish=ga escape hatch. The Genetic* entry points ignore it —
-	// they are the GA, whatever the polish default.
-	Polish PolishMode
 }
 
 func (o GeneticOptions) withDefaults() GeneticOptions {
@@ -390,40 +387,25 @@ func GeneticCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts Geneti
 	return Result{Dataflow: df, Access: a, Evaluations: evals, Method: "genetic"}, nil
 }
 
-// polishCtx runs the configured polish engine: the analytic engine by
-// default (it needs no lattice and prices O(1) candidates), the GA behind
-// PolishGA. It is the second stage of the hybrid entry points and the only
-// stage above CoarseLatticeLimit. Both modes are deterministic, so the
-// hybrid entry points stay bit-identical across the scan-backed, parallel
-// and table-backed paths, including the Evaluations+CacheHits conservation
-// sum the equivalence tests pin.
-func polishCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticOptions) (Result, error) {
-	if opts.Polish == PolishGA {
-		return GeneticCtx(ctx, mm, bufferSize, opts)
-	}
-	return OptimizeAnalyticCtx(ctx, mm, bufferSize)
-}
-
-// Optimize picks the engine by space size: exact enumeration over the coarse
-// lattice when it is small enough (plus the analytic polish), otherwise the
-// polish engine alone. This is the entry point the Fig. 9 harness uses as
-// "DAT".
+// Optimize is the DAT baseline. It picks the engine by space size: exact
+// enumeration over the coarse lattice when it is small enough, polished by
+// the GA, otherwise the GA alone. This is the entry point the Fig. 9
+// harness uses as "DAT".
 func Optimize(mm op.MatMul, bufferSize int64, opts GeneticOptions) (Result, error) {
 	return optimize(context.Background(), mm, bufferSize, opts, 1)
 }
 
 // OptimizeParallel is Optimize with the lattice stage sharded across
-// workers (workers ≤ 0 selects GOMAXPROCS); the polish stays sequential —
-// it prices only a handful of closed-form candidates (or, under PolishGA,
-// is a dependent chain by construction).
+// workers (workers ≤ 0 selects GOMAXPROCS); the GA stays sequential — its
+// generations are a dependent chain by construction.
 func OptimizeParallel(mm op.MatMul, bufferSize int64, opts GeneticOptions, workers int) (Result, error) {
 	return OptimizeParallelCtx(context.Background(), mm, bufferSize, opts, workers)
 }
 
 // OptimizeParallelCtx is OptimizeParallel with cooperative cancellation
 // threaded through both stages: the sharded lattice scan stops its worker
-// pool promptly (see ParallelExhaustiveCtx) and the polish checks its own
-// stride. When ctx is canceled the call returns an error
+// pool promptly (see ParallelExhaustiveCtx) and the GA checks ctx between
+// generations. When ctx is canceled the call returns an error
 // wrapping ctx.Err(); an uncancelled ctx changes nothing — results stay
 // bit-identical to OptimizeParallel.
 func OptimizeParallelCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticOptions, workers int) (Result, error) {
@@ -431,9 +413,9 @@ func OptimizeParallelCtx(ctx context.Context, mm op.MatMul, bufferSize int64, op
 }
 
 // CoarseLatticeLimit is the coarse-lattice size up to which Optimize runs
-// the exact enumeration stage (plus polish); above it only the polish
-// engine runs — analytic by default, the GA behind PolishGA. Exported so
-// table-backed callers can reproduce the engine selection exactly.
+// the exact enumeration stage (plus the GA); above it only the GA runs.
+// Exported so table-backed callers can reproduce the engine selection
+// exactly.
 const CoarseLatticeLimit = 200_000
 
 // CoarseLattice returns the size of mm's coarse candidate lattice — the
@@ -449,7 +431,7 @@ func OptimizeTable(mm op.MatMul, bufferSize int64, opts GeneticOptions, table *C
 
 // OptimizeTableCtx is Optimize with the coarse lattice stage served by a
 // prebuilt candidate table instead of a per-call scan: an O(log n) step
-// lookup replaces the O(lattice) enumeration, and the polish runs
+// lookup replaces the O(lattice) enumeration, and the GA runs
 // unchanged. Results are bit-identical to OptimizeParallelCtx for the same
 // inputs (property-tested), including the Evaluations+CacheHits accounting.
 //
@@ -462,7 +444,7 @@ func OptimizeTableCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts 
 		return Result{}, err
 	}
 	if CoarseLattice(mm) > CoarseLatticeLimit {
-		return polishCtx(ctx, mm, bufferSize, opts)
+		return GeneticCtx(ctx, mm, bufferSize, opts)
 	}
 	if table == nil {
 		return Result{}, fmt.Errorf("search: OptimizeTable needs a coarse candidate table for %v: %w", mm, errs.ErrInternal)
@@ -477,18 +459,9 @@ func OptimizeTableCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts 
 	if err != nil {
 		return Result{}, err
 	}
-	// Same polish-and-keep-better rule as optimize(); the polish is
-	// deterministic (see polishCtx), so the combined result — including the
-	// conservation sum — matches the scan path bit for bit.
-	g, gerr := polishCtx(ctx, mm, bufferSize, opts)
-	if gerr == nil && g.Access.Total < r.Access.Total {
-		g.Evaluations += r.Evaluations
-		g.CacheHits += r.CacheHits
-		g.Method = "table+" + opts.Polish.methodSuffix()
-		return g, nil
-	}
-	r.Evaluations += g.Evaluations
-	return r, nil
+	// The GA is deterministic for a seed, so the combined result —
+	// including the conservation sum — matches the scan path bit for bit.
+	return keepBetterGA(ctx, mm, bufferSize, opts, r, "table")
 }
 
 func optimize(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticOptions, workers int) (Result, error) {
@@ -506,20 +479,25 @@ func optimize(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticO
 		if err != nil {
 			return Result{}, err
 		}
-		// The coarse lattice can miss boundary tile values such as
-		// (BS−K)/(K+1); polish — the analytic engine's closed-form boundary
-		// candidates by default, DAT's MIP+GA hybrid under PolishGA — and
-		// keep the better of the two.
-		g, gerr := polishCtx(ctx, mm, bufferSize, opts)
-		if gerr == nil && g.Access.Total < r.Access.Total {
-			g.Evaluations += r.Evaluations
-			g.Method = "coarse+" + opts.Polish.methodSuffix()
-			return g, nil
-		}
-		r.Evaluations += g.Evaluations
-		return r, nil
+		return keepBetterGA(ctx, mm, bufferSize, opts, r, "coarse")
 	}
-	return polishCtx(ctx, mm, bufferSize, opts)
+	return GeneticCtx(ctx, mm, bufferSize, opts)
+}
+
+// keepBetterGA is DAT's MIP+GA rule: the coarse lattice can miss boundary
+// tile values such as (BS−K)/(K+1), so the GA polishes the lattice answer
+// r and the better of the two wins, carrying both stages' visit counts.
+// lattice names r's stage in the winning GA answer's Method.
+func keepBetterGA(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticOptions, r Result, lattice string) (Result, error) {
+	g, gerr := GeneticCtx(ctx, mm, bufferSize, opts)
+	if gerr == nil && g.Access.Total < r.Access.Total {
+		g.Evaluations += r.Evaluations
+		g.CacheHits += r.CacheHits
+		g.Method = lattice + "+genetic"
+		return g, nil
+	}
+	r.Evaluations += g.Evaluations
+	return r, nil
 }
 
 func clampT(v, hi int) int {

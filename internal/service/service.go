@@ -4,7 +4,8 @@
 //
 //   - POST /v1/optimize  — Principles 1–3, one-shot intra-operator optimum
 //   - POST /v1/plan      — Principle 4, chain-level fusion planning
-//   - POST /v1/search    — the DAT-style search baseline (parallel, table-backed)
+//   - POST /v1/search    — search: the exact analytic engine (auto) and the
+//     DAT-style baselines (parallel, table-backed lattice scans, the GA)
 //   - POST /v1/evaluate  — cross-platform workload evaluation (Fig. 10/11)
 //   - GET  /metrics      — Prometheus-style text exposition
 //   - GET  /healthz      — liveness probe (200 while the process lives)
@@ -49,7 +50,6 @@ import (
 	"fusecu/internal/errs"
 	"fusecu/internal/faultinject"
 	"fusecu/internal/metrics"
-	"fusecu/internal/search"
 	"fusecu/internal/tablestore"
 )
 
@@ -64,11 +64,6 @@ type Config struct {
 	// SearchWorkers sizes the per-request search worker pool; 0 means
 	// GOMAXPROCS (the search package's default).
 	SearchWorkers int
-	// Polish selects the auto-engine polish stage: the closed-form analytic
-	// optimizer by default (the zero value), or the genetic algorithm behind
-	// fusecu-serve's -polish=ga escape hatch. Successful auto searches under
-	// the default mode are counted in the analytic_polish metric.
-	Polish search.PolishMode
 	// RetryAfter is the Retry-After hint (seconds) on 429. Default 1.
 	RetryAfter int
 	// DegradeFraction is the fraction of a /v1/search request's deadline

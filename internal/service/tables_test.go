@@ -21,7 +21,8 @@ func searchBody(mm op.MatMul, buffer int64, engine string) string {
 
 // TestSearchTableBitIdentityAcrossEngines drives every table-served engine
 // through the endpoint and checks the answers against the frozen reference
-// engines — the end-to-end version of the candtable property tests.
+// engines — the end-to-end version of the candtable property tests — and
+// checks that auto answers from the analytic engine without a table.
 func TestSearchTableBitIdentityAcrossEngines(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	mm := op.MatMul{Name: "tbl", M: 36, K: 28, L: 30}
@@ -56,9 +57,9 @@ func TestSearchTableBitIdentityAcrossEngines(t *testing.T) {
 			t.Fatalf("%s: no candidate visits reported", tc.engine)
 		}
 	}
-	// auto on a small lattice goes through OptimizeTableCtx (table + genetic
-	// polish); it must match the scan-backed auto engine bit for bit.
-	wantAuto, err := search.OptimizeParallel(mm, buffer, search.GeneticOptions{}, 1)
+	// auto is the exact analytic engine alone: it matches OptimizeAnalytic
+	// bit for bit and builds no table.
+	wantAuto, err := search.OptimizeAnalytic(mm, buffer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,20 +68,22 @@ func TestSearchTableBitIdentityAcrossEngines(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("auto: status %d: %s", code, raw)
 	}
-	if resp.Dataflow.MemoryAccess != wantAuto.Access.Total ||
+	if resp.Method != "analytic" || resp.Evaluations != wantAuto.Evaluations || resp.CacheHits != 0 ||
+		resp.Dataflow.MemoryAccess != wantAuto.Access.Total ||
 		resp.Dataflow.TM != wantAuto.Dataflow.Tiling.TM ||
 		resp.Dataflow.TK != wantAuto.Dataflow.Tiling.TK ||
 		resp.Dataflow.TL != wantAuto.Dataflow.Tiling.TL {
-		t.Fatalf("auto: table-served answer %+v != scan-backed %+v", resp.Dataflow, wantAuto.Dataflow)
+		t.Fatalf("auto: answer %s %+v (%d evals, %d hits) != analytic %+v (%d evals)",
+			resp.Method, resp.Dataflow, resp.Evaluations, resp.CacheHits, wantAuto.Dataflow, wantAuto.Evaluations)
 	}
 
 	// Three engines over two grids → exactly two tables resident (full and
-	// coarse share the registry, auto reused the coarse one).
+	// coarse share the registry; auto uses none).
 	if got := s.tables.len(); got != 2 {
 		t.Fatalf("tables resident = %d, want 2 (full + coarse)", got)
 	}
-	if tb, th := s.Registry().Counter("table_builds").Value(), s.Registry().Counter("table_hits").Value(); tb != 2 || th != 1 {
-		t.Fatalf("builds/hits = %d/%d, want 2/1 (auto reuses the coarse table)", tb, th)
+	if tb, th := s.Registry().Counter("table_builds").Value(), s.Registry().Counter("table_hits").Value(); tb != 2 || th != 0 {
+		t.Fatalf("builds/hits = %d/%d, want 2/0 (auto builds and reads no table)", tb, th)
 	}
 }
 
