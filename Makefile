@@ -106,23 +106,26 @@ bench-serve:
 	$(GO) run ./cmd/fusecu-tablegen -out $(TABLE_DIR) -set bench
 	$(GO) run ./cmd/fusecu-bench -serve-load -serve-out BENCH_serve.json -replicas 3 -table-dir $(TABLE_DIR)
 
-## bench-compare reruns the search-layer and principle-optimizer
-## microbenchmarks and diffs the medians against the committed baseline
-## with the stdlib-only fusecu-benchstat (CI has no network for x/perf's
-## benchstat). The target is blocking: it fails when any benchmark's median
-## runs more than BENCH_GATE× the baseline, or when a baseline benchmark
-## vanished. The tolerance absorbs shared-runner noise (per-benchmark
-## spikes up to ~1.7× observed on loaded single-core runners) while still
-## catching the class of regression this gate exists for — engines quietly
+## bench-compare reruns the search-layer, principle-optimizer and
+## /v1/evaluate (internal/arch) microbenchmarks and diffs the medians
+## against the committed baseline with the stdlib-only fusecu-benchstat
+## (CI has no network for x/perf's benchstat). The target is blocking: it
+## fails when any benchmark's median runs more than BENCH_GATE× the
+## baseline, or when a baseline benchmark vanished. The tolerance absorbs
+## shared-runner noise (per-benchmark spikes up to ~1.7× observed on
+## loaded single-core runners) while still catching the class of
+## regression this gate exists for — engines quietly
 ## sliding back to per-candidate dispatch, which measures 2× and up on
-## these benchmarks, and the principle optimizer sliding back to a linear
-## tile sweep, which measures 40× and up on the core LLM benchmarks.
+## these benchmarks, the principle optimizer sliding back to a linear
+## tile sweep, which measures 40× and up on the core LLM benchmarks, and
+## core pricing its walks through the scalar cost.Evaluate instead of the
+## compiled kernel, which measures 3× and up on the same benchmarks.
 ## Set BENCH_GATE=0 for the old advisory behaviour.
 BENCH_BASELINE ?= bench/baseline_search.txt
 BENCH_GATE ?= 1.75
 bench-compare:
 	mkdir -p bench
-	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/search ./internal/core > bench/current_search.txt
+	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/search ./internal/core ./internal/arch > bench/current_search.txt
 	@$(GO) run ./cmd/fusecu-benchstat -gate $(BENCH_GATE) $(BENCH_BASELINE) bench/current_search.txt > bench/compare_search.txt 2>&1; s=$$?; \
 	cat bench/compare_search.txt; \
 	exit $$s
@@ -131,7 +134,7 @@ bench-compare:
 ## against. Run it on a quiet machine and commit the result.
 bench-baseline:
 	mkdir -p bench
-	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/search ./internal/core > $(BENCH_BASELINE)
+	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/search ./internal/core ./internal/arch > $(BENCH_BASELINE)
 
 ## bench-full is the measurement pass: statistically meaningful benchmark
 ## iterations plus the paper's full 32KiB-32MiB Fig. 9 sweep.

@@ -90,10 +90,12 @@ func (c Constraint) snapDown(v, extent int) int {
 // dataflow space. For each allowed stationary it walks the feasible frontier
 // of the two MA-relevant tile dimensions over the quantized tile lattice
 // (the same construction Optimize uses with quantum 1) and returns the best
-// candidate. The reported Principle is inferred from the winning dataflow's
-// NRA class.
+// candidate. Like Optimize it compiles mm's cost kernel once and prices
+// every walk point through it. The reported Principle is inferred from the
+// winning dataflow's NRA class.
 func OptimizeConstrained(mm op.MatMul, bufferSize int64, c Constraint) (Result, error) {
-	if err := mm.Validate(); err != nil {
+	k, err := compile(mm)
+	if err != nil {
 		return Result{}, err
 	}
 	if bufferSize < minimumBuffer {
@@ -104,7 +106,7 @@ func OptimizeConstrained(mm op.MatMul, bufferSize int64, c Constraint) (Result, 
 		if !c.AllowsStationary(t.Kind()) {
 			continue
 		}
-		if cand, ok := frontierCandidate(mm, bufferSize, t, c); ok {
+		if cand, ok := frontierCandidate(k, bufferSize, t, c); ok {
 			cands = append(cands, cand)
 		}
 	}
@@ -117,7 +119,9 @@ func OptimizeConstrained(mm op.MatMul, bufferSize int64, c Constraint) (Result, 
 
 // frontierCandidate sweeps the feasible (T_d1, T_d2) frontier of the
 // stationary tensor's dimensions over the constraint's tile lattice, with
-// the third dimension's tile pinned to its minimum allowed value.
+// the third dimension's tile pinned to its minimum allowed value. It prices
+// each point through the operator's compiled kernel k and builds a
+// Dataflow only for the winner.
 //
 // T_d1 walks the left endpoints of its ceil(ext1/T_d1) plateaus on the
 // lattice (dataflow.NextPlateauTile) and returns the first minimizer of the
@@ -127,11 +131,13 @@ func OptimizeConstrained(mm op.MatMul, bufferSize int64, c Constraint) (Result, 
 // scan. Either walk stops at the first T_d1 beside which no allowed T_d2
 // fits: the footprint's room for T_d2 only shrinks as T_d1 grows, so no
 // later tile fits either.
-func frontierCandidate(mm op.MatMul, bufferSize int64, stationary dataflow.Tensor, c Constraint) (Candidate, bool) {
+func frontierCandidate(k *cost.BatchEval, bufferSize int64, stationary dataflow.Tensor, c Constraint) (Candidate, bool) {
+	mm := k.Op()
 	dd := stationary.Dims()
 	d1, d2 := dd[0], dd[1]
 	third := irrelevantDimOf(stationary)
 	order := canonicalOrderForStationary(stationary)
+	oi := orderIndex(order)
 
 	ext1, ext2, ext3 := d1.Extent(mm), d2.Extent(mm), third.Extent(mm)
 	t3 := minAllowedTile(c, ext3)
@@ -150,7 +156,7 @@ func frontierCandidate(mm op.MatMul, bufferSize int64, stationary dataflow.Tenso
 
 	var (
 		found bool
-		best  dataflow.Dataflow
+		best  dataflow.Tiling
 		acc   cost.Access
 	)
 	// try prices T_d1 = t1 and reports whether any T_d2 fits beside it.
@@ -173,11 +179,10 @@ func frontierCandidate(mm op.MatMul, bufferSize int64, stationary dataflow.Tenso
 		if t2 == 0 {
 			return false
 		}
-		df := dataflow.Must(mm, order, dataflow.UnitTiling().
-			WithTile(third, t3).WithTile(d1, t1).WithTile(d2, t2))
-		a := cost.MustEvaluate(mm, df)
+		ti := dataflow.UnitTiling().WithTile(third, t3).WithTile(d1, t1).WithTile(d2, t2)
+		a := price(k, oi, ti)
 		if a.Footprint <= bufferSize && (!found || a.Total < acc.Total) {
-			found, best, acc = true, df, a
+			found, best, acc = true, ti, a
 		}
 		return true
 	}
@@ -196,7 +201,7 @@ func frontierCandidate(mm op.MatMul, bufferSize int64, stationary dataflow.Tenso
 		return Candidate{}, false
 	}
 	return Candidate{
-		Dataflow:  best,
+		Dataflow:  dataflow.Must(mm, order, best),
 		Access:    acc,
 		Principle: principleForNRA(acc.NRA),
 		Note: fmt.Sprintf("constrained frontier: %s stationary (%s), quantum %d",

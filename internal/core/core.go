@@ -101,9 +101,12 @@ const minimumBuffer = 3
 // Optimize applies Principles 1–3 to construct the optimal dataflow for mm
 // under a buffer of bufferSize elements, one-shot. In the small-buffer band
 // both the Single-NRA and Two-NRA constructions are evaluated and the
-// cheaper one wins, exactly as the paper prescribes.
+// cheaper one wins, exactly as the paper prescribes. It compiles mm's cost
+// kernel once and prices every construction and every P1 walk point
+// through it; only the candidates it returns carry a validated Dataflow.
 func Optimize(mm op.MatMul, bufferSize int64) (Result, error) {
-	if err := mm.Validate(); err != nil {
+	k, err := compile(mm)
+	if err != nil {
 		return Result{}, err
 	}
 	if bufferSize < minimumBuffer {
@@ -125,24 +128,24 @@ func Optimize(mm op.MatMul, bufferSize int64) (Result, error) {
 	// optimum of the entire tiling/scheduling space, which the test suite
 	// cross-validates against exhaustive search.
 	var cands []Candidate
-	if c, ok := ThreeNRACandidate(mm, bufferSize, smallestTensor(mm)); ok {
+	if c, ok := threeNRA(k, bufferSize, smallestTensor(mm)); ok {
 		cands = append(cands, c)
 	}
-	cands = append(cands, twoNRACandidatesForDim(mm, bufferSize, smallestDim(mm))...)
+	cands = appendTwoNRA(cands, k, bufferSize, smallestDim(mm))
 	for _, d := range dataflow.Dims() {
 		if d == smallestDim(mm) {
 			continue
 		}
-		cands = append(cands, twoNRACandidatesForDim(mm, bufferSize, d)...)
+		cands = appendTwoNRA(cands, k, bufferSize, d)
 	}
-	if c, ok := SingleNRACandidate(mm, bufferSize, smallestTensor(mm)); ok {
+	if c, ok := singleNRA(k, bufferSize, smallestTensor(mm)); ok {
 		cands = append(cands, c)
 	}
 	for _, t := range dataflow.Tensors() {
 		if t == smallestTensor(mm) {
 			continue
 		}
-		if c, ok := SingleNRACandidate(mm, bufferSize, t); ok {
+		if c, ok := singleNRA(k, bufferSize, t); ok {
 			cands = append(cands, c)
 		}
 	}
@@ -153,22 +156,53 @@ func Optimize(mm op.MatMul, bufferSize int64) (Result, error) {
 	return Result{Candidate: best, Regime: regime, Considered: cands}, nil
 }
 
+// orders is the loop-order list every core kernel is compiled with; a
+// kernel names an order by its index here (orderIndex).
+var orders = dataflow.AllOrders()
+
+// compile validates mm and compiles its cost kernel over every loop order.
+// The kernel's scalar entry serves every valid operator, so core has one
+// pricing path whatever the extents.
+func compile(mm op.MatMul) (*cost.BatchEval, error) {
+	return cost.Compile(mm, orders)
+}
+
+// orderIndex returns o's index in orders.
+func orderIndex(o dataflow.Order) uint8 {
+	for i, x := range orders {
+		if x == o {
+			return uint8(i)
+		}
+	}
+	panic(fmt.Sprintf("core: order %v is not a permutation of M, K, L", o))
+}
+
+// price evaluates tiling ti under order index oi through kernel k.
+func price(k *cost.BatchEval, oi uint8, ti dataflow.Tiling) cost.Access {
+	return k.Eval(oi, int64(ti.TM), int64(ti.TK), int64(ti.TL))
+}
+
 // CandidateSet constructs every principle-derived candidate irrespective of
 // regime: all three stationary choices (P1), all four untiled-dimension
 // constructions (P2), and all three resident-tensor choices (P3). The strict
 // principle choices are a subset; the full set powers the ablation studies.
+// It returns no candidate for an invalid operator.
 func CandidateSet(mm op.MatMul, bufferSize int64) []Candidate {
+	k, err := compile(mm)
+	if err != nil {
+		return nil
+	}
 	var cands []Candidate
 	for _, t := range dataflow.Tensors() {
-		if c, ok := SingleNRACandidate(mm, bufferSize, t); ok {
+		if c, ok := singleNRA(k, bufferSize, t); ok {
 			cands = append(cands, c)
 		}
 	}
 	for _, d := range dataflow.Dims() {
-		cands = append(cands, twoNRACandidatesForDim(mm, bufferSize, d)...)
+		cands = appendTwoNRA(cands, k, bufferSize, d)
 	}
 	for _, t := range dataflow.Tensors() {
-		if c, ok := ThreeNRACandidate(mm, bufferSize, t); ok {
+		if c, ok := threeNRA(k, bufferSize, t); ok {
 			cands = append(cands, c)
 		}
 	}
@@ -181,9 +215,17 @@ func CandidateSet(mm op.MatMul, bufferSize int64) []Candidate {
 // remaining dimension's tile is 1. It is the exact integer solve of
 // min MKL(1/T1 + 1/T2) s.t. T1·T2 + T1 + T2 ≤ BS, which the unconstrained
 // frontier walk (frontierCandidate) performs over at most 2√ext1 values of
-// T1.
+// T1. It reports false for an invalid operator.
 func SingleNRACandidate(mm op.MatMul, bufferSize int64, stationary dataflow.Tensor) (Candidate, bool) {
-	c, ok := frontierCandidate(mm, bufferSize, stationary, Unconstrained)
+	k, err := compile(mm)
+	if err != nil {
+		return Candidate{}, false
+	}
+	return singleNRA(k, bufferSize, stationary)
+}
+
+func singleNRA(k *cost.BatchEval, bufferSize int64, stationary dataflow.Tensor) (Candidate, bool) {
+	c, ok := frontierCandidate(k, bufferSize, stationary, Unconstrained)
 	if !ok {
 		return Candidate{}, false
 	}
@@ -198,11 +240,20 @@ func SingleNRACandidate(mm op.MatMul, bufferSize int64, stationary dataflow.Tens
 // the output redundant costs extra partial-sum read-backs and is never
 // principle-optimal. The tile of the dimension absent from the redundant
 // tensor is maximized under the Eq. 4 constraint; the remaining dimension's
-// tile is 1.
+// tile is 1. It reports false for an invalid operator.
 func TwoNRACandidate(mm op.MatMul, bufferSize int64, untiled dataflow.Dim, redundant dataflow.Tensor) (Candidate, bool) {
+	k, err := compile(mm)
+	if err != nil {
+		return Candidate{}, false
+	}
+	return twoNRA(k, bufferSize, untiled, redundant)
+}
+
+func twoNRA(k *cost.BatchEval, bufferSize int64, untiled dataflow.Dim, redundant dataflow.Tensor) (Candidate, bool) {
 	if redundant == dataflow.TensorC || !redundant.HasDim(untiled) {
 		return Candidate{}, false
 	}
+	mm := k.Op()
 	// P is the dimension not indexing the redundant tensor (maximized);
 	// q is the redundant tensor's other dimension (minimized).
 	var p, q dataflow.Dim
@@ -235,36 +286,44 @@ func TwoNRACandidate(mm op.MatMul, bufferSize int64, untiled dataflow.Dim, redun
 		tp = pExt
 	}
 	ti := base.WithTile(p, int(tp))
-	df := dataflow.Must(mm, order, ti)
-	acc := cost.MustEvaluate(mm, df)
+	acc := price(k, orderIndex(order), ti)
 	if acc.Footprint > bufferSize {
 		return Candidate{}, false
 	}
 	return Candidate{
-		Dataflow:  df,
+		Dataflow:  dataflow.Must(mm, order, ti),
 		Access:    acc,
 		Principle: 2,
 		Note:      fmt.Sprintf("P2: untile %s, %s redundant, maximize T_%s", untiled, redundant, p),
 	}, true
 }
 
-// twoNRACandidatesForDim returns every valid TwoNRACandidate that untiles d:
+// appendTwoNRA appends every valid Principle 2 candidate that untiles d:
 // both input-redundant choices when d = K, one otherwise.
-func twoNRACandidatesForDim(mm op.MatMul, bufferSize int64, d dataflow.Dim) []Candidate {
-	var out []Candidate
+func appendTwoNRA(cands []Candidate, k *cost.BatchEval, bufferSize int64, d dataflow.Dim) []Candidate {
 	for _, r := range dataflow.TensorsWithDim(d) {
-		if c, ok := TwoNRACandidate(mm, bufferSize, d, r); ok {
-			out = append(out, c)
+		if c, ok := twoNRA(k, bufferSize, d, r); ok {
+			cands = append(cands, c)
 		}
 	}
-	return out
+	return cands
 }
 
 // ThreeNRACandidate constructs the Principle 3 dataflow keeping tensor
 // resident fully on-chip (both of its dimensions untiled). Per the
 // principle, the remaining dimension's tile size is a don't-care for MA; it
-// is set to the largest value that fits to help the mapping layer.
+// is set to the largest value that fits to help the mapping layer. It
+// reports false for an invalid operator.
 func ThreeNRACandidate(mm op.MatMul, bufferSize int64, resident dataflow.Tensor) (Candidate, bool) {
+	k, err := compile(mm)
+	if err != nil {
+		return Candidate{}, false
+	}
+	return threeNRA(k, bufferSize, resident)
+}
+
+func threeNRA(k *cost.BatchEval, bufferSize int64, resident dataflow.Tensor) (Candidate, bool) {
+	mm := k.Op()
 	dd := resident.Dims()
 	d1, d2 := dd[0], dd[1]
 	third := irrelevantDimOf(resident)
@@ -289,13 +348,12 @@ func ThreeNRACandidate(mm op.MatMul, bufferSize int64, resident dataflow.Tensor)
 	// Any order works for MA here; put the tiled loop outermost so the
 	// resident tensor's dims are innermost (transparent, trip count 1).
 	order := dataflow.Order{third, d1, d2}
-	df := dataflow.Must(mm, order, ti)
-	acc := cost.MustEvaluate(mm, df)
+	acc := price(k, orderIndex(order), ti)
 	if acc.Footprint > bufferSize {
 		return Candidate{}, false
 	}
 	return Candidate{
-		Dataflow:  df,
+		Dataflow:  dataflow.Must(mm, order, ti),
 		Access:    acc,
 		Principle: 3,
 		Note:      fmt.Sprintf("P3: keep %s resident, untile %s and %s", resident, d1, d2),

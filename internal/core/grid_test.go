@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"errors"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -14,6 +16,7 @@ import (
 	"fusecu/internal/invariant"
 	"fusecu/internal/model"
 	"fusecu/internal/op"
+	"fusecu/internal/search"
 )
 
 // raceEnabled is set by race_test.go under -race. Its instrumentation, like
@@ -118,5 +121,50 @@ func TestPlanChainDecisionsMatchPerPairDecisions(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// Optimize is exact at scale: its Total equals the analytic engine's exact
+// optimum on 10^4 seeded random points with extents up to 2^20 and buffers
+// 3 … 2^25, a quarter of them decode-shaped (M = 1 or K ≤ 3).
+func TestOptimizeMatchesAnalyticAtScale(t *testing.T) {
+	if raceEnabled || invariant.Enabled {
+		t.Skip("10^4 exact optimizations are too slow under -race or fusecuchecks")
+	}
+	rng := rand.New(rand.NewSource(16))
+	logUniform := func(lo, hi float64) int64 {
+		return int64(math.Exp(math.Log(lo) + rng.Float64()*(math.Log(hi)-math.Log(lo))))
+	}
+	const points = 10_000
+	decode := 0
+	for i := 0; i < points; i++ {
+		dim := func() int { return int(logUniform(1, 1<<20)) }
+		mm := op.MatMul{M: dim(), K: dim(), L: dim()}
+		if rng.Intn(4) == 0 {
+			if rng.Intn(2) == 0 {
+				mm.M = 1
+			} else {
+				mm.K = 1 + rng.Intn(3)
+			}
+		}
+		if mm.M == 1 || mm.K <= 3 {
+			decode++
+		}
+		bs := max(3, logUniform(3, 1<<25))
+		got, err := core.Optimize(mm, bs)
+		if err != nil {
+			t.Fatalf("core.Optimize(%v, %d): %v", mm, bs, err)
+		}
+		want, err := search.OptimizeAnalytic(mm, bs)
+		if err != nil {
+			t.Fatalf("search.OptimizeAnalytic(%v, %d): %v", mm, bs, err)
+		}
+		if got.Access.Total != want.Access.Total {
+			t.Fatalf("%v BS=%d: core.Optimize Total %d (%v), analytic %d (%v)",
+				mm, bs, got.Access.Total, got.Dataflow, want.Access.Total, want.Dataflow)
+		}
+	}
+	if decode < points/5 {
+		t.Fatalf("%d of %d points decode-shaped, want at least a fifth", decode, points)
 	}
 }

@@ -19,10 +19,18 @@ import (
 // Exported for the grid tests in package core_test, which import
 // internal/arch and internal/experiments.
 var (
-	FrontierCandidate           = frontierCandidate
 	ReferenceSingleNRACandidate = referenceSingleNRACandidate
 	ReferenceFrontierCandidate  = referenceFrontierCandidate
 )
+
+// FrontierCandidate is frontierCandidate on a kernel compiled for mm.
+func FrontierCandidate(mm op.MatMul, bufferSize int64, stationary dataflow.Tensor, c Constraint) (Candidate, bool) {
+	k, err := compile(mm)
+	if err != nil {
+		return Candidate{}, false
+	}
+	return frontierCandidate(k, bufferSize, stationary, c)
+}
 
 // referenceSingleNRACandidate prices every T1 = 1…ext1.
 func referenceSingleNRACandidate(mm op.MatMul, bufferSize int64, stationary dataflow.Tensor) (Candidate, bool) {
@@ -149,7 +157,7 @@ func checkWalk(t *testing.T, mm op.MatMul, bs int64, c Constraint) {
 				t.Fatalf("%v BS=%d %s stationary: walk %+v (%v), sweep %+v (%v)", mm, bs, st, got, gok, want, wok)
 			}
 		}
-		got, gok := frontierCandidate(mm, bs, st, c)
+		got, gok := FrontierCandidate(mm, bs, st, c)
 		want, wok := referenceFrontierCandidate(mm, bs, st, c)
 		if gok != wok || got != want {
 			t.Fatalf("%v BS=%d %s stationary %+v: walk %+v (%v), sweep %+v (%v)", mm, bs, st, c, got, gok, want, wok)

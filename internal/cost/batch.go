@@ -20,11 +20,13 @@ import (
 // it validates once, resolves each order's reuse structure into a flat plan
 // (which inner loops can evict which resident tile), and then evaluates
 // whole struct-of-arrays Blocks of candidates with nothing left per
-// candidate but integer arithmetic on the three trip counts. The results are
+// candidate but integer arithmetic on the three trip counts. Consumers that
+// price a few data-dependent points rather than a lattice use the same plan
+// one candidate at a time through the scalar Eval entry. The results are
 // bit-identical to Evaluate — every Access field, including OutputReads and
-// the NRA class — which TestBatchEvalMatchesEvaluate pins across randomized
-// shapes, skewed decode-style shapes (M=1 GEMV, tiny-K, small-L), and every
-// lattice candidate.
+// the NRA class — which TestBatchEvalMatchesEvaluate and
+// TestEvalMatchesEvaluate pin across randomized shapes, skewed decode-style
+// shapes (M=1 GEMV, tiny-K, small-L), and every lattice candidate.
 
 // Block is a struct-of-arrays batch of evaluation candidates over one
 // operator: parallel slices of order indices, tile triples and precomputed
@@ -108,17 +110,27 @@ type BatchEval struct {
 	plans               []orderPlan
 }
 
-// NewBatchEval validates mm and every order once and compiles the per-order
-// reuse plans. orders is typically dataflow.AllOrders(); candidates pushed
-// into blocks refer to it by index. Block stores tiles as int32, so an
-// extent above math.MaxInt32 is rejected with errs.ErrInvalidOperator
+// NewBatchEval is Compile for the Block path. Block stores tiles as int32,
+// so an extent above math.MaxInt32 is rejected with errs.ErrInvalidOperator
 // rather than truncated into a negative tile.
 func NewBatchEval(mm op.MatMul, orders []dataflow.Order) (*BatchEval, error) {
-	if err := mm.Validate(); err != nil {
+	k, err := Compile(mm, orders)
+	if err != nil {
 		return nil, err
 	}
 	if mm.M > math.MaxInt32 || mm.K > math.MaxInt32 || mm.L > math.MaxInt32 {
 		return nil, fmt.Errorf("cost: %v has an extent above the batch kernel's int32 tile range: %w", mm, errs.ErrInvalidOperator)
+	}
+	return k, nil
+}
+
+// Compile validates mm and every order once and compiles the per-order
+// reuse plans. orders is typically dataflow.AllOrders(); candidates refer to
+// it by index. The kernel prices any operator mm.Validate accepts through
+// the scalar Eval entry, whatever its extents; blocks need NewBatchEval.
+func Compile(mm op.MatMul, orders []dataflow.Order) (*BatchEval, error) {
+	if err := mm.Validate(); err != nil {
+		return nil, err
 	}
 	if len(orders) == 0 || len(orders) > 256 {
 		return nil, fmt.Errorf("cost: batch kernel needs 1-256 orders, got %d", len(orders))
@@ -213,24 +225,37 @@ func (k *BatchEval) Stationary(oi uint8) dataflow.StationaryKind {
 // results are bit-identical to Evaluate on the corresponding Dataflow.
 func (k *BatchEval) EvalBlock(b *Block) {
 	for i := range b.OI {
-		b.Out[i] = k.evalOne(b.OI[i], b.TM[i], b.TK[i], b.TL[i], b.Foot[i])
+		k.evalOne(&b.Out[i], b.OI[i], int64(b.TM[i]), int64(b.TK[i]), int64(b.TL[i]), b.Foot[i])
 	}
 }
 
-// evalOne prices a single candidate from the compiled plan: three trip-count
-// divisions, at most six trip compares, and the checked traffic products.
-func (k *BatchEval) evalOne(oi uint8, tm, tk, tl int32, foot int64) Access {
-	invariant.Assert(int64(tm) >= 1 && int64(tm) <= k.m &&
-		int64(tk) >= 1 && int64(tk) <= k.k &&
-		int64(tl) >= 1 && int64(tl) <= k.l,
+// Eval is the scalar entry: it prices one candidate, order index oi with
+// tiles 1 ≤ T_D ≤ D, and computes its footprint. It serves consumers that
+// visit a few data-dependent points rather than a lattice (the principle
+// optimizer's walks and constructions, the genetic engine), allocates
+// nothing, and is bit-identical to Evaluate on the corresponding Dataflow.
+func (k *BatchEval) Eval(oi uint8, tm, tk, tl int64) Access {
+	foot := invariant.CheckedMul(tm, tk) + invariant.CheckedMul(tk, tl) + invariant.CheckedMul(tm, tl)
+	var a Access
+	k.evalOne(&a, oi, tm, tk, tl, foot)
+	return a
+}
+
+// evalOne prices a single candidate from the compiled plan into *a: three
+// trip-count divisions, at most six trip compares, and the checked traffic
+// products. Writing through a, rather than returning the Access, lets
+// EvalBlock fill its output row in place and spares the caller copying the
+// struct straight after its fields were stored, which stalled the scalar
+// walks.
+func (k *BatchEval) evalOne(a *Access, oi uint8, tm, tk, tl, foot int64) {
+	invariant.Assert(tm >= 1 && tm <= k.m && tk >= 1 && tk <= k.k && tl >= 1 && tl <= k.l,
 		"cost: batch candidate tiles (%d,%d,%d) outside %v", tm, tk, tl, k.mm)
 	p := &k.plans[oi]
 	var trips [3]int64
-	trips[0] = (k.m + int64(tm) - 1) / int64(tm)
-	trips[1] = (k.k + int64(tk) - 1) / int64(tk)
-	trips[2] = (k.l + int64(tl) - 1) / int64(tl)
+	trips[0] = (k.m + tm - 1) / tm
+	trips[1] = (k.k + tk - 1) / tk
+	trips[2] = (k.l + tl - 1) / tl
 
-	var a Access
 	a.Footprint = foot
 
 	// Input A (irrelevant loop L): one load unless an inner A-indexing loop
@@ -286,5 +311,4 @@ func (k *BatchEval) evalOne(oi uint8, tm, tk, tl int32, foot int64) Access {
 	a.NRA = dataflow.NRAClass(n)
 	invariant.Assert(a.Total >= k.ideal,
 		"MA total %d below communication lower bound %d for %v (batch)", a.Total, k.ideal, k.mm)
-	return a
 }

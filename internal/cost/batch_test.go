@@ -3,6 +3,7 @@ package cost
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"fusecu/internal/dataflow"
@@ -89,6 +90,65 @@ func TestBatchEvalMatchesEvaluate(t *testing.T) {
 	}
 }
 
+// TestEvalMatchesEvaluate pins the scalar entry bit-identical to Evaluate on
+// every Access field: random shapes, the decode degenerates and a ragged
+// lattice, and an operator with an extent above MaxInt32, which Compile
+// accepts while NewBatchEval (the Block path) rejects it.
+func TestEvalMatchesEvaluate(t *testing.T) {
+	orders := dataflow.AllOrders()
+	check := func(kern *BatchEval, mm op.MatMul, tm, tk, tl int) {
+		t.Helper()
+		for oi, o := range orders {
+			want := MustEvaluate(mm, dataflow.Must(mm, o, dataflow.MustTiling(mm, tm, tk, tl)))
+			if got := kern.Eval(uint8(oi), int64(tm), int64(tk), int64(tl)); got != want {
+				t.Fatalf("%v order %v tiles (%d,%d,%d): Eval %+v, Evaluate %+v", mm, o, tm, tk, tl, got, want)
+			}
+		}
+	}
+	compile := func(mm op.MatMul) *BatchEval {
+		t.Helper()
+		kern, err := Compile(mm, orders)
+		if err != nil {
+			t.Fatalf("Compile(%v): %v", mm, err)
+		}
+		return kern
+	}
+
+	for _, mm := range batchShapes {
+		kern := compile(mm)
+		for _, tm := range tileLattice(mm.M) {
+			for _, tk := range tileLattice(mm.K) {
+				for _, tl := range tileLattice(mm.L) {
+					check(kern, mm, tm, tk, tl)
+				}
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 300; i++ {
+		dim := func() int { return int(math.Exp(rng.Float64() * math.Log(1<<20))) }
+		mm := op.MatMul{M: dim(), K: dim(), L: dim()}
+		kern := compile(mm)
+		for j := 0; j < 20; j++ {
+			check(kern, mm, 1+rng.Intn(mm.M), 1+rng.Intn(mm.K), 1+rng.Intn(mm.L))
+		}
+	}
+
+	huge := op.MatMul{Name: "huge", M: 1 << 40, K: 2, L: 3}
+	if _, err := NewBatchEval(huge, orders); !errors.Is(err, errs.ErrInvalidOperator) {
+		t.Fatalf("NewBatchEval(%v): err = %v, want ErrInvalidOperator", huge, err)
+	}
+	kern := compile(huge)
+	for _, tm := range []int{1, 2, 1<<39 + 1, 1<<40 - 1, 1 << 40} {
+		for tk := 1; tk <= 2; tk++ {
+			for tl := 1; tl <= 3; tl++ {
+				check(kern, huge, tm, tk, tl)
+			}
+		}
+	}
+}
+
 // TestBatchEvalStationary checks the kernel re-exports each order's rotation
 // class correctly.
 func TestBatchEvalStationary(t *testing.T) {
@@ -152,6 +212,23 @@ func TestEvalBlockZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { kern.EvalBlock(blk) }); n != 0 {
 		t.Fatalf("EvalBlock allocated %v times per run, want 0", n)
 	}
+}
+
+// TestEvalZeroAllocs pins the scalar entry at zero allocations per call on
+// the production build.
+func TestEvalZeroAllocs(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("invariant checks compiled in: assertions allocate")
+	}
+	kern, err := Compile(op.MatMul{Name: "alloc", M: 1 << 40, K: 192, L: 192}, dataflow.AllOrders())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink Access
+	if n := testing.AllocsPerRun(100, func() { sink = kern.Eval(3, 1<<30, 16, 100) }); n != 0 {
+		t.Fatalf("Eval allocated %v times per run, want 0", n)
+	}
+	_ = sink
 }
 
 // BenchmarkBatchKernel measures the per-candidate cost of the batch path

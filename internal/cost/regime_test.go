@@ -46,7 +46,7 @@ func TestRegimeMatchesEvalOne(t *testing.T) {
 			for oi := range orders {
 				base, coef := kern.Regime(uint8(oi), multi)
 				affine := base + coef[0]*trips[0] + coef[1]*trips[1] + coef[2]*trips[2]
-				got := kern.evalOne(uint8(oi), int32(ti.TM), int32(ti.TK), int32(ti.TL), ti.Footprint())
+				got := kern.Eval(uint8(oi), int64(ti.TM), int64(ti.TK), int64(ti.TL))
 				if affine != got.Total {
 					t.Fatalf("%v order %d tiling %v: affine %d (base %d coef %v trips %v) != evalOne %d",
 						mm, oi, ti, affine, base, coef, trips, got.Total)

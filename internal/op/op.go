@@ -29,13 +29,11 @@ func (m MatMul) Validate() error {
 	if m.M <= 0 || m.K <= 0 || m.L <= 0 {
 		return fmt.Errorf("op: %s has non-positive dims M=%d K=%d L=%d: %w", m.label(), m.M, m.K, m.L, errs.ErrInvalidOperator)
 	}
-	// Extents up to 2^20 always fit (3·2^60 < 2^63), which spares the
-	// divisions in MulOverflows on every cost-model call. Each overflow test
-	// runs only once the products it builds on are known to fit.
-	if max(m.M, m.K, m.L) > 1<<20 &&
-		(invariant.MulOverflows(int64(m.M), int64(m.K)) ||
-			invariant.MulOverflows(m.SizeA(), int64(m.L)) ||
-			invariant.MulOverflows(3, m.MACs())) {
+	// Each overflow test runs only once the products it builds on are known
+	// to fit.
+	if invariant.MulOverflows(int64(m.M), int64(m.K)) ||
+		invariant.MulOverflows(m.SizeA(), int64(m.L)) ||
+		invariant.MulOverflows(3, m.MACs()) {
 		return fmt.Errorf("op: %s is too large: 3·M·K·L overflows int64 (M=%d K=%d L=%d): %w", m.label(), m.M, m.K, m.L, errs.ErrInvalidOperator)
 	}
 	return nil

@@ -89,20 +89,6 @@ func fullRange(n int) []int {
 	return out
 }
 
-// evalDataflow prices one candidate through the scalar cost model, firing
-// the per-visit fault-injection site first. This is the genetic engine's
-// evaluation path; the enumeration scans batch through blockScanner instead
-// — GA candidates are sparse, data-dependent points that gain nothing from
-// blocking.
-func evalDataflow(mm op.MatMul, df dataflow.Dataflow) cost.Access {
-	if err := faultinject.Active().Fire(SiteEval); err != nil {
-		// The evaluation path has no error return; the scan-level recover
-		// boundary (guardScan / GeneticCtx) converts this into ErrInternal.
-		panic(err)
-	}
-	return cost.MustEvaluate(mm, df)
-}
-
 // panicError converts a recovered panic value into the taxonomy's
 // ErrInternal class, preserving error payloads (so an injected fault stays
 // classifiable as faultinject.ErrInjected).

@@ -24,10 +24,11 @@
 //     the GA pays thousands. It is exact over the full integer space and
 //     is the engine behind /v1/search auto.
 //
-// Every engine prices its candidates directly: the enumeration engines and
-// the analytic engine through the cost.BatchEval kernel, the GA through
-// cost.Evaluate. Only candidate tables (CandTable) amortize pricing across
-// calls, by folding a whole lattice into footprint-indexed step functions.
+// Every engine prices its candidates directly through the cost.BatchEval
+// kernel: the enumeration engines and the analytic engine in blocks, the GA
+// one genome at a time through its scalar entry. Only candidate tables
+// (CandTable) amortize pricing across calls, by folding a whole lattice
+// into footprint-indexed step functions.
 package search
 
 import (
@@ -40,6 +41,7 @@ import (
 	"fusecu/internal/cost"
 	"fusecu/internal/dataflow"
 	"fusecu/internal/errs"
+	"fusecu/internal/faultinject"
 	"fusecu/internal/invariant"
 	"fusecu/internal/op"
 )
@@ -230,7 +232,11 @@ func GeneticCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts Geneti
 			res, err = Result{}, panicError(r)
 		}
 	}()
-	if err := mm.Validate(); err != nil {
+	orders := dataflow.AllOrders()
+	// One kernel per call prices every genome. Its scalar entry takes int64
+	// tiles, so the GA serves extents above MaxInt32 as well.
+	kern, err := cost.Compile(mm, orders)
+	if err != nil {
 		return Result{}, err
 	}
 	if bufferSize < 3 {
@@ -238,12 +244,19 @@ func GeneticCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts Geneti
 	}
 	opts = opts.withDefaults()
 	rng := rand.New(rand.NewSource(opts.Seed))
-	orders := dataflow.AllOrders()
+	price := func(g genome) cost.Access {
+		ti := dataflow.ClampedTiling(mm, g.tm, g.tk, g.tl)
+		return kern.Eval(uint8(g.order), int64(ti.TM), int64(ti.TK), int64(ti.TL))
+	}
 
 	var evals int64
 	fitness := func(g genome) int64 {
-		df := dataflow.Must(mm, orders[g.order], dataflow.ClampedTiling(mm, g.tm, g.tk, g.tl))
-		a := evalDataflow(mm, df)
+		if err := faultinject.Active().Fire(SiteEval); err != nil {
+			// Fitness has no error return; the recover above converts this
+			// into ErrInternal.
+			panic(err)
+		}
+		a := price(g)
 		evals++
 		if a.Footprint > bufferSize {
 			// Penalize infeasible individuals proportionally to overflow so
@@ -377,13 +390,13 @@ func GeneticCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts Geneti
 		bestF, bestG = s[0].f, s[0].g
 	}
 
-	df := dataflow.Must(mm, orders[bestG.order], dataflow.ClampedTiling(mm, bestG.tm, bestG.tk, bestG.tl))
 	// Uncounted re-evaluation of the winner, preserving the historical
 	// Evaluations semantics (fitness invocations only).
-	a := cost.MustEvaluate(mm, df)
+	a := price(bestG)
 	if a.Footprint > bufferSize {
 		return Result{}, fmt.Errorf("search: genetic search found no feasible dataflow for %v in buffer %d: %w", mm, bufferSize, errs.ErrInfeasible)
 	}
+	df := dataflow.Must(mm, orders[bestG.order], dataflow.ClampedTiling(mm, bestG.tm, bestG.tk, bestG.tl))
 	return Result{Dataflow: df, Access: a, Evaluations: evals, Method: "genetic"}, nil
 }
 

@@ -236,6 +236,25 @@ func TestSearchHugeExtentIsInvalidRequest(t *testing.T) {
 	}
 }
 
+// TestSearchGeneticServesHugeExtent: the GA prices through the kernel's
+// scalar entry, which takes int64 tiles, so the shape the Block-based
+// engines reject is answered by the GA itself, not a degraded fallback.
+func TestSearchGeneticServesHugeExtent(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	mm := op.MatMul{Name: "huge", M: 3_000_000_000, K: 2, L: 2}
+	const buffer = 1 << 40
+	var resp searchResponse
+	if code, raw := post(t, ts, "/v1/search", searchBody(mm, buffer, "genetic"), &resp); code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, raw)
+	}
+	if resp.Degraded || resp.Method != "genetic" {
+		t.Fatalf("method %q degraded %v, want an undegraded genetic answer", resp.Method, resp.Degraded)
+	}
+	if resp.Dataflow.MemoryAccess < mm.IdealMA() {
+		t.Fatalf("MA %d below the ideal %d", resp.Dataflow.MemoryAccess, mm.IdealMA())
+	}
+}
+
 // TestTableCapRoutesLargeShapesToScan: a shape above TableMaxCandidates
 // never materializes a table and is answered by the scan engines.
 func TestTableCapRoutesLargeShapesToScan(t *testing.T) {
