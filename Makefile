@@ -106,8 +106,9 @@ bench-serve:
 	$(GO) run ./cmd/fusecu-tablegen -out $(TABLE_DIR) -set bench
 	$(GO) run ./cmd/fusecu-bench -serve-load -serve-out BENCH_serve.json -replicas 3 -table-dir $(TABLE_DIR)
 
-## bench-compare reruns the search-layer, principle-optimizer and
-## /v1/evaluate (internal/arch) microbenchmarks and diffs the medians
+## bench-compare reruns the search-layer, principle-optimizer, fused
+## tile-OS/IS (internal/fusion) and /v1/evaluate (internal/arch)
+## microbenchmarks and diffs the medians
 ## against the committed baseline with the stdlib-only fusecu-benchstat
 ## (CI has no network for x/perf's benchstat). The target is blocking: it
 ## fails when any benchmark's median runs more than BENCH_GATE× the
@@ -117,15 +118,18 @@ bench-serve:
 ## regression this gate exists for — engines quietly
 ## sliding back to per-candidate dispatch, which measures 2× and up on
 ## these benchmarks, the principle optimizer sliding back to a linear
-## tile sweep, which measures 40× and up on the core LLM benchmarks, and
+## tile sweep, which measures 40× and up on the core LLM benchmarks,
 ## core pricing its walks through the scalar cost.Evaluate instead of the
-## compiled kernel, which measures 3× and up on the same benchmarks.
+## compiled kernel, which measures 3× and up on the same benchmarks, and
+## the core and fused walks pricing every trip-count plateau instead of one
+## point per run, which measures 4× and up on the core LLM benchmarks and
+## on BenchmarkTileOSISLLM/align=1.
 ## Set BENCH_GATE=0 for the old advisory behaviour.
 BENCH_BASELINE ?= bench/baseline_search.txt
 BENCH_GATE ?= 1.75
 bench-compare:
 	mkdir -p bench
-	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/search ./internal/core ./internal/arch > bench/current_search.txt
+	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/search ./internal/core ./internal/fusion ./internal/arch > bench/current_search.txt
 	@$(GO) run ./cmd/fusecu-benchstat -gate $(BENCH_GATE) $(BENCH_BASELINE) bench/current_search.txt > bench/compare_search.txt 2>&1; s=$$?; \
 	cat bench/compare_search.txt; \
 	exit $$s
@@ -134,7 +138,7 @@ bench-compare:
 ## against. Run it on a quiet machine and commit the result.
 bench-baseline:
 	mkdir -p bench
-	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/search ./internal/core ./internal/arch > $(BENCH_BASELINE)
+	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/search ./internal/core ./internal/fusion ./internal/arch > $(BENCH_BASELINE)
 
 ## bench-full is the measurement pass: statistically meaningful benchmark
 ## iterations plus the paper's full 32KiB-32MiB Fig. 9 sweep.

@@ -62,30 +62,6 @@ func (c Constraint) quantum() int {
 	return c.TileQuantum
 }
 
-// allowedTile reports whether tile value v is legal for a dimension of the
-// given extent.
-func (c Constraint) allowedTile(v, extent int) bool {
-	if v < 1 || v > extent {
-		return false
-	}
-	q := c.quantum()
-	return v == extent || v%q == 0
-}
-
-// snapDown returns the largest allowed tile ≤ v for the given extent, or 0
-// when none exists.
-func (c Constraint) snapDown(v, extent int) int {
-	if v >= extent {
-		return extent
-	}
-	q := c.quantum()
-	s := (v / q) * q
-	if s < 1 {
-		return 0
-	}
-	return s
-}
-
 // OptimizeConstrained is principle-based optimization inside a restricted
 // dataflow space. For each allowed stationary it walks the feasible frontier
 // of the two MA-relevant tile dimensions over the quantized tile lattice
@@ -117,20 +93,20 @@ func OptimizeConstrained(mm op.MatMul, bufferSize int64, c Constraint) (Result, 
 	return Result{Candidate: best, Regime: Classify(mm, bufferSize), Considered: cands}, nil
 }
 
-// frontierCandidate sweeps the feasible (T_d1, T_d2) frontier of the
+// frontierCandidate solves the feasible (T_d1, T_d2) frontier of the
 // stationary tensor's dimensions over the constraint's tile lattice, with
-// the third dimension's tile pinned to its minimum allowed value. It prices
-// each point through the operator's compiled kernel k and builds a
-// Dataflow only for the winner.
+// the third dimension's tile pinned to its minimum allowed value. T_d2 is
+// the largest allowed tile the footprint admits beside T_d1. It prices
+// points through the operator's compiled kernel k and builds a Dataflow
+// only for the winner, the first minimizer of a sweep over every lattice
+// T_d1.
 //
-// T_d1 walks the left endpoints of its ceil(ext1/T_d1) plateaus on the
-// lattice (dataflow.NextPlateauTile) and returns the first minimizer of the
-// full lattice sweep: the largest T_d2 that fits never grows with T_d1, so
-// the traffic is non-decreasing along each plateau. Square breaks that
-// premise (T_d2 follows T_d1 upward), so it keeps the per-lattice-point
-// scan. Either walk stops at the first T_d1 beside which no allowed T_d2
-// fits: the footprint's room for T_d2 only shrinks as T_d1 grows, so no
-// later tile fits either.
+// dataflow.Frontier.Walk finds it pricing one point per run of T_d2's trip
+// count, since Total depends on the tiles only through their trip counts
+// and T_d2 never grows with T_d1. Square breaks that premise (T_d2 follows
+// T_d1 upward), so it keeps the per-lattice-point scan. Either walk stops
+// at the first T_d1 beside which no allowed T_d2 fits: the footprint's room
+// for T_d2 only shrinks as T_d1 grows, so no later tile fits either.
 func frontierCandidate(k *cost.BatchEval, bufferSize int64, stationary dataflow.Tensor, c Constraint) (Candidate, bool) {
 	mm := k.Op()
 	dd := stationary.Dims()
@@ -144,62 +120,43 @@ func frontierCandidate(k *cost.BatchEval, bufferSize int64, stationary dataflow.
 	if t3 == 0 {
 		return Candidate{}, false
 	}
+	q := c.quantum()
 	cap1, cap2 := ext1, ext2
 	if m := c.MaxStationaryTile; m > 0 {
-		if m < cap1 {
-			cap1 = m
-		}
-		if m < cap2 {
-			cap2 = m
+		cap1, cap2 = min(cap1, m), min(cap2, m)
+	}
+	// T_d1 walks the quantum multiples below cap1, then cap1. T_d2 takes
+	// the quantum multiples up to cap2, and ext2 itself when uncapped.
+	lim2 := ext2
+	if cap2 < ext2 {
+		if lim2 = cap2 / q * q; lim2 == 0 {
+			return Candidate{}, false
 		}
 	}
-
+	// Footprint: t1·t2 + t3·(t1 + t2) ≤ BS.
+	f := dataflow.Frontier{
+		X: dataflow.Lattice{Ext: ext1, Quantum: q, Limit: cap1},
+		Y: dataflow.Lattice{Ext: ext2, Quantum: q, Limit: lim2},
+		C: int64(t3), Budget: bufferSize,
+	}
+	tiling := func(t1, t2 int) dataflow.Tiling {
+		return dataflow.UnitTiling().WithTile(third, t3).WithTile(d1, t1).WithTile(d2, t2)
+	}
+	total := func(t1, t2 int) int64 { return price(k, oi, tiling(t1, t2)).Total }
 	var (
-		found bool
-		best  dataflow.Tiling
-		acc   cost.Access
+		t1, t2 int
+		ok     bool
 	)
-	// try prices T_d1 = t1 and reports whether any T_d2 fits beside it.
-	try := func(t1 int) bool {
-		// Footprint: t1·t2 + t1·t3 + t2·t3 ≤ BS ⇒ t2 ≤ (BS − t1·t3)/(t1 + t3).
-		lim := (bufferSize - int64(t1)*int64(t3)) / (int64(t1) + int64(t3))
-		if lim < 1 {
-			return false
-		}
-		if lim > int64(cap2) {
-			lim = int64(cap2)
-		}
-		if c.Square && lim > int64(t1) && t1 < cap1 {
-			// Square arrays stream equal-sized blocks in both directions;
-			// a dimension may only exceed its partner when the partner is
-			// clamped by its extent.
-			lim = int64(t1)
-		}
-		t2 := c.snapDown(int(lim), ext2)
-		if t2 == 0 {
-			return false
-		}
-		ti := dataflow.UnitTiling().WithTile(third, t3).WithTile(d1, t1).WithTile(d2, t2)
-		a := price(k, oi, ti)
-		if a.Footprint <= bufferSize && (!found || a.Total < acc.Total) {
-			found, best, acc = true, ti, a
-		}
-		return true
-	}
-	q := c.quantum()
-	next := func(t1 int) (int, bool) { return dataflow.NextPlateauTile(ext1, t1, q, cap1) }
 	if c.Square {
-		// Every lattice point: q, 2q, … below cap1, then cap1.
-		next = func(t1 int) (int, bool) { return min(t1+q, cap1), t1 < cap1 }
+		t1, t2, ok = squareScan(f, total)
+	} else {
+		t1, t2, ok = f.Walk(total)
 	}
-	for t1, ok := min(q, cap1), true; ok; t1, ok = next(t1) {
-		if !try(t1) {
-			break
-		}
-	}
-	if !found {
+	if !ok {
 		return Candidate{}, false
 	}
+	best := tiling(t1, t2)
+	acc := price(k, oi, best)
 	return Candidate{
 		Dataflow:  dataflow.Must(mm, order, best),
 		Access:    acc,
@@ -207,6 +164,36 @@ func frontierCandidate(k *cost.BatchEval, bufferSize int64, stationary dataflow.
 		Note: fmt.Sprintf("constrained frontier: %s stationary (%s), quantum %d",
 			stationary, stationary.Kind(), q),
 	}, true
+}
+
+// squareScan is the frontier walk under Constraint.Square. Square arrays
+// stream equal-sized blocks in both directions, so T_d2 may exceed T_d1
+// only once T_d1 is clamped at its cap. It prices every lattice T_d1 and
+// keeps the first strict minimum.
+func squareScan(f dataflow.Frontier, total func(t1, t2 int) int64) (int, int, bool) {
+	var (
+		found    bool
+		best     int64
+		bt1, bt2 int
+		q, cap1  = f.X.Quantum, f.X.Limit
+	)
+	for t1 := min(q, cap1); ; t1 = min(t1+q, cap1) {
+		room := f.Room(t1)
+		if t1 < cap1 {
+			room = min(room, int64(t1))
+		}
+		t2 := f.Y.Down(room)
+		if t2 == 0 {
+			break
+		}
+		if v := total(t1, t2); !found || v < best {
+			found, best, bt1, bt2 = true, v, t1, t2
+		}
+		if t1 == cap1 {
+			break
+		}
+	}
+	return bt1, bt2, found
 }
 
 // minAllowedTile returns the smallest legal tile for a dimension extent, or

@@ -123,10 +123,10 @@ func Optimize(mm op.MatMul, bufferSize int64) (Result, error) {
 	// Optimality: for any loop order the MA depends on exactly two tile
 	// dimensions (the third is free and set to 1), and the P1 solve covers
 	// the feasible frontier of those two for each of the three order
-	// classes — every trip-count plateau's left endpoint, which dominates
-	// the rest of its plateau — so the best candidate here is the exact
-	// optimum of the entire tiling/scheduling space, which the test suite
-	// cross-validates against exhaustive search.
+	// classes — one point per run of the partner tile's trip count, the
+	// run's minimum (dataflow.Frontier.Walk) — so the best candidate here
+	// is the exact optimum of the entire tiling/scheduling space, which the
+	// test suite cross-validates against exhaustive search.
 	var cands []Candidate
 	if c, ok := threeNRA(k, bufferSize, smallestTensor(mm)); ok {
 		cands = append(cands, c)
@@ -214,8 +214,8 @@ func CandidateSet(mm op.MatMul, bufferSize int64) []Candidate {
 // maximized (balanced against each other under the Eq. 2 constraint) and the
 // remaining dimension's tile is 1. It is the exact integer solve of
 // min MKL(1/T1 + 1/T2) s.t. T1·T2 + T1 + T2 ≤ BS, which the unconstrained
-// frontier walk (frontierCandidate) performs over at most 2√ext1 values of
-// T1. It reports false for an invalid operator.
+// frontier walk (frontierCandidate) performs pricing one T1 per run of
+// T2's trip count. It reports false for an invalid operator.
 func SingleNRACandidate(mm op.MatMul, bufferSize int64, stationary dataflow.Tensor) (Candidate, bool) {
 	k, err := compile(mm)
 	if err != nil {

@@ -145,6 +145,21 @@ func referenceFrontierCandidate(mm op.MatMul, bufferSize int64, stationary dataf
 	}, true
 }
 
+// snapDown returns the largest allowed tile ≤ v for the given extent, or 0
+// when none exists: the oracles' partner snap. The walks snap through
+// dataflow.Lattice.Down instead.
+func (c Constraint) snapDown(v, extent int) int {
+	if v >= extent {
+		return extent
+	}
+	q := c.quantum()
+	s := (v / q) * q
+	if s < 1 {
+		return 0
+	}
+	return s
+}
+
 // checkWalk compares both walks with their linear sweeps on one point: the
 // P1 solve under every stationary, and the constrained frontier under c.
 func checkWalk(t *testing.T, mm op.MatMul, bs int64, c Constraint) {

@@ -204,35 +204,6 @@ func (t Tiling) Trips(d Dim, mm op.MatMul) int64 {
 	return (ext + tile - 1) / tile
 }
 
-// NextPlateauTile steps a one-dimensional tile sweep from one trip-count
-// plateau to the next. The sweep runs over the lattice of quantum multiples
-// below limit, plus limit itself (1 ≤ limit ≤ ext), starting at
-// min(quantum, limit). NextPlateauTile returns the smallest lattice tile
-// above t whose trip count ceil(ext/tile) is below t's — the left endpoint
-// of the next plateau — and false once no lattice tile lowers the trip
-// count any further.
-//
-// A sweep whose cost is non-decreasing along each plateau (a partner tile
-// that never grows with t, and traffic that never falls as a trip count
-// grows) has its first minimizer at a left endpoint, so visiting only these
-// at most 2√ext tiles returns what the full sweep returns.
-func NextPlateauTile(ext, t, quantum, limit int) (int, bool) {
-	if t >= limit {
-		return 0, false
-	}
-	n := ceilDiv(ext, t) // ≥ 2, since t < limit ≤ ext
-	next := ceilDiv(ceilDiv(ext, n-1), quantum) * quantum
-	if next < limit {
-		return next, true
-	}
-	if ceilDiv(ext, limit) == n {
-		return 0, false // limit sits on t's plateau
-	}
-	return limit, true
-}
-
-func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
 // TensorTile returns the buffer footprint of tensor x's tile (product of its
 // two tile sizes).
 func (t Tiling) TensorTile(x Tensor) int64 {

@@ -274,50 +274,47 @@ func ConstructTileOSIS(p Pair, bufferSize int64) (Candidate, bool) {
 	return ConstructTileOSISAligned(p, bufferSize, 1)
 }
 
-// ConstructTileOSISAligned is ConstructTileOSIS with the C tile dimensions
-// restricted to multiples of align (a dimension's full extent is always
-// allowed). The stationary C tile maps across the PE array, so an aligned
-// tile keeps every pass fully occupied; FuseCU constructs its fused tiles
-// aligned to the CU dimension for exactly this reason (§IV-A: "the
-// stationary tile size has to match the array size").
+// ConstructTileOSISAligned is ConstructTileOSIS with array-aligned C tile
+// dimensions. T_M takes the multiples of align below M, or M itself. T_L
+// takes the multiples of align below L, or L itself, and keeps its raw
+// value when no multiple of align fits, so the aligned construction stays
+// feasible wherever the plain one is. The stationary C tile maps across the
+// PE array, so an aligned tile keeps every pass fully occupied; FuseCU
+// constructs its fused tiles aligned to the CU dimension for exactly this
+// reason (§IV-A: "the stationary tile size has to match the array size").
 //
-// T_M walks the left endpoints of its ceil(M/T_M) plateaus on the aligned
-// lattice (dataflow.NextPlateauTile) and returns the first minimizer of the
-// full T_M sweep: the largest T_L that fits never grows with T_M, so the
-// traffic is non-decreasing along each plateau.
+// T_L is the largest tile the footprint admits beside T_M, so it never
+// grows with T_M, and the traffic depends on the tiles only through their
+// trip counts. dataflow.Frontier.Walk therefore returns the first minimizer
+// of the full T_M sweep, pricing one point per run of T_L's trip count.
 func ConstructTileOSISAligned(p Pair, bufferSize int64, align int) (Candidate, bool) {
 	if align < 1 {
 		align = 1
 	}
-	M, L := p.M(), int64(p.L())
-	var best Candidate
-	found := false
-	for tm, ok := min(align, M), true; ok; tm, ok = dataflow.NextPlateauTile(M, tm, align, M) {
-		// Footprint with T_K = T_N = 1: tm·tl + 2tm + 2tl ≤ BS
-		//   ⇒ tl ≤ (BS − 2tm) / (tm + 2)
-		tl := (bufferSize - 2*int64(tm)) / (int64(tm) + 2)
-		if tl < 1 {
-			break
-		}
-		if tl > L {
-			tl = L
-		}
-		if tl < L && int64(align) > 1 {
-			if snapped := (tl / int64(align)) * int64(align); snapped >= 1 {
-				tl = snapped
-			}
-		}
-		fd := FusedDataflow{Pattern: PatternTileOSIS, TM: tm, TK: 1, TL: int(tl), TN: 1}
-		a, err := Evaluate(p, fd)
-		if err != nil || a.Footprint > bufferSize {
-			continue
-		}
-		if !found || a.Total < best.Access.Total {
-			best = Candidate{Dataflow: fd, Access: a, Note: "tile fusion: OS producer → IS consumer"}
-			found = true
-		}
+	// Footprint with T_K = T_N = 1: tm·tl + 2·(tm + tl) ≤ BS.
+	f := dataflow.Frontier{
+		X: dataflow.Lattice{Ext: p.M(), Quantum: align, Limit: p.M()},
+		Y: dataflow.Lattice{Ext: p.L(), Quantum: align, Limit: p.L(), Fine: true},
+		C: 2, Budget: bufferSize,
 	}
-	return best, found
+	eval := func(tm, tl int) (FusedDataflow, Access) {
+		fd := FusedDataflow{Pattern: PatternTileOSIS, TM: tm, TK: 1, TL: tl, TN: 1}
+		a, err := Evaluate(p, fd)
+		if err != nil {
+			// The walk keeps 1 ≤ tm ≤ M and 1 ≤ tl ≤ L.
+			panic(fmt.Sprintf("fusion: tile-OS/IS walk left the pair's extents: %v", err))
+		}
+		return fd, a
+	}
+	tm, tl, ok := f.Walk(func(tm, tl int) int64 {
+		_, a := eval(tm, tl)
+		return a.Total
+	})
+	if !ok {
+		return Candidate{}, false
+	}
+	fd, a := eval(tm, tl)
+	return Candidate{Dataflow: fd, Access: a, Note: "tile fusion: OS producer → IS consumer"}, true
 }
 
 // ConstructColumn builds the principle-optimal column-fusion dataflow:

@@ -129,7 +129,7 @@ func (s *Server) handleSearch(ctx context.Context, body []byte) (any, error) {
 	// The scan gets only DegradeFraction of the remaining deadline budget:
 	// if it cannot finish inside that, the leftover slack is spent producing
 	// the principle-based one-shot answer instead of a 504. On the paper's
-	// LLM shapes core.Optimize measures about 40 µs median and 0.3 ms p99
+	// LLM shapes core.Optimize measures about 15 µs median and 0.15 ms p99
 	// (2-vCPU host), so the reserve of a deadline of a few milliseconds
 	// already covers the fallback.
 	scanCtx := ctx
