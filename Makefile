@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt-check vet fusecu-vet vet-fix-list test test-race test-race-service serve-load-race chaos-smoke test-checks fuzz-smoke tablegen-smoke bench bench-serve bench-full bench-compare bench-baseline check
+.PHONY: build fmt-check vet fusecu-vet vet-fix-list test test-race test-race-service serve-load-race chaos-smoke test-checks fuzz-smoke bench bench-serve bench-full bench-compare bench-baseline check
 
 build:
 	$(GO) build ./...
@@ -40,25 +40,24 @@ test-race:
 	$(GO) test -race ./...
 
 ## test-race-service is the focused race pass over the HTTP service stack
-## (admission gate, shared table registry, metrics registry, graceful shutdown).
+## (admission gate, metrics registry, graceful shutdown).
 test-race-service:
 	$(GO) test -race ./internal/service ./internal/metrics ./cmd/fusecu-serve
 
 ## serve-load-race runs the in-process serve-load smoke under the race
-## detector: concurrent /v1/search waves against the shared table registry and
+## detector: concurrent /v1/search waves through the router and the
 ## admission gate, the configuration most likely to surface a data race.
 serve-load-race:
 	$(GO) run -race ./cmd/fusecu-bench -serve-load -serve-out BENCH_serve_race.json
 
 ## chaos-smoke runs the deterministic chaos schedule under the race
 ## detector: a routed 3-replica fleet at full wave concurrency with replicas
-## hard-killed and restarted mid-wave, one candidate-table artifact
-## corrupted during the first outage, and hedging forced by an injected
+## hard-killed and restarted mid-wave, and hedging forced by an injected
 ## latency plan. The run asserts zero non-enveloped failures, bit-identity
 ## of every 200 against the reference engine, in-request recovery
-## (failovers + hedge wins >= kills), ejection of killed replicas,
-## rejection + rebuild of the corrupted artifact, and re-admission within
-## one probe period. Results land in BENCH_serve_chaos.json.
+## (failovers + hedge wins >= kills), ejection of killed replicas, and
+## re-admission within one probe period. Results land in
+## BENCH_serve_chaos.json.
 chaos-smoke:
 	$(GO) run -race ./cmd/fusecu-bench -serve-load -chaos -replicas 3 -hedge-after 25ms -serve-out BENCH_serve_chaos.json
 
@@ -69,7 +68,8 @@ test-checks:
 
 ## fuzz-smoke runs each native fuzz target briefly: the request-decode
 ## strictness invariants, the tiling-constructor contracts, and the
-## analytic optimizer's exactness against the full-space reference. Failing
+## canonical walk's exactness against the frozen full and coarse reference
+## scans. Failing
 ## inputs are minimized into testdata/fuzz corpora for regression.
 fuzz-smoke:
 	$(GO) test -fuzz='^FuzzDecodeOptimizeRequest$$' -fuzztime=20s -run='^$$' ./internal/service
@@ -77,17 +77,6 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzNewTiling$$' -fuzztime=20s -run='^$$' ./internal/dataflow
 	$(GO) test -fuzz='^FuzzAffinityKey$$' -fuzztime=20s -run='^$$' ./internal/route
 	$(GO) test -fuzz='^FuzzAnalyticOptimum$$' -fuzztime=20s -run='^$$' ./internal/search
-
-## tablegen-smoke pregenerates every candidate-table artifact the serving
-## path consumes — the Table II + Fig. 11 shapes on the coarse lattice and
-## the serve-load shapes on the full lattice — into .tables/, then loads
-## each artifact back through the store's full validation (checksums plus
-## live cost-model cross-check) and requires its re-encoding to be
-## bit-identical to the file on disk: the restart-load property -table-dir
-## serving depends on. CI uploads .tables/manifest.json as an artifact.
-TABLE_DIR ?= .tables
-tablegen-smoke:
-	$(GO) run ./cmd/fusecu-tablegen -out $(TABLE_DIR) -set all -verify
 
 ## bench is the CI smoke pass: every benchmark runs once, then fusecu-bench
 ## times the Fig. 9 search engines against the frozen reference and writes
@@ -97,14 +86,11 @@ bench:
 	$(GO) run ./cmd/fusecu-bench -out BENCH_search.json
 
 ## bench-serve load-tests a routed 3-replica fusecu-serve fleet under
-## concurrent /v1/search waves over the serve-load shape set, with every
-## candidate table pregenerated by fusecu-tablegen, and writes
-## BENCH_serve.json (throughput, latency quantiles, per-replica table hit
-## rates, and bit-identity against the reference engine). The wave fails if
-## any replica builds a table at request time — the -table-dir contract.
+## concurrent /v1/search waves over the serve-load shape set and writes
+## BENCH_serve.json (throughput, latency quantiles, per-replica request
+## counts, and bit-identity against the reference engine).
 bench-serve:
-	$(GO) run ./cmd/fusecu-tablegen -out $(TABLE_DIR) -set bench
-	$(GO) run ./cmd/fusecu-bench -serve-load -serve-out BENCH_serve.json -replicas 3 -table-dir $(TABLE_DIR)
+	$(GO) run ./cmd/fusecu-bench -serve-load -serve-out BENCH_serve.json -replicas 3
 
 ## bench-compare reruns the search-layer, principle-optimizer, fused
 ## tile-OS/IS (internal/fusion) and /v1/evaluate (internal/arch)
@@ -123,7 +109,9 @@ bench-serve:
 ## compiled kernel, which measures 3× and up on the same benchmarks, and
 ## the core and fused walks pricing every trip-count plateau instead of one
 ## point per run, which measures 4× and up on the core LLM benchmarks and
-## on BenchmarkTileOSISLLM/align=1.
+## on BenchmarkTileOSISLLM/align=1, and /v1/search's exhaustive and coarse
+## engines sliding back from the canonical walk to a per-request lattice
+## scan, which measures about 200× slower on BenchmarkSearchHotWalk.
 ## Set BENCH_GATE=0 for the old advisory behaviour.
 BENCH_BASELINE ?= bench/baseline_search.txt
 BENCH_GATE ?= 1.75
@@ -149,4 +137,4 @@ bench-full:
 ## check is the full CI gate. Ordering matters: the cheap formatting and
 ## lint gates run first so their findings print before any long test phase,
 ## and fusecu-vet always echoes its full finding list before aborting.
-check: fmt-check build vet fusecu-vet test test-race test-race-service test-checks fuzz-smoke tablegen-smoke bench bench-compare bench-serve chaos-smoke
+check: fmt-check build vet fusecu-vet test test-race test-race-service test-checks fuzz-smoke bench bench-compare bench-serve chaos-smoke

@@ -7,20 +7,16 @@ import (
 )
 
 // ShapeHash returns the 16-hex-digit content address of one operator shape
-// on one candidate lattice: the key candidate-table artifacts are stored
-// under, the identity GET /v1/tables reports and DELETE /v1/tables/{hash}
-// evicts, and (with grid == "") the affinity key fusecu-route consistent-
-// hashes over.
+// on one lattice. With grid == "" it is the affinity key fusecu-route
+// consistent-hashes over; the grid argument remains from the retired
+// candidate-table artifacts, whose addresses distinguished the "full" and
+// "coarse" lattices.
 //
 // Only the dimensions and the grid participate — operator names are
-// presentation, and cost depends on shape alone. The grid is part of the
-// table identity ("full" and "coarse" tables over one shape are distinct
-// artifacts) but deliberately absent from the routing key, so both grids of
-// a shape land on the same replica and share its LRU slot budget. The hash
-// is the first 8 bytes of a SHA-256 over a canonical string: stable across
-// processes, architectures, and releases, which is what lets offline
-// tablegen, the serving store, and remote routers agree on addresses
-// without coordination.
+// presentation, and cost depends on shape alone. The hash is the first 8
+// bytes of a SHA-256 over a canonical string: stable across processes,
+// architectures, and releases, so routers agree on addresses without
+// coordination.
 func ShapeHash(m, k, l int, grid string) string {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("fusecu/%s|%d|%d|%d|%s", Version, m, k, l, grid)))
 	return hex.EncodeToString(sum[:8])

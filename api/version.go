@@ -5,42 +5,19 @@ package api
 // wire_test.go; the /v1/ URL prefix tracks it.
 const Version = "v1"
 
-// VersionResponse is GET /v1/version: the three coordinates that decide
-// whether two processes may share artifacts and traffic. Replicas behind one
-// router must agree on CostModelVersion (the router refuses mixed fleets —
-// tables built under different cost semantics are not bit-identical), and a
-// table artifact is loadable only when both its cost-model and table-format
-// versions match the server's.
+// TableFormatVersion is the candidate-table artifact format generation
+// replicas last loaded. Replicas no longer load or serve candidate tables
+// (fusecu-tablegen still writes them offline), but GET /v1/version keeps its
+// v1 layout, so the field stays and always reads this frozen value.
+const TableFormatVersion = 1
+
+// VersionResponse is GET /v1/version: the coordinates that decide whether
+// two processes may share traffic. Replicas behind one router must agree on
+// CostModelVersion (the router refuses mixed fleets — answers computed
+// under different cost semantics are not bit-identical).
+// TableFormatVersion is retired and always TableFormatVersion (1).
 type VersionResponse struct {
 	APIVersion         string `json:"api_version"`
 	CostModelVersion   string `json:"cost_model_version"`
 	TableFormatVersion int    `json:"table_format_version"`
-}
-
-// TableInfo is one resident candidate table in GET /v1/tables.
-type TableInfo struct {
-	// ShapeHash is the table's content address: ShapeHash(M, K, L, Grid).
-	ShapeHash string `json:"shape_hash"`
-	Op        OpSpec `json:"op"`
-	Grid      string `json:"grid"`
-	// Source records how the table materialized: "disk" (loaded from the
-	// -table-dir store) or "built" (computed at request time).
-	Source     string `json:"source"`
-	Candidates int64  `json:"candidates"`
-	// Hits counts registry lookups served by this entry after it was
-	// created.
-	Hits int64 `json:"hits"`
-	// AgeMS is milliseconds since the entry materialized.
-	AgeMS int64 `json:"age_ms"`
-}
-
-// TablesResponse is GET /v1/tables: the admin view of the table registry.
-type TablesResponse struct {
-	Tables []TableInfo `json:"tables"`
-}
-
-// EvictTableResponse is DELETE /v1/tables/{shapeHash}.
-type EvictTableResponse struct {
-	ShapeHash string `json:"shape_hash"`
-	Evicted   bool   `json:"evicted"`
 }

@@ -1,13 +1,11 @@
 // Package api is the single source of truth for the fusecu-serve wire
 // contract: the v1 request/response schemas, the uniform error envelope and
-// its machine-readable codes, the version-introspection and table-admin
-// schemas, and the shape-hash helper that content-addresses candidate-table
-// artifacts and drives shape-affinity routing.
+// its machine-readable codes, the version-introspection schema, and the
+// shape hash that drives shape-affinity routing.
 //
 // internal/service marshals these exact structs, the client package
-// consumes them (its exported wire names are aliases), cmd/fusecu-route
-// hashes and passes them through, and internal/tablestore derives artifact
-// file names from ShapeHash — so a field rename here is a deliberate,
+// consumes them (its exported wire names are aliases), and cmd/fusecu-route
+// hashes and passes them through — so a field rename here is a deliberate,
 // visible wire-format change instead of a silent drift between the server's
 // private mirror and the client's copy. The JSON layout is pinned by golden
 // tests in wire_test.go; changing it requires bumping Version.
@@ -94,15 +92,15 @@ type SearchRequest struct {
 	// Seed seeds the "genetic" engine; 0 selects its default seed 1. The
 	// other engines are deterministic and ignore it.
 	Seed int64 `json:"seed,omitempty"`
-	// Workers sizes this request's scan pool; 0 inherits the server's
-	// configured pool size (which itself defaults to GOMAXPROCS). Counts
-	// above the server's GOMAXPROCS are clamped to it; the answer is
-	// identical for any worker count.
+	// Workers is accepted for compatibility and ignored: every engine
+	// answers on the request goroutine, with no worker pool to size.
 	Workers int `json:"workers,omitempty"`
 	// Engine selects the search strategy: "auto" (default — the exact
-	// closed-form analytic engine, reported as "analytic" with cache_hits
-	// 0), "exhaustive" (every integer tiling), "coarse" (the TileGrid
-	// lattice), or "genetic" (DAT's GA).
+	// canonical walk over every integer tiling, reported as "analytic"),
+	// "exhaustive" (the same walk and answer, reported as "exhaustive"),
+	// "coarse" (the walk over the TileGrid lattice, reported as
+	// "exhaustive-coarse"), or "genetic" (DAT's GA). The walks return the
+	// exact answer of a full scan of their lattice, tie-winner included.
 	Engine    string `json:"engine,omitempty"`
 	TimeoutMS int64  `json:"timeout_ms,omitempty"`
 }
@@ -111,9 +109,9 @@ type SearchRequest struct {
 type SearchResponse struct {
 	Method   string   `json:"method"`
 	Dataflow Dataflow `json:"dataflow"`
-	// Evaluations counts the cost-model invocations this answer took;
-	// CacheHits counts the candidate visits a prebuilt candidate table
-	// served instead. Their sum is the same whichever path answered.
+	// Evaluations counts the cost-model invocations this answer took.
+	// CacheHits is retired and always 0: it counted the candidate visits a
+	// server-side candidate table answered, and servers keep no tables.
 	Evaluations int64 `json:"evaluations"`
 	CacheHits   int64 `json:"cache_hits"`
 	// Degraded marks a principle-based fallback answer produced when the
@@ -177,9 +175,6 @@ const (
 	CodeInternal            = "internal"
 	CodeDeadlineExceeded    = "deadline_exceeded"
 	CodeClientClosedRequest = "client_closed_request"
-	// CodeAdminDisabled answers table-admin calls on a server started
-	// without the -admin flag.
-	CodeAdminDisabled = "admin_disabled"
 	// CodeNoBackend is fusecu-route's answer when no healthy replica is
 	// available for the affinity key.
 	CodeNoBackend = "no_backend"

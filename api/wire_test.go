@@ -52,12 +52,6 @@ func TestWireGoldenJSON(t *testing.T) {
 			`{"error":{"code":"infeasible","message":"no feasible dataflow"}}`},
 		{"version_response", VersionResponse{APIVersion: "v1", CostModelVersion: "cm1", TableFormatVersion: 1},
 			`{"api_version":"v1","cost_model_version":"cm1","table_format_version":1}`},
-		{"tables_response", TablesResponse{Tables: []TableInfo{{
-			ShapeHash: "00112233aabbccdd", Op: OpSpec{M: 3, K: 4, L: 5}, Grid: "coarse",
-			Source: "disk", Candidates: 42, Hits: 7, AgeMS: 1500}}},
-			`{"tables":[{"shape_hash":"00112233aabbccdd","op":{"m":3,"k":4,"l":5},"grid":"coarse","source":"disk","candidates":42,"hits":7,"age_ms":1500}]}`},
-		{"evict_table_response", EvictTableResponse{ShapeHash: "00112233aabbccdd", Evicted: true},
-			`{"shape_hash":"00112233aabbccdd","evicted":true}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -220,32 +220,11 @@ func (c *Client) Evaluate(ctx context.Context, req EvaluateRequest) (*EvaluateRe
 	return &out, nil
 }
 
-// Version calls /v1/version: the server's API, cost-model, and
-// table-format versions — the triple that decides whether two processes
-// may share candidate-table artifacts.
+// Version calls /v1/version: the server's API and cost-model versions (and
+// the retired table-format version, frozen at 1).
 func (c *Client) Version(ctx context.Context) (*VersionResponse, error) {
 	var out VersionResponse
 	if err := c.do(ctx, http.MethodGet, "/v1/version", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Tables calls GET /v1/tables (admin-gated): the server's resident
-// candidate tables with source, usage, and content address.
-func (c *Client) Tables(ctx context.Context) (*TablesResponse, error) {
-	var out TablesResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/tables", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// DeleteTable calls DELETE /v1/tables/{shapeHash} (admin-gated), dropping
-// the resident table so the next request re-resolves disk → build.
-func (c *Client) DeleteTable(ctx context.Context, shapeHash string) (*EvictTableResponse, error) {
-	var out EvictTableResponse
-	if err := c.do(ctx, http.MethodDelete, "/v1/tables/"+shapeHash, nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"fusecu/api"
 	"fusecu/internal/core"
+	"fusecu/internal/cost"
 	"fusecu/internal/faultinject"
 	"fusecu/internal/op"
 	"fusecu/internal/search"
@@ -24,6 +26,16 @@ func newServer(t *testing.T, cfg service.Config) (*service.Server, *httptest.Ser
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
+}
+
+// slowSearch arms latency on every cost evaluation (search.SiteEval) for
+// the rest of the test, so a search the walk would answer in microseconds
+// stays in flight for about delay × 127 on 224³ at 1 MiB.
+func slowSearch(t *testing.T, delay time.Duration) {
+	t.Helper()
+	faultinject.Activate(faultinject.New(1,
+		faultinject.Plan{Site: search.SiteEval, Mode: faultinject.ModeLatency, Delay: delay}))
+	t.Cleanup(faultinject.Deactivate)
 }
 
 func newClient(t *testing.T, cfg Config) *Client {
@@ -171,6 +183,7 @@ func TestRetriesThroughInjected5xxWave(t *testing.T) {
 // releases the slot, and the retry succeeds.
 func TestRetryAfterHonoredOn429(t *testing.T) {
 	s, ts := newServer(t, service.Config{MaxInFlight: 1, RetryAfter: 3, DefaultTimeout: 30 * time.Second})
+	slowSearch(t, 20*time.Millisecond)
 
 	slowCtx, releaseSlot := context.WithCancel(context.Background())
 	slowDone := make(chan struct{})
@@ -367,6 +380,7 @@ func TestRetryBudgetCapsBackoff(t *testing.T) {
 // server's principle-based fallback rather than treating it as a failure.
 func TestSearchSurfacesDegradedAnswers(t *testing.T) {
 	_, ts := newServer(t, service.Config{DefaultTimeout: 150 * time.Millisecond})
+	slowSearch(t, 5*time.Millisecond)
 	c := newClient(t, Config{BaseURL: ts.URL})
 	sr, err := c.Search(context.Background(),
 		SearchRequest{Op: OpSpec{M: 224, K: 224, L: 224}, Buffer: 1 << 20, Engine: "exhaustive"})
@@ -412,5 +426,23 @@ func TestStatsSplitTransportAndServerErrors(t *testing.T) {
 	}
 	if got := dead.Stats(); got.TransportErrors != 2 || got.ServerErrors != 0 {
 		t.Fatalf("stats against dead endpoint = %+v, want TransportErrors=2 ServerErrors=0", got)
+	}
+}
+
+// TestVersionMethod round-trips GET /v1/version through the client.
+func TestVersionMethod(t *testing.T) {
+	_, ts := newServer(t, service.Config{})
+	c := newClient(t, Config{BaseURL: ts.URL})
+	v, err := c.Version(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := VersionResponse{
+		APIVersion:         api.Version,
+		CostModelVersion:   cost.ModelVersion,
+		TableFormatVersion: api.TableFormatVersion,
+	}
+	if *v != want {
+		t.Fatalf("version = %+v, want %+v", *v, want)
 	}
 }

@@ -39,12 +39,6 @@ type (
 
 	// VersionResponse is /v1/version's compatibility triple.
 	VersionResponse = api.VersionResponse
-	// TableInfo/TablesResponse describe the server's resident candidate
-	// tables (GET /v1/tables, admin-gated).
-	TableInfo      = api.TableInfo
-	TablesResponse = api.TablesResponse
-	// EvictTableResponse answers DELETE /v1/tables/{shapeHash}.
-	EvictTableResponse = api.EvictTableResponse
 )
 
 // errorEnvelope mirrors the server's uniform error body.

@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,7 +21,6 @@ import (
 	"fusecu/internal/route"
 	"fusecu/internal/search"
 	"fusecu/internal/service"
-	"fusecu/internal/tablestore"
 )
 
 // Chaos-schedule tuning. The schedule is gated on completion counts, not
@@ -42,7 +40,7 @@ const (
 	// (the fleet is demonstrably serving); chaosPostKill how many must land
 	// while the victim is down (its shapes are demonstrably failing over);
 	// chaosSettle how many after the last recovery (the fleet is whole
-	// again, and the corrupted artifact's shape has been re-requested).
+	// again).
 	chaosPreKill  = 32
 	chaosPostKill = 48
 	chaosSettle   = 32
@@ -62,11 +60,10 @@ const (
 )
 
 // chaosReport is the machine-readable result of the chaos wave (-serve-load
-// -chaos): the routed serve-load fleet under a seeded kill/restart schedule
-// with one corrupted table artifact, asserting that in-request failover,
-// ejection, half-open recovery, and (optionally) hedging keep every request
-// whole — zero non-enveloped failures, every 200 bit-identical to the
-// sequential reference engine.
+// -chaos): the routed serve-load fleet under a seeded kill/restart schedule,
+// asserting that in-request failover, ejection, half-open recovery, and
+// (optionally) hedging keep every request whole — zero non-enveloped
+// failures, every 200 bit-identical to the sequential reference engine.
 type chaosReport struct {
 	Benchmark     string  `json:"benchmark"`
 	Seed          int64   `json:"seed"`
@@ -80,7 +77,6 @@ type chaosReport struct {
 	// The recovery assertion's structural inputs.
 	HealthIntervalMs float64 `json:"health_interval_ms"`
 	ProbeTimeoutMs   float64 `json:"probe_timeout_ms"`
-	TableDir         string  `json:"table_dir"`
 	// Wave outcome: requests completed, and the failure partition. OK are
 	// 200s (every one reference-checked); Shed are 429s that survived the
 	// client's retry budget; Enveloped are any other API-error envelopes;
@@ -108,14 +104,6 @@ type chaosReport struct {
 	ClientRetries         int64 `json:"client_retries"`
 	ClientTransportErrors int64 `json:"client_transport_errors"`
 	ClientServerErrors    int64 `json:"client_server_errors"`
-	// Fleet table-registry activity, accumulated across replica
-	// incarnations. The corrupted artifact must show up as at least one
-	// load error and one compensating runtime build.
-	TableLoads        int64  `json:"table_loads"`
-	TableBuilds       int64  `json:"table_builds"`
-	TableHits         int64  `json:"table_hits"`
-	TableLoadErrors   int64  `json:"table_load_errors"`
-	CorruptedArtifact string `json:"corrupted_artifact,omitempty"`
 	// Events is the realized schedule, in order.
 	Events []chaosEvent `json:"events"`
 	// PerReplica breaks counters down by replica slot (all incarnations).
@@ -131,8 +119,6 @@ type chaosEvent struct {
 	// clock the schedule runs on.
 	KilledAt    int64 `json:"killed_at_requests"`
 	RestartedAt int64 `json:"restarted_at_requests"`
-	// Corrupted names the artifact flipped while this victim was down.
-	Corrupted string `json:"corrupted_artifact,omitempty"`
 	// RecoveryMs is restart-to-readmission as observed via the router's
 	// breaker state.
 	RecoveryMs float64 `json:"recovery_ms"`
@@ -140,44 +126,27 @@ type chaosEvent struct {
 
 // chaosReplica is one replica slot's totals across all its incarnations.
 type chaosReplica struct {
-	Addr            string `json:"addr"`
-	Requests        int64  `json:"requests"`
-	Attempts        int64  `json:"attempts"`
-	TableLoads      int64  `json:"table_loads"`
-	TableBuilds     int64  `json:"table_builds"`
-	TableHits       int64  `json:"table_hits"`
-	TableLoadErrors int64  `json:"table_load_errors"`
+	Addr     string `json:"addr"`
+	Requests int64  `json:"requests"`
+	Attempts int64  `json:"attempts"`
 }
 
 // chaosSlot is one replica slot: a fixed address the router knows, plus the
-// live incarnation and the counter totals of the dead ones.
+// live incarnation.
 type chaosSlot struct {
 	addr string
 	url  string
 	cfg  service.Config
 	rep  *serveReplica
-	// Counters accumulated from dead incarnations (a kill discards the
-	// incarnation's registry, so totals are snapshotted at kill time).
-	loads, builds, hits, loadErrs int64
-}
-
-// accumulate folds the live incarnation's table counters into the slot's
-// running totals; call before kill() and once more at teardown.
-func (s *chaosSlot) accumulate() {
-	reg := s.rep.svc.Registry()
-	s.loads += reg.Counter("table_loads").Value()
-	s.builds += reg.Counter("table_builds").Value()
-	s.hits += reg.Counter("table_hits").Value()
-	s.loadErrs += reg.Counter("table_load_errors").Value()
 }
 
 // chaosLoad runs the seeded chaos schedule: the serve-load wave at full
 // concurrency over a replicas-wide routed fleet, with kills replicas
-// hard-killed and restarted in sequence (one table artifact corrupted during
-// the first outage), then a settle pass over every shape. The report —
-// realized schedule, resilience counters, and assertion verdicts — is
-// written to out; a non-nil error means at least one assertion failed.
-func chaosLoad(out string, clients, maxInFlight, workers, replicas int, tableDir string, seed int64, kills int, hedgeAfter time.Duration, proxyAttempts int) error {
+// hard-killed and restarted in sequence, then a settle pass over every
+// shape. The report — realized schedule, resilience counters, and
+// assertion verdicts — is written to out; a non-nil error means at least
+// one assertion failed.
+func chaosLoad(out string, clients, maxInFlight, replicas int, seed int64, kills int, hedgeAfter time.Duration, proxyAttempts int) error {
 	if replicas < 2 {
 		return fmt.Errorf("chaos needs at least 2 replicas to fail over between, got %d", replicas)
 	}
@@ -192,28 +161,6 @@ func chaosLoad(out string, clients, maxInFlight, workers, replicas int, tableDir
 			return fmt.Errorf("reference engine %v: %w", mm, err)
 		}
 		want[[3]int{mm.M, mm.K, mm.L}] = ref
-	}
-
-	// Pregenerate the bench tables when no directory was supplied: the
-	// corruption leg of the schedule needs artifacts on disk to corrupt.
-	if tableDir == "" {
-		dir, err := os.MkdirTemp("", "fusecu-chaos-tables-")
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if rerr := os.RemoveAll(dir); rerr != nil {
-				fmt.Fprintln(os.Stderr, "fusecu-bench: chaos cleanup:", rerr)
-			}
-		}()
-		if err := generateBenchTables(dir, ops); err != nil {
-			return err
-		}
-		tableDir = dir
-	}
-	store, err := tablestore.Open(tableDir)
-	if err != nil {
-		return err
 	}
 
 	// Boot the fleet on fixed addresses so a restarted incarnation rebinds
@@ -231,11 +178,7 @@ func chaosLoad(out string, clients, maxInFlight, workers, replicas int, tableDir
 	}()
 	backends := make([]string, 0, replicas)
 	for i := 0; i < replicas; i++ {
-		cfg := service.Config{
-			MaxInFlight:   maxInFlight,
-			SearchWorkers: workers,
-			TableStore:    store,
-		}
+		cfg := service.Config{MaxInFlight: maxInFlight}
 		rep, err := startServeReplica("127.0.0.1:0", cfg)
 		if err != nil {
 			return err
@@ -329,7 +272,6 @@ func chaosLoad(out string, clients, maxInFlight, workers, replicas int, tableDir
 		HedgeAfterMs:     ms(hedgeAfter),
 		HealthIntervalMs: ms(chaosHealthInterval),
 		ProbeTimeoutMs:   ms(chaosProbeTimeout),
-		TableDir:         tableDir,
 		IdenticalResults: true,
 	}
 	fail := func(format string, args ...any) {
@@ -353,10 +295,9 @@ func chaosLoad(out string, clients, maxInFlight, workers, replicas int, tableDir
 
 	check := func(mm op.MatMul) bool {
 		sr, err := cl.Search(context.Background(), client.SearchRequest{
-			Op:      client.OpSpec{Name: mm.Name, M: mm.M, K: mm.K, L: mm.L},
-			Buffer:  serveLoadBuffer,
-			Engine:  "exhaustive",
-			Workers: 1,
+			Op:     client.OpSpec{Name: mm.Name, M: mm.M, K: mm.K, L: mm.L},
+			Buffer: serveLoadBuffer,
+			Engine: "exhaustive",
 		})
 		var apiErr *client.APIError
 		switch {
@@ -441,26 +382,12 @@ func chaosLoad(out string, clients, maxInFlight, workers, replicas int, tableDir
 			}
 			ev := chaosEvent{Victim: v.url, KilledAt: completions.Load()}
 			logf("chaos: killing %s at %d completions", v.url, ev.KilledAt)
-			v.accumulate()
 			v.rep.kill()
 			v.rep = nil
 			// Keep the wave running against the hole: the victim's shapes
 			// must demonstrably fail over while it is down.
 			if err := waitUntil(ev.KilledAt+chaosPostKill, fmt.Sprintf("failover traffic during outage %d", ki+1)); err != nil {
 				return err
-			}
-			if ki == 0 {
-				// Corrupt one of the victim's own artifacts while it is
-				// down: its next incarnation must reject the file (checksum)
-				// and rebuild the table at request time.
-				mm := owned[v.url][0]
-				path := store.Path(mm, search.GridFull)
-				if err := corruptArtifact(path); err != nil {
-					return fmt.Errorf("corrupting %s: %w", path, err)
-				}
-				ev.Corrupted = filepath.Base(path)
-				rep.CorruptedArtifact = ev.Corrupted
-				logf("chaos: corrupted %s (shape %v)", ev.Corrupted, mm)
 			}
 			restartAt := time.Now()
 			nr, err := startServeReplica(v.addr, v.cfg)
@@ -488,8 +415,8 @@ func chaosLoad(out string, clients, maxInFlight, workers, replicas int, tableDir
 			logf("chaos: %s re-admitted %.0fms after restart", v.url, ev.RecoveryMs)
 			rep.Events = append(rep.Events, ev)
 		}
-		// Whole fleet again: let the wave settle so every shape — the
-		// corrupted artifact's included — is served post-recovery.
+		// Whole fleet again: let the wave settle so every shape is served
+		// post-recovery.
 		return waitUntil(completions.Load()+chaosSettle, "settle traffic after last recovery")
 	}
 	if err := schedule(); err != nil {
@@ -530,24 +457,11 @@ func chaosLoad(out string, clients, maxInFlight, workers, replicas int, tableDir
 	rep.ClientServerErrors = stats.ServerErrors
 
 	for _, s := range slots {
-		s.accumulate()
 		var requests, attempts int64
 		if b := backendFor(router, s.url); b != nil {
 			requests, attempts = b.Requests(), b.Attempts()
 		}
-		rep.PerReplica = append(rep.PerReplica, chaosReplica{
-			Addr:            s.addr,
-			Requests:        requests,
-			Attempts:        attempts,
-			TableLoads:      s.loads,
-			TableBuilds:     s.builds,
-			TableHits:       s.hits,
-			TableLoadErrors: s.loadErrs,
-		})
-		rep.TableLoads += s.loads
-		rep.TableBuilds += s.builds
-		rep.TableHits += s.hits
-		rep.TableLoadErrors += s.loadErrs
+		rep.PerReplica = append(rep.PerReplica, chaosReplica{Addr: s.addr, Requests: requests, Attempts: attempts})
 	}
 
 	// The acceptance assertions.
@@ -585,12 +499,6 @@ func chaosLoad(out string, clients, maxInFlight, workers, replicas int, tableDir
 			fail("route_hedge_wins_total = %d, want >= 1 (a 3x-delayed primary must lose its race)", rep.HedgeWins)
 		}
 	}
-	if rep.TableLoadErrors < 1 {
-		fail("table_load_errors = %d, want >= 1 (the corrupted artifact must be rejected on load)", rep.TableLoadErrors)
-	}
-	if rep.TableBuilds < 1 {
-		fail("table_builds = %d, want >= 1 (the rejected table must be rebuilt at request time)", rep.TableBuilds)
-	}
 
 	if err := writeChaos(out, rep); err != nil {
 		return err
@@ -601,68 +509,14 @@ func chaosLoad(out string, clients, maxInFlight, workers, replicas int, tableDir
 		}
 		return fmt.Errorf("chaos run failed %d assertions (see %s)", len(rep.Violations), out)
 	}
-	fmt.Printf("wrote %s: %d requests (%d ok / %d shed) over %d replicas, %d kills in %.0fms; %d failovers, %d hedges (%d wins), %d ejections, table %d loaded / %d built (%d load errors), identical=%v\n",
+	fmt.Printf("wrote %s: %d requests (%d ok / %d shed) over %d replicas, %d kills in %.0fms; %d failovers, %d hedges (%d wins), %d ejections, identical=%v\n",
 		out, rep.Requests, rep.OK, rep.Shed, rep.Replicas, rep.Kills, rep.WallMs,
-		rep.Failovers, rep.Hedges, rep.HedgeWins, rep.Ejections,
-		rep.TableLoads, rep.TableBuilds, rep.TableLoadErrors, rep.IdenticalResults)
+		rep.Failovers, rep.Hedges, rep.HedgeWins, rep.Ejections, rep.IdenticalResults)
 	for _, ev := range rep.Events {
-		note := ""
-		if ev.Corrupted != "" {
-			note = ", corrupted " + ev.Corrupted
-		}
-		fmt.Printf("  killed %s at %d completions, restarted at %d, re-admitted in %.0fms%s\n",
-			ev.Victim, ev.KilledAt, ev.RestartedAt, ev.RecoveryMs, note)
+		fmt.Printf("  killed %s at %d completions, restarted at %d, re-admitted in %.0fms\n",
+			ev.Victim, ev.KilledAt, ev.RestartedAt, ev.RecoveryMs)
 	}
 	return nil
-}
-
-// generateBenchTables builds the serve-load candidate-table artifacts into
-// dir — the same set fusecu-tablegen -set bench produces — so a chaos run
-// needs no pregenerated directory.
-func generateBenchTables(dir string, ops []op.MatMul) error {
-	store, err := tablestore.Open(dir)
-	if err != nil {
-		return err
-	}
-	entries := make([]tablestore.ManifestEntry, 0, len(ops))
-	for _, mm := range ops {
-		tab, err := search.NewCandTable(mm, search.GridFull, nil)
-		if err != nil {
-			return fmt.Errorf("building table %v: %w", mm, err)
-		}
-		name, err := store.Put(tab)
-		if err != nil {
-			return err
-		}
-		info, err := os.Stat(store.Path(mm, search.GridFull))
-		if err != nil {
-			return err
-		}
-		entries = append(entries, tablestore.ManifestEntry{
-			File:       name,
-			ShapeHash:  api.ShapeHash(mm.M, mm.K, mm.L, search.GridFull.String()),
-			Op:         api.OpSpec{Name: mm.Name, M: mm.M, K: mm.K, L: mm.L},
-			Grid:       search.GridFull.String(),
-			Candidates: tab.Candidates(),
-			Bytes:      info.Size(),
-		})
-	}
-	return store.WriteManifest(entries)
-}
-
-// corruptArtifact flips one byte in the middle of the file: the length and
-// framing stay plausible, so the corruption must be caught by the store's
-// section checksums, not by a short read.
-func corruptArtifact(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if len(data) == 0 {
-		return fmt.Errorf("artifact %s is empty", path)
-	}
-	data[len(data)/2] ^= 0xFF
-	return os.WriteFile(path, data, 0o644)
 }
 
 // backendFor finds the router's Backend for a base URL.

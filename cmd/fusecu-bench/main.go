@@ -97,15 +97,14 @@ func main() {
 	var (
 		out     = flag.String("out", "BENCH_search.json", "output report path (search sweep mode)")
 		full    = flag.Bool("full", false, "run the paper's full 32KiB-32MiB sweep instead of the reduced smoke sweep")
-		workers = flag.Int("workers", 0, "workers for the parallel engine (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "workers for the parallel engine in the search sweep (0 = GOMAXPROCS)")
 		load    = flag.Bool("serve-load", false, "benchmark the fusecu-serve HTTP service under concurrent /v1/search load instead")
 		loadOut = flag.String("serve-out", "BENCH_serve.json", "output report path (-serve-load mode)")
 		clients = flag.Int("clients", 96, "concurrent clients for -serve-load")
 		maxInFl = flag.Int("max-inflight", 64, "service admission ceiling for -serve-load (per replica)")
 		repl    = flag.Int("replicas", 1, "fusecu-serve replicas behind the shape-affinity router for -serve-load")
-		tdir    = flag.String("table-dir", "", "pregenerated candidate-table directory for -serve-load (fusecu-tablegen -set bench output); the wave then asserts zero runtime table builds")
 		pprofAt = flag.String("pprof", "", "expose net/http/pprof on this separate listener during -serve-load (empty = disabled)")
-		chaos   = flag.Bool("chaos", false, "with -serve-load: run the seeded chaos schedule — replicas hard-killed and restarted mid-wave, one table artifact corrupted — and assert the failover/ejection/recovery contract")
+		chaos   = flag.Bool("chaos", false, "with -serve-load: run the seeded chaos schedule — replicas hard-killed and restarted mid-wave — and assert the failover/ejection/recovery contract")
 		cseed   = flag.Int64("chaos-seed", 1, "seed for the chaos schedule's victim order and injected-fault RNG")
 		ckills  = flag.Int("chaos-kills", 2, "kill/restart cycles in the chaos schedule")
 		hedge   = flag.Duration("hedge-after", 0, "router hedge delay for affinity-keyed requests in chaos mode (0 = hedging off)")
@@ -119,9 +118,9 @@ func main() {
 	if *load {
 		var err error
 		if *chaos {
-			err = chaosLoad(*loadOut, *clients, *maxInFl, *workers, *repl, *tdir, *cseed, *ckills, *hedge, *proxyAt)
+			err = chaosLoad(*loadOut, *clients, *maxInFl, *repl, *cseed, *ckills, *hedge, *proxyAt)
 		} else {
-			err = serveLoad(*loadOut, *clients, *maxInFl, *workers, *repl, *tdir, *pprofAt)
+			err = serveLoad(*loadOut, *clients, *maxInFl, *repl, *pprofAt)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fusecu-bench:", err)

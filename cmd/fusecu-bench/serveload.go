@@ -18,7 +18,6 @@ import (
 	"fusecu/internal/route"
 	"fusecu/internal/search"
 	"fusecu/internal/service"
-	"fusecu/internal/tablestore"
 )
 
 // serveReport is the machine-readable result of the service load benchmark
@@ -33,9 +32,6 @@ type serveReport struct {
 	Replicas    int    `json:"replicas"`
 	Shapes      int    `json:"shapes"`
 	MaxInFlight int    `json:"max_inflight"`
-	// TableDir is the pregenerated artifact directory ("" = tables were
-	// built at request time).
-	TableDir string `json:"table_dir,omitempty"`
 	// OK / Shed / Failed partition the wave after retries: 200s, calls
 	// still shed (429) when the retry budget ran out, anything else.
 	OK     int `json:"ok"`
@@ -61,18 +57,8 @@ type serveReport struct {
 	LatencyP50Ms float64 `json:"latency_p50_ms"`
 	LatencyP95Ms float64 `json:"latency_p95_ms"`
 	LatencyP99Ms float64 `json:"latency_p99_ms"`
-	// Fleet-wide candidate-table registry activity: artifacts loaded from
-	// the pregenerated -table-dir, tables built at request time, and O(log n)
-	// answers served from resident tables. With a pregenerated directory the
-	// wave must report TableBuilds == 0 — every table comes from disk.
-	TableLoads  int64 `json:"table_loads"`
-	TableBuilds int64 `json:"table_builds"`
-	TableHits   int64 `json:"table_hits"`
-	// ZeroRuntimeBuilds is true iff no replica built a table during the wave.
-	ZeroRuntimeBuilds bool `json:"zero_runtime_builds"`
-	// PerReplica breaks the wave down by replica: consistent hashing should
-	// give every replica its own shape subset, each answered from its own
-	// tables.
+	// PerReplica breaks the wave down by replica: consistent hashing gives
+	// every replica its own shape subset.
 	PerReplica []replicaReport `json:"per_replica"`
 	// IdenticalResults is true iff every 200 response carried the reference
 	// engine's exact optimum (tiling and memory access) for its shape.
@@ -83,13 +69,7 @@ type serveReport struct {
 type replicaReport struct {
 	Addr string `json:"addr"`
 	// Requests counts what the router proxied here (including retries).
-	Requests    int64 `json:"requests"`
-	TableLoads  int64 `json:"table_loads"`
-	TableBuilds int64 `json:"table_builds"`
-	TableHits   int64 `json:"table_hits"`
-	// TableHitRate is TableHits / Requests: the fraction of this replica's
-	// proxied requests answered from a resident candidate table.
-	TableHitRate float64 `json:"table_hit_rate"`
+	Requests     int64   `json:"requests"`
 	LatencyP95Ms float64 `json:"latency_p95_ms"`
 }
 
@@ -143,11 +123,9 @@ func (r *serveReplica) kill() {
 // shape-affinity router, fires clients concurrent /v1/search calls over the
 // serve-load shape set through the public retrying client, verifies every
 // accepted answer against the sequential reference engine, and writes the
-// report to out. With a non-empty tableDir each replica resolves its tables
-// from the pregenerated artifacts and the wave is required to finish with
-// zero runtime table builds. A non-empty pprofAddr additionally serves
-// net/http/pprof on its own listener for the duration of the wave.
-func serveLoad(out string, clients, maxInFlight, workers, replicas int, tableDir, pprofAddr string) error {
+// report to out. A non-empty pprofAddr additionally serves net/http/pprof
+// on its own listener for the duration of the wave.
+func serveLoad(out string, clients, maxInFlight, replicas int, pprofAddr string) error {
 	if replicas <= 0 {
 		return fmt.Errorf("replicas must be positive, got %d", replicas)
 	}
@@ -180,14 +158,6 @@ func serveLoad(out string, clients, maxInFlight, workers, replicas int, tableDir
 		fmt.Printf("pprof on %s\n", pln.Addr())
 	}
 
-	var store *tablestore.Store
-	if tableDir != "" {
-		var err error
-		if store, err = tablestore.Open(tableDir); err != nil {
-			return err
-		}
-	}
-
 	// Boot the fleet.
 	fleet := make([]*serveReplica, 0, replicas)
 	defer func() {
@@ -199,11 +169,7 @@ func serveLoad(out string, clients, maxInFlight, workers, replicas int, tableDir
 	}()
 	backends := make([]string, 0, replicas)
 	for i := 0; i < replicas; i++ {
-		r, err := startServeReplica("127.0.0.1:0", service.Config{
-			MaxInFlight:   maxInFlight,
-			SearchWorkers: workers,
-			TableStore:    store,
-		})
+		r, err := startServeReplica("127.0.0.1:0", service.Config{MaxInFlight: maxInFlight})
 		if err != nil {
 			return err
 		}
@@ -212,7 +178,7 @@ func serveLoad(out string, clients, maxInFlight, workers, replicas int, tableDir
 	}
 
 	// Front the fleet with the shape-affinity router: identical shapes
-	// always land on the replica already holding their table.
+	// always land on the same replica.
 	router, err := route.New(route.Config{Backends: backends})
 	if err != nil {
 		return err
@@ -254,7 +220,6 @@ func serveLoad(out string, clients, maxInFlight, workers, replicas int, tableDir
 		Replicas:         replicas,
 		Shapes:           len(ops),
 		MaxInFlight:      maxInFlight,
-		TableDir:         tableDir,
 		IdenticalResults: true,
 	}
 	var wg sync.WaitGroup
@@ -265,10 +230,9 @@ func serveLoad(out string, clients, maxInFlight, workers, replicas int, tableDir
 		go func(mm op.MatMul) {
 			defer wg.Done()
 			req := client.SearchRequest{
-				Op:      client.OpSpec{Name: mm.Name, M: mm.M, K: mm.K, L: mm.L},
-				Buffer:  serveLoadBuffer,
-				Engine:  "exhaustive",
-				Workers: 1,
+				Op:     client.OpSpec{Name: mm.Name, M: mm.M, K: mm.K, L: mm.L},
+				Buffer: serveLoadBuffer,
+				Engine: "exhaustive",
 			}
 			sr, err := cl.Search(context.Background(), req)
 			mu.Lock()
@@ -308,18 +272,9 @@ func serveLoad(out string, clients, maxInFlight, workers, replicas int, tableDir
 		rr := replicaReport{
 			Addr:         r.addr,
 			Requests:     router.Backends()[i].Requests(),
-			TableLoads:   reg.Counter("table_loads").Value(),
-			TableBuilds:  reg.Counter("table_builds").Value(),
-			TableHits:    reg.Counter("table_hits").Value(),
 			LatencyP95Ms: reg.Snapshot()["http_latency_ms:search_p95"],
 		}
-		if rr.Requests > 0 {
-			rr.TableHitRate = float64(rr.TableHits) / float64(rr.Requests)
-		}
 		rep.PerReplica = append(rep.PerReplica, rr)
-		rep.TableLoads += rr.TableLoads
-		rep.TableBuilds += rr.TableBuilds
-		rep.TableHits += rr.TableHits
 		rep.ShedResponses += reg.Counter("http_responses_total:429").Value()
 		if hw := reg.Gauge("http_inflight").High(); hw > rep.InflightHighWater {
 			rep.InflightHighWater = hw
@@ -335,8 +290,6 @@ func serveLoad(out string, clients, maxInFlight, workers, replicas int, tableDir
 			rep.LatencyP99Ms = p
 		}
 	}
-	rep.ZeroRuntimeBuilds = rep.TableBuilds == 0
-
 	if rep.OK == 0 || rep.Failed > 0 || !rep.IdenticalResults {
 		if werr := writeServe(out, rep); werr != nil {
 			return werr
@@ -344,26 +297,15 @@ func serveLoad(out string, clients, maxInFlight, workers, replicas int, tableDir
 		return fmt.Errorf("load wave failed: %d ok, %d shed, %d failed, identical=%v (see %s)",
 			rep.OK, rep.Shed, rep.Failed, rep.IdenticalResults, out)
 	}
-	// With pregenerated tables the wave must never pay a build at request
-	// time — that is the whole contract of -table-dir.
-	if tableDir != "" && !rep.ZeroRuntimeBuilds {
-		if werr := writeServe(out, rep); werr != nil {
-			return werr
-		}
-		return fmt.Errorf("wave built %d tables at request time despite -table-dir %s (see %s)",
-			rep.TableBuilds, tableDir, out)
-	}
 	if err := writeServe(out, rep); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s: %d ok / %d shed over %d replicas x %d shapes in %.1fms (%.0f rps), %d retried (%d server 429s), %d degraded, peak in-flight %d, p95 %.2fms, table %d loaded / %d built / %d hits, zero-builds=%v, identical=%v\n",
+	fmt.Printf("wrote %s: %d ok / %d shed over %d replicas x %d shapes in %.1fms (%.0f rps), %d retried (%d server 429s), %d degraded, peak in-flight %d, p95 %.2fms, identical=%v\n",
 		out, rep.OK, rep.Shed, rep.Replicas, rep.Shapes, rep.WallMs, rep.ThroughputRPS,
 		rep.Retried, rep.ShedResponses, rep.Degraded,
-		rep.InflightHighWater, rep.LatencyP95Ms,
-		rep.TableLoads, rep.TableBuilds, rep.TableHits, rep.ZeroRuntimeBuilds, rep.IdenticalResults)
+		rep.InflightHighWater, rep.LatencyP95Ms, rep.IdenticalResults)
 	for _, rr := range rep.PerReplica {
-		fmt.Printf("  replica %s: %d requests, table %d loaded / %d built / %d hits (hit rate %.2f)\n",
-			rr.Addr, rr.Requests, rr.TableLoads, rr.TableBuilds, rr.TableHits, rr.TableHitRate)
+		fmt.Printf("  replica %s: %d requests, p95 %.2fms\n", rr.Addr, rr.Requests, rr.LatencyP95Ms)
 	}
 	return nil
 }

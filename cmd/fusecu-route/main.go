@@ -3,10 +3,9 @@
 //
 //	fusecu-route -addr :8090 -backends http://127.0.0.1:8081,http://127.0.0.1:8082
 //
-// Requests are routed by consistent hashing on the request's shape hash (the
-// same content address that names candidate-table artifacts), so identically
-// shaped operators always reach the replica whose table registry already
-// holds their candidate table. At startup every backend's /v1/version is
+// Requests are routed by consistent hashing on the request's shape hash, so
+// identically shaped operators always reach the same replica. At startup
+// every backend's /v1/version is
 // checked: a fleet that disagrees on the cost-model, table-format, or API
 // version is refused with a nonzero exit, because mixed generations behind
 // one router would let identical requests return different optima. At

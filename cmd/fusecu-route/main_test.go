@@ -14,7 +14,6 @@ import (
 
 	"fusecu/api"
 	"fusecu/internal/cost"
-	"fusecu/internal/search"
 )
 
 func TestRunFlagErrors(t *testing.T) {
@@ -68,7 +67,7 @@ func fleetTriple() api.VersionResponse {
 	return api.VersionResponse{
 		APIVersion:         api.Version,
 		CostModelVersion:   cost.ModelVersion,
-		TableFormatVersion: search.TableFormatVersion,
+		TableFormatVersion: api.TableFormatVersion,
 	}
 }
 

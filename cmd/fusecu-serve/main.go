@@ -11,11 +11,6 @@
 //
 //	fusecu-serve -addr :8080 -pprof 127.0.0.1:6060
 //
-// With -table-dir DIR the candidate-table registry first resolves each
-// shape from the directory's pregenerated artifacts (fusecu-tablegen
-// output) before building at request time; -admin enables the table
-// introspection and eviction endpoints.
-//
 // On SIGINT/SIGTERM the server first flips /readyz to 503 and answers new
 // requests with a fast 503 (Connection: close) while the listener stays open
 // — so load balancers stop routing without seeing connection resets — waits
@@ -29,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -39,7 +33,6 @@ import (
 	"time"
 
 	"fusecu/internal/service"
-	"fusecu/internal/tablestore"
 )
 
 func main() {
@@ -56,16 +49,11 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		addr        = fs.String("addr", ":8080", "listen address")
 		maxInflight = fs.Int("max-inflight", 64, "maximum concurrently admitted requests")
 		timeout     = fs.Duration("timeout", 30*time.Second, "default per-request deadline")
-		workers     = fs.Int("workers", 0, "search workers per request (0 = GOMAXPROCS)")
 		drain       = fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 		drainGrace  = fs.Duration("drain-grace", 500*time.Millisecond,
 			"after a signal, keep the listener open this long (rejecting new requests with fast 503s) while in-flight requests finish")
 		pprofAddr = fs.String("pprof", "",
 			"serve net/http/pprof on this separate listener (e.g. 127.0.0.1:6060; empty = disabled)")
-		tableDir = fs.String("table-dir", "",
-			"directory of pregenerated candidate-table artifacts (fusecu-tablegen output); resolved before building at request time")
-		admin = fs.Bool("admin", false,
-			"enable the admin endpoints (GET /v1/tables, DELETE /v1/tables/{shapeHash})")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -81,23 +69,9 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		return 2
 	}
 
-	var store *tablestore.Store
-	if *tableDir != "" {
-		var err error
-		if store, err = tablestore.Open(*tableDir); err != nil {
-			fmt.Fprintln(stderr, "fusecu-serve:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "fusecu-serve: serving candidate tables from %s\n", store.Dir())
-	}
-	logger := log.New(stderr, "fusecu-serve: ", log.LstdFlags)
 	svc := service.New(service.Config{
 		MaxInFlight:    *maxInflight,
 		DefaultTimeout: *timeout,
-		SearchWorkers:  *workers,
-		TableStore:     store,
-		EnableAdmin:    *admin,
-		Logf:           logger.Printf,
 	})
 	srv := &http.Server{Handler: svc.Handler()}
 

@@ -7,17 +7,26 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
-	"fusecu/internal/experiments"
+	"fusecu/internal/faultinject"
 	"fusecu/internal/search"
-	"fusecu/internal/tablestore"
 )
+
+// slowSearch arms latency on every cost evaluation (search.SiteEval) in
+// this process for the rest of the test: the daemon under test runs
+// in-process, so a search it would answer in microseconds stays in flight
+// for about delay times its evaluation count.
+func slowSearch(t *testing.T, delay time.Duration) {
+	t.Helper()
+	faultinject.Activate(faultinject.New(1,
+		faultinject.Plan{Site: search.SiteEval, Mode: faultinject.ModeLatency, Delay: delay}))
+	t.Cleanup(faultinject.Deactivate)
+}
 
 func TestRunFlagErrors(t *testing.T) {
 	cases := []struct {
@@ -28,6 +37,11 @@ func TestRunFlagErrors(t *testing.T) {
 		{"positional args", []string{"extra"}},
 		{"bad max-inflight", []string{"-max-inflight", "0"}},
 		{"bad timeout", []string{"-timeout", "-1s"}},
+		// Flags of the retired candidate-table tier fail startup loudly
+		// rather than being silently ignored.
+		{"retired table-dir", []string{"-table-dir", "/tmp"}},
+		{"retired admin", []string{"-admin"}},
+		{"retired workers", []string{"-workers", "4"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -83,6 +97,9 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
 
+	// 68 evaluations at 10ms each keep every request of the wave in flight
+	// for about 0.7s, so the signal lands mid-request.
+	slowSearch(t, 10*time.Millisecond)
 	const wave = 8
 	body := `{"op":{"name":"drain","m":48,"k":32,"l":40},"buffer":4096,"engine":"exhaustive"}`
 	var wg sync.WaitGroup
@@ -187,7 +204,9 @@ func TestDrainRejectsNewRequestsWith503(t *testing.T) {
 		t.Fatalf("readyz before drain = %d, want 200", resp.StatusCode)
 	}
 
-	// Pin the grace window open with a search too big to finish.
+	// Pin the grace window open with a search slowed to about 2.5s (127
+	// evaluations at 20ms); cancelling it ends the walk at its next poll.
+	slowSearch(t, 20*time.Millisecond)
 	slowCtx, cancelSlow := context.WithCancel(context.Background())
 	slowDone := make(chan struct{})
 	go func() {
@@ -372,109 +391,4 @@ func scrape(t *testing.T, base string) string {
 		t.Fatalf("read metrics: %v", err)
 	}
 	return string(raw)
-}
-
-// TestTableDirAndAdminFlags boots the daemon over a pregenerated table
-// directory with the admin surface enabled: a search for a pregenerated
-// shape must be answered from the disk artifact (table_loads 1, zero
-// runtime builds) and the admin listing must attribute the table to "disk".
-func TestTableDirAndAdminFlags(t *testing.T) {
-	dir := t.TempDir()
-	mm := experiments.ServeLoadOps()[0]
-	store, err := tablestore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := search.NewCandTable(mm, search.GridFull, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.Put(tab); err != nil {
-		t.Fatal(err)
-	}
-
-	var stdout, stderr bytes.Buffer
-	ready := make(chan string, 1)
-	exit := make(chan int, 1)
-	go func() {
-		exit <- run([]string{"-addr", "127.0.0.1:0", "-table-dir", dir, "-admin"},
-			&stdout, &stderr, ready)
-	}()
-	var addr string
-	select {
-	case addr = <-ready:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("server never became ready (stderr: %s)", stderr.String())
-	}
-	base := "http://" + addr
-
-	body := fmt.Sprintf(`{"op":{"name":%q,"m":%d,"k":%d,"l":%d},"buffer":4096,"engine":"exhaustive"}`,
-		mm.Name, mm.M, mm.K, mm.L)
-	resp, err := http.Post(base+"/v1/search", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); cerr != nil {
-		t.Fatal(cerr)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("search status %d: %s", resp.StatusCode, raw)
-	}
-	metrics := scrape(t, base)
-	if !strings.Contains(metrics, "table_loads 1") {
-		t.Errorf("metrics missing table_loads 1:\n%s", metrics)
-	}
-	if !strings.Contains(metrics, "table_builds 0") {
-		t.Errorf("search built at request time despite -table-dir:\n%s", metrics)
-	}
-
-	tresp, err := http.Get(base + "/v1/tables")
-	if err != nil {
-		t.Fatal(err)
-	}
-	traw, err := io.ReadAll(tresp.Body)
-	if cerr := tresp.Body.Close(); cerr != nil {
-		t.Fatal(cerr)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tresp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/tables status %d (admin should be enabled): %s", tresp.StatusCode, traw)
-	}
-	if !strings.Contains(string(traw), `"source":"disk"`) {
-		t.Errorf("table not attributed to disk: %s", traw)
-	}
-
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatalf("kill: %v", err)
-	}
-	select {
-	case code := <-exit:
-		if code != 0 {
-			t.Fatalf("exit code = %d, want 0 (stderr: %s)", code, stderr.String())
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("server never exited after SIGTERM")
-	}
-	if !strings.Contains(stdout.String(), "serving candidate tables from") {
-		t.Errorf("stdout missing table-dir announcement:\n%s", stdout.String())
-	}
-}
-
-// TestBadTableDirFailsLoudly: an unusable -table-dir must abort startup,
-// not silently serve without pregenerated tables.
-func TestBadTableDirFailsLoudly(t *testing.T) {
-	file := filepath.Join(t.TempDir(), "not-a-dir")
-	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-addr", "127.0.0.1:0", "-table-dir", file}, &stdout, &stderr, nil); code != 1 {
-		t.Fatalf("exit code = %d, want 1 (stderr: %s)", code, stderr.String())
-	}
 }

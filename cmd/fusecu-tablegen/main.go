@@ -1,16 +1,16 @@
-// Command fusecu-tablegen builds candidate-table artifacts offline, so a
-// serving fleet started with -table-dir answers every known shape from disk
-// instead of paying the table build at request time.
+// Command fusecu-tablegen builds candidate-table artifacts offline. No
+// replica loads them: fusecu-serve answers every engine from the canonical
+// analytic walk and keeps no per-shape state. The artifacts persist
+// search.CandTable, the offline table engine, and are retired together with
+// it.
 //
 //	fusecu-tablegen -out tables/ -set table2 -verify
 //
 // The -set flag picks the shape family:
 //
 //   - table2: the deduplicated operator shapes of the Table II evaluation
-//     models plus the Fig. 11 LLaMA2 sequence sweep, on the coarse lattice
-//     (what /v1/search engine=coarse consults).
-//   - bench: the serve-load benchmark shapes on the full lattice (what
-//     engine=exhaustive consults), for the routed-fleet load bench.
+//     models plus the Fig. 11 LLaMA2 sequence sweep, on the coarse lattice.
+//   - bench: the serve-load benchmark shapes on the full lattice.
 //   - all: both.
 //
 // Artifacts are content-addressed (<shapehash>-<costmodel>.fct) and
@@ -18,7 +18,7 @@
 // and CI. With -verify every artifact is loaded back through the store
 // (checksums plus live cost-model cross-check) and its re-encoding is
 // required to be bit-identical to the file on disk — the restart-load
-// property the serving path depends on.
+// property.
 package main
 
 import (
@@ -142,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// verifyArtifact simulates a server restart: the artifact is loaded back
+// verifyArtifact simulates a process restart: the artifact is loaded back
 // through the store's full validation path (section checksums plus the
 // decoder's live cost-model cross-check of every step), and its re-encoding
 // must be bit-identical to the bytes on disk.

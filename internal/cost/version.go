@@ -2,13 +2,11 @@ package cost
 
 // ModelVersion identifies the semantics of this package's memory-access
 // cost model: Evaluate's access counting, the NRA classification, and the
-// footprint accounting that candidate tables bake in at build time.
+// footprint accounting.
 //
 // Any change that can alter an Access value for some (operator, dataflow)
 // pair — a new traffic term, a fixed accounting bug, a different
-// tie-relevant rounding — must bump this string. Persisted candidate-table
-// artifacts are keyed by it (internal/tablestore refuses mismatches and
-// rebuilds), and fusecu-route refuses to front a fleet whose replicas
-// disagree on it, because "bit-identical to a fresh build" only holds
-// within one cost-model generation.
+// tie-relevant rounding — must bump this string. fusecu-route refuses to
+// front a fleet whose replicas disagree on it, because identical requests
+// return bit-identical answers only within one cost-model generation.
 const ModelVersion = "cm1"

@@ -8,12 +8,9 @@ import (
 )
 
 // TableIIShapes returns the deduplicated operator shapes of the Table II
-// evaluation models plus the Fig. 11 LLaMA2 sequence sweep — the shape set
-// fusecu-tablegen precomputes so a serving fleet answers every evaluation
-// request from disk-loaded candidate tables instead of building them at
-// request time. Shapes are deduplicated by (M, K, L): the candidate table
-// depends only on the dimensions, so one artifact serves every operator
-// instance sharing them.
+// evaluation models plus the Fig. 11 LLaMA2 sequence sweep. Shapes are
+// deduplicated by (M, K, L): cost depends only on the dimensions, so one
+// shape stands for every operator instance sharing them.
 func TableIIShapes() ([]op.MatMul, error) {
 	configs := model.TableII()
 	for _, s := range model.Fig11SeqLengths() {
@@ -44,9 +41,7 @@ func TableIIShapes() ([]op.MatMul, error) {
 // enough that a wave of ~100 requests finishes quickly on one core, large
 // enough that requests overlap, and numerous enough that consistent hashing
 // spreads them across a multi-replica fleet (the affinity key is the shape,
-// so one shape alone would pin a single replica). fusecu-tablegen -set bench
-// pregenerates the full-lattice table for each, letting the routed-fleet
-// bench assert zero runtime table builds.
+// so one shape alone would pin a single replica).
 func ServeLoadOps() []op.MatMul {
 	return []op.MatMul{
 		{Name: "bench0", M: 32, K: 24, L: 28},

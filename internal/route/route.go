@@ -1,14 +1,13 @@
 // Package route implements fusecu-route: a shape-affinity HTTP router in
 // front of a fleet of fusecu-serve replicas.
 //
-// Routing is consistent hashing on the request's shape hash — the same
-// content address that names candidate-table artifacts, computed with an
-// empty grid so both lattices of one operator land on the same replica.
-// Identically shaped operators therefore always hit the replica that
-// already holds (or has disk-loaded) their candidate table, turning the
-// fleet's table registries into a partitioned cache instead of N
-// overlapping ones. Requests without an operator (e.g. /v1/evaluate) get a
-// model-derived affinity key; requests with no key at all round-robin.
+// Routing is consistent hashing on the request's shape hash (api.ShapeHash
+// with an empty grid), so identically shaped operators always hit the same
+// replica. Replicas no longer keep per-shape state, so the affinity buys
+// nothing beyond a stable spread; it remains until routing moves to plain
+// selection over the healthy set. Requests without an operator (e.g.
+// /v1/evaluate) get a model-derived affinity key; requests with no key at
+// all round-robin.
 //
 // The ring uses virtual nodes so a replica joining or leaving moves only
 // ~1/N of the key space. Because every /v1/* request is a pure,

@@ -13,14 +13,13 @@ import (
 
 	"fusecu/api"
 	"fusecu/internal/cost"
-	"fusecu/internal/search"
 )
 
 // fleetVersion is the triple a well-behaved replica reports.
 var fleetVersion = api.VersionResponse{
 	APIVersion:         api.Version,
 	CostModelVersion:   cost.ModelVersion,
-	TableFormatVersion: search.TableFormatVersion,
+	TableFormatVersion: api.TableFormatVersion,
 }
 
 // newBackend spins up a fake replica that identifies itself in every proxied

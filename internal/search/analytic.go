@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"fusecu/internal/cost"
 	"fusecu/internal/dataflow"
@@ -18,13 +19,14 @@ import (
 // the disarmed cost is one atomic load per candidate.
 const SiteAnalytic = "search.analytic"
 
-// This file is the analytic tile optimizer, the exact engine behind
-// /v1/search auto (mirroring FADiff's observation that fusion-aware
-// schedules optimize by their cost structure rather than by stochastic
-// search). The cost model is piecewise affine in the trip counts
-// n_D = ceil(D/T_D): fixing which trips exceed one — an "activity cell",
-// eight per loop order — freezes every streaming condition, and
-// cost.BatchEval.Regime exposes the cell's exact form
+// This file is the canonical walk, the exact engine behind every
+// /v1/search lattice answer: auto and exhaustive walk the full integer
+// lattice, coarse walks the TileGrid lattice (mirroring FADiff's
+// observation that fusion-aware schedules optimize by their cost structure
+// rather than by stochastic search). The cost model is piecewise affine in
+// the trip counts n_D = ceil(D/T_D): fixing which trips exceed one — an
+// "activity cell", eight per loop order — freezes every streaming
+// condition, and cost.BatchEval.Regime exposes the cell's exact form
 //
 //	Total = base + coef_M·n_M + coef_K·n_K + coef_L·n_L
 //
@@ -41,36 +43,49 @@ const SiteAnalytic = "search.analytic"
 //     feasible x (clamped to extent−1 to stay inside the cell).
 //   - Two free tiles (x, y): the optimum lies on the footprint
 //     constraint's Pareto frontier. For any trip count n_x, sliding x down
-//     to its plateau's left endpoint ceil(ext_x/n_x) keeps the cost term
-//     fixed while loosening the constraint on y, so WLOG
-//     x ∈ {ceil(ext_x/n) : n} and y is the largest feasible partner.
-//     Walking every such left endpoint of the smaller extent is *exact*,
-//     and it prices at most 2√ext_x ≤ 2√MaxInt32 candidates per cell,
-//     since cost.NewBatchEval rejects larger extents.
+//     to its plateau's left endpoint keeps the cost term fixed while
+//     loosening the constraint on y, so WLOG x is a left endpoint and y is
+//     the largest feasible partner. Walking every left endpoint of the
+//     smaller extent is exact, and it prices at most 2√ext_x ≤ 2√MaxInt32
+//     candidates per cell, since cost.NewBatchEval rejects larger extents.
 //
-// Every candidate is priced exactly through the same cost.BatchEval kernel
-// the enumeration engines use, so the result is a true lattice point with a
-// bit-exact Access — no rounding error survives into the answer. The whole
-// engine prices tens-to-hundreds of candidates per request on the paper's
-// shapes, where the GA prices Population×(Generations+1) ≈ 3,900.
+// Every free tile is then snapped to the smallest allowed tile with the
+// same trip count (snap). Total depends only on the loop order and the trip
+// counts, and a smaller tile only loosens the footprint, so the canonical
+// optimum — the smallest (order, T_M, T_K, T_L) among the optima, which is
+// what the frozen reference scans return — has every tile on a plateau's
+// smallest allowed value and sits in a cell the walk visits, where the walk
+// prices exactly that point (DESIGN §21). The fold keeps the same canonical
+// tie-break, so the walk returns the reference scans' Dataflow and Access
+// bit for bit while pricing a few hundred candidates.
+//
+// Candidates are priced one at a time through the compiled kernel's scalar
+// Eval entry, so a call allocates only the kernel (and, on the coarse
+// lattice, the three tile grids).
 
-// Analytic is the analytic optimizer compiled for one operator: the batch
-// kernel, the per-order regime descriptors, and reusable scan scratch. One
-// Analytic serves any number of sequential OptimizeCtx calls (buffer sweeps,
-// the /v1/search auto path) without allocating per call; it is not safe for
-// concurrent use.
+// Analytic is the canonical walk compiled for one operator and lattice:
+// the cost kernel, the lattice's tile grids, and the running optimum. One
+// Analytic serves any number of sequential OptimizeCtx calls (buffer
+// sweeps) without allocating per call; it is not safe for concurrent use.
 type Analytic struct {
 	mm     op.MatMul
 	ext    [3]int64
+	grids  [3][]int // allowed tiles per dim (TileGrid); nil on the full lattice
 	orders []dataflow.Order
 	kern   *cost.BatchEval
-	scan   *blockScanner
+	method string
+	buffer int64
 	acc    enumBest
 	stop   cancelCheck
 }
 
-// NewAnalytic validates mm and compiles the analytic optimizer for it.
+// NewAnalytic validates mm and compiles the full-lattice walk for it, the
+// engine behind /v1/search auto (reported as "analytic").
 func NewAnalytic(mm op.MatMul) (*Analytic, error) {
+	return newWalk(mm, GridFull, "analytic")
+}
+
+func newWalk(mm op.MatMul, g Grid, method string) (*Analytic, error) {
 	orders := dataflow.AllOrders()
 	kern, err := cost.NewBatchEval(mm, orders)
 	if err != nil {
@@ -81,27 +96,27 @@ func NewAnalytic(mm op.MatMul) (*Analytic, error) {
 		ext:    [3]int64{int64(mm.M), int64(mm.K), int64(mm.L)},
 		orders: orders,
 		kern:   kern,
+		method: method,
 	}
-	a.scan = newBlockScanner(mm, 0, orders, kern, &a.stop, &a.acc)
+	if g == GridCoarse {
+		a.grids = [3][]int{TileGrid(mm.M), TileGrid(mm.K), TileGrid(mm.L)}
+	}
 	return a, nil
 }
 
-// OptimizeAnalytic derives the per-regime closed-form optima of the cost
-// model under the footprint constraint, prices the integer boundary
-// candidates around each through the batch kernel, and returns the best —
-// no population, no generations, no randomness. See OptimizeAnalyticCtx.
+// OptimizeAnalytic is OptimizeAnalyticCtx without cancellation.
 func OptimizeAnalytic(mm op.MatMul, bufferSize int64) (Result, error) {
 	return OptimizeAnalyticCtx(context.Background(), mm, bufferSize)
 }
 
-// OptimizeAnalyticCtx is OptimizeAnalytic under a cancelable context. The
-// engine prices hundreds of candidates on the paper's shapes and about 10^5
-// (a few ms) at the int32 extent limit, so a canceled ctx is reported when
-// the scan returns rather than mid-scan;
-// Result.Evaluations counts the exact pricings, CacheHits is always zero,
-// and Method is "analytic". Like every engine it
-// is a panic-containment boundary: injected faults (SiteAnalytic, SiteEval)
-// and organic cost-model panics return as ErrInternal.
+// OptimizeAnalyticCtx runs the canonical walk over the full integer lattice
+// — no population, no generations, no randomness — and returns the
+// canonical optimum, the answer Exhaustive returns. Result.Evaluations
+// counts the exact pricings, CacheHits is always zero, and Method is
+// "analytic". A canceled ctx is reported rather than a partial optimum.
+// Like every engine it is a panic-containment boundary: injected faults
+// (SiteAnalytic, SiteEval) and organic cost-model panics return as
+// ErrInternal.
 func OptimizeAnalyticCtx(ctx context.Context, mm op.MatMul, bufferSize int64) (Result, error) {
 	a, err := NewAnalytic(mm)
 	if err != nil {
@@ -110,9 +125,26 @@ func OptimizeAnalyticCtx(ctx context.Context, mm op.MatMul, bufferSize int64) (R
 	return a.OptimizeCtx(ctx, bufferSize)
 }
 
-// OptimizeCtx runs the analytic optimization for one buffer size, reusing
-// the compiled kernel and scratch (the steady state allocates nothing —
-// pinned by BenchmarkAnalyticPolish).
+// WalkCtx runs the canonical walk over lattice g: the exact answer of
+// ExhaustiveCtx (GridFull) or ExhaustiveCoarseCtx (GridCoarse) — Dataflow,
+// Access and tie-winner — at a few hundred pricings instead of a lattice
+// scan, under the same method label ("exhaustive" or "exhaustive-coarse").
+// Evaluations counts the walk's pricings and CacheHits is zero.
+func WalkCtx(ctx context.Context, mm op.MatMul, bufferSize int64, g Grid) (Result, error) {
+	method := "exhaustive"
+	if g == GridCoarse {
+		method = "exhaustive-coarse"
+	}
+	a, err := newWalk(mm, g, method)
+	if err != nil {
+		return Result{}, err
+	}
+	return a.OptimizeCtx(ctx, bufferSize)
+}
+
+// OptimizeCtx runs the walk for one buffer size, reusing the compiled
+// kernel and grids (the steady state allocates nothing — pinned by
+// TestAnalyticSteadyStateZeroAlloc).
 func (a *Analytic) OptimizeCtx(ctx context.Context, bufferSize int64) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -123,39 +155,54 @@ func (a *Analytic) OptimizeCtx(ctx context.Context, bufferSize int64) (res Resul
 		return Result{}, fmt.Errorf("search: buffer %d cannot hold 1×1 tiles: %w", bufferSize, errs.ErrBufferTooSmall)
 	}
 	a.acc = enumBest{}
-	a.stop = cancelCheck{done: ctx.Done()}
-	a.scan.bufferSize = bufferSize
-	a.scan.blk.Reset() // drop any residue a contained panic left behind
+	a.stop = cancelCheck{done: ctx.Done(), mask: walkPollStride - 1}
+	a.buffer = bufferSize
 	a.emitAll()
-	a.scan.flush()
 	if err := ctx.Err(); err != nil {
-		return Result{}, fmt.Errorf("search: analytic scan canceled: %w", err)
+		return Result{}, fmt.Errorf("search: %s walk canceled: %w", a.method, err)
 	}
 	if !a.acc.found {
 		return Result{}, fmt.Errorf("search: no feasible dataflow for %v in buffer %d: %w", a.mm, bufferSize, errs.ErrInfeasible)
 	}
 	r := a.acc.best
-	r.Method = "analytic"
+	r.Method = a.method
 	return r, nil
 }
 
-// push routes one boundary candidate into the block scanner, firing the
-// analytic engine's own fault-injection site before the shared per-visit
-// one. The caller guarantees foot ≤ bufferSize and 1 ≤ tile ≤ extent.
-func (a *Analytic) push(oi int, tm, tk, tl int64, foot int64) {
+// walkPollStride is how many cells and candidates the walk visits between
+// polls of its context (a power of two): a few polls per request on the
+// paper's shapes, and prompt enough that a deadline stops a walk slowed by
+// injected latency.
+const walkPollStride = 64
+
+// price evaluates one candidate through the kernel's scalar entry and
+// folds it into the running optimum under the canonical tie-break, firing
+// the analytic engine's own fault-injection site before the shared
+// per-evaluation one. The caller guarantees the tiles fit the buffer and
+// lie on the walk's lattice.
+func (a *Analytic) price(oi int, tm, tk, tl int64) {
 	if err := faultinject.Active().Fire(SiteAnalytic); err != nil {
 		panic(err)
 	}
-	a.scan.push(oi, int(tm), int(tk), int(tl), foot)
+	if err := faultinject.Active().Fire(SiteEval); err != nil {
+		panic(err)
+	}
+	acc := a.kern.Eval(uint8(oi), tm, tk, tl)
+	a.acc.best.Evaluations++
+	key := candKey{oi, int(tm), int(tk), int(tl)}
+	if a.acc.improves(acc.Total, key) {
+		df := dataflow.Must(a.mm, a.orders[oi], dataflow.MustTiling(a.mm, key.tm, key.tk, key.tl))
+		a.acc.take(df, acc, key)
+	}
 }
 
-// emitCell pushes the candidate with the given per-slot tiles if it fits.
+// emitCell prices the candidate with the given per-slot tiles if it fits.
 func (a *Analytic) emitCell(oi int, tiles [3]int64) {
 	foot := invariant.CheckedMul(tiles[0], tiles[1]) +
 		invariant.CheckedMul(tiles[1], tiles[2]) +
 		invariant.CheckedMul(tiles[0], tiles[2])
-	if foot <= a.scan.bufferSize {
-		a.push(oi, tiles[0], tiles[1], tiles[2], foot)
+	if foot <= a.buffer {
+		a.price(oi, tiles[0], tiles[1], tiles[2])
 	}
 }
 
@@ -164,11 +211,8 @@ func (a *Analytic) emitCell(oi int, tiles [3]int64) {
 // any buffer ≥ 3 admits it, so the engine returns ErrInfeasible exactly
 // when they would.
 func (a *Analytic) emitAll() {
-	a.push(0, 1, 1, 1, 3)
+	a.price(0, 1, 1, 1)
 	for oi := range a.orders {
-		if a.stop.stopped() {
-			return
-		}
 		a.emitOrder(oi)
 	}
 }
@@ -179,6 +223,9 @@ func (a *Analytic) emitAll() {
 // optimized in closed form.
 func (a *Analytic) emitOrder(oi int) {
 	for mask := 0; mask < 8; mask++ {
+		if a.stop.stopped() {
+			return
+		}
 		multi := [3]bool{mask&1 != 0, mask&2 != 0, mask&4 != 0}
 		empty := false
 		for d := 0; d < 3; d++ {
@@ -231,29 +278,31 @@ func (a *Analytic) emitOrder(oi int) {
 // emitOne handles a cell with a single free positive-coefficient tile x:
 // cost base + coef·ceil(ext/x) falls as x grows while the footprint rises,
 // so the one candidate is the largest feasible x, clamped to extent−1 to
-// keep the trip count above one (the cell's defining condition).
+// keep the trip count above one (the cell's defining condition) and
+// snapped to its plateau's smallest allowed tile.
 func (a *Analytic) emitOne(oi int, tiles [3]int64, d int) {
 	o1, o2 := tiles[(d+1)%3], tiles[(d+2)%3]
 	rest := invariant.CheckedMul(o1, o2)
-	if rest >= a.scan.bufferSize {
+	if rest >= a.buffer {
 		return // no room for even x = 1
 	}
-	x := (a.scan.bufferSize - rest) / (o1 + o2)
+	x := (a.buffer - rest) / (o1 + o2)
 	if x > a.ext[d]-1 {
 		x = a.ext[d] - 1
 	}
 	if x < 1 {
 		return
 	}
-	tiles[d] = x
+	tiles[d] = a.snap(d, x)
 	a.emitCell(oi, tiles)
 }
 
 // emitTwo handles a cell with two free positive-coefficient tiles. It
-// walks the Pareto frontier over the smaller-extent dim e: every distinct
-// trip count's plateau left endpoint x = ceil(ext_e/n), paired with the
-// largest partner tile the footprint admits. From x, the next smaller
-// endpoint is ceil(ext_e/n) at the first n whose ceil drops below x, i.e.
+// walks the Pareto frontier over the smaller-extent dim e: every allowed
+// tile that is the smallest on its trip-count plateau, paired with the
+// largest partner tile the footprint admits. On the full lattice those are
+// the left endpoints x = ceil(ext_e/n); from x, the next smaller endpoint
+// is ceil(ext_e/n) at the first n whose ceil drops below x, i.e.
 // n = ceil(ext_e/(x−1)), so unachievable trip counts are skipped.
 func (a *Analytic) emitTwo(oi int, tiles [3]int64, d1, d2 int) {
 	e, p := d1, d2
@@ -261,7 +310,27 @@ func (a *Analytic) emitTwo(oi int, tiles [3]int64, d1, d2 int) {
 		e, p = d2, d1
 	}
 	exE := a.ext[e]
+	if grid := a.grids[e]; grid != nil {
+		prev := int64(0) // trip count of the previous grid value
+		for _, v := range grid {
+			x := int64(v)
+			if x == exE {
+				return // the extent itself trips once: outside the cell
+			}
+			if a.stop.stopped() {
+				return
+			}
+			if n := ceilDiv(exE, x); n != prev {
+				prev = n
+				a.emitPair(oi, tiles, e, x, p)
+			}
+		}
+		return
+	}
 	for n := int64(2); ; {
+		if a.stop.stopped() {
+			return
+		}
 		x := ceilDiv(exE, n)
 		a.emitPair(oi, tiles, e, x, p)
 		if x == 1 {
@@ -271,12 +340,12 @@ func (a *Analytic) emitTwo(oi int, tiles [3]int64, d1, d2 int) {
 	}
 }
 
-// emitPair fixes the enumerated tile x on dim e and pairs it with the
-// largest partner tile on dim p the footprint admits, clamped into the
-// cell's range [1, extent−1].
+// emitPair fixes the walked tile x on dim e and pairs it with the largest
+// partner tile on dim p the footprint admits, clamped into the cell's range
+// [1, extent−1] and snapped to its plateau's smallest allowed tile.
 func (a *Analytic) emitPair(oi int, tiles [3]int64, e int, x int64, p int) {
 	t3 := tiles[3-e-p]
-	num := a.scan.bufferSize - invariant.CheckedMul(t3, x)
+	num := a.buffer - invariant.CheckedMul(t3, x)
 	den := x + t3
 	if num < den {
 		return // even y = 1 overflows
@@ -285,8 +354,29 @@ func (a *Analytic) emitPair(oi int, tiles [3]int64, e int, x int64, p int) {
 	if y > a.ext[p]-1 {
 		y = a.ext[p] - 1
 	}
-	tiles[e], tiles[p] = x, y
+	tiles[e], tiles[p] = x, a.snap(p, y)
 	a.emitCell(oi, tiles)
+}
+
+// snap returns the smallest allowed tile of dim d with the trip count of
+// t, for 1 ≤ t ≤ extent. On the full lattice that is the plateau's left
+// endpoint ceil(ext/ceil(ext/t)). On the coarse lattice t is first floored
+// to the largest grid value ≤ t (the grid holds 1, so one exists); the
+// answer is then the smallest grid value whose trip count is no larger,
+// which has exactly the floored value's trip count.
+func (a *Analytic) snap(d int, t int64) int64 {
+	ext := a.ext[d]
+	grid := a.grids[d]
+	if grid == nil {
+		return ceilDiv(ext, ceilDiv(ext, t))
+	}
+	i, found := slices.BinarySearch(grid, int(t))
+	if !found {
+		i-- // grid[i-1] < t < grid[i]
+	}
+	lo := ceilDiv(ext, ceilDiv(ext, int64(grid[i])))
+	j, _ := slices.BinarySearch(grid[:i+1], int(lo))
+	return int64(grid[j])
 }
 
 // ceilDiv is ceil(a/b) for positive operands.

@@ -288,47 +288,51 @@ func TestInjectedPanicContainedAnalytic(t *testing.T) {
 	}
 }
 
-// FuzzAnalyticOptimum fuzzes the exact property: for any small shape and
-// buffer, the analytic engine must agree with the full-space reference on
-// both the error class and the optimum Total — never beating it (it prices
-// true lattice points) and never infeasible when the reference is feasible.
+// FuzzAnalyticOptimum fuzzes the exact property on both lattices: for any
+// small shape and buffer, the full-lattice walk must agree with
+// ReferenceExhaustive and the coarse walk with ReferenceCoarse on the error
+// class, the Dataflow (tie-winner included) and the full Access. The
+// coarse walk draws extents up to 256, where the TileGrid lattice is far
+// sparser than the full one.
 func FuzzAnalyticOptimum(f *testing.F) {
 	f.Add(uint8(12), uint8(10), uint8(14), uint16(256))
 	f.Add(uint8(1), uint8(48), uint8(40), uint16(17))
 	f.Add(uint8(24), uint8(2), uint8(56), uint16(3))
 	f.Add(uint8(5), uint8(6), uint8(7), uint16(2))
 	f.Fuzz(func(t *testing.T, m, k, l uint8, buf uint16) {
-		mm := op.MatMul{
-			Name: "fuzz",
-			M:    int(m%12) + 1,
-			K:    int(k%12) + 1,
-			L:    int(l%12) + 1,
-		}
 		bs := int64(buf)
-		want, werr := ReferenceExhaustive(mm, bs)
-		got, gerr := OptimizeAnalytic(mm, bs)
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("%v BS=%d: error mismatch: reference %v, analytic %v", mm, bs, werr, gerr)
-		}
-		if werr != nil {
-			if !errors.Is(gerr, errs.ErrBufferTooSmall) {
-				t.Fatalf("%v BS=%d: %v, want ErrBufferTooSmall", mm, bs, gerr)
+		full := op.MatMul{Name: "fuzz", M: int(m%12) + 1, K: int(k%12) + 1, L: int(l%12) + 1}
+		coarse := op.MatMul{Name: "fuzz", M: int(m) + 1, K: int(k) + 1, L: int(l) + 1}
+		for _, tc := range []struct {
+			mm  op.MatMul
+			g   Grid
+			ref func(op.MatMul, int64) (Result, error)
+		}{
+			{full, GridFull, ReferenceExhaustive},
+			{coarse, GridCoarse, ReferenceCoarse},
+		} {
+			want, werr := tc.ref(tc.mm, bs)
+			got, gerr := WalkCtx(context.Background(), tc.mm, bs, tc.g)
+			if (werr == nil) != (gerr == nil) {
+				t.Fatalf("%v BS=%d %s: error mismatch: reference %v, walk %v", tc.mm, bs, tc.g, werr, gerr)
 			}
-			return
-		}
-		if got.Access.Total != want.Access.Total {
-			t.Fatalf("%v BS=%d: analytic %d != reference optimum %d",
-				mm, bs, got.Access.Total, want.Access.Total)
-		}
-		if got.Access.Footprint > bs {
-			t.Fatalf("%v BS=%d: infeasible answer, footprint %d", mm, bs, got.Access.Footprint)
+			if werr != nil {
+				if !errors.Is(gerr, errs.ErrBufferTooSmall) {
+					t.Fatalf("%v BS=%d %s: %v, want ErrBufferTooSmall", tc.mm, bs, tc.g, gerr)
+				}
+				continue
+			}
+			if got.Dataflow != want.Dataflow || got.Access != want.Access {
+				t.Fatalf("%v BS=%d %s: walk %v %+v, reference %v %+v",
+					tc.mm, bs, tc.g, got.Dataflow, got.Access, want.Dataflow, want.Access)
+			}
 		}
 	})
 }
 
 // TestAnalyticSteadyStateZeroAlloc pins the hot path: after construction,
-// OptimizeCtx allocates nothing per call (the scratch Block, accumulator and
-// cancel check are all reused in place).
+// OptimizeCtx allocates nothing per call (the accumulator and cancel check
+// are reused in place, and candidates are priced one at a time).
 func TestAnalyticSteadyStateZeroAlloc(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("invariant checks compiled in: assertions allocate")

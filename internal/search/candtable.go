@@ -93,7 +93,7 @@ func TableCandidates(mm op.MatMul, g Grid) int64 {
 // MaxTableCandidates is the hard admission cap of NewCandTable: above it the
 // transient build arrays stop being "a few hundred MB" and the build stops
 // being interactive, so the constructor refuses and callers fall back to a
-// scan. Service-level caps (Config.TableMaxCandidates) sit far below this.
+// scan.
 const MaxTableCandidates = 1 << 23
 
 // tableStep is one plateau of the prefix-minimum step function: for every

@@ -46,9 +46,7 @@ const SiteEval = "search.eval"
 
 // scanBlockSize is the candidate capacity of one struct-of-arrays scan
 // block. 256 rows (~24 KiB) keep each scanner's block in L1/L2 and the
-// per-call allocation small: the analytic engine prices only a few hundred
-// candidates per request, and a larger block would be allocated and dropped
-// whole on every /v1/search call.
+// per-call allocation small.
 const scanBlockSize = 256
 
 // candKey identifies one enumeration candidate by its canonical
@@ -121,21 +119,24 @@ func guardScan(fn func()) (err error) {
 type cancelCheck struct {
 	done <-chan struct{}
 	n    uint32
+	// mask is the poll stride minus one (a power of two minus one); the
+	// zero value polls on every call.
+	mask uint32
 }
 
 func newCancelCheck(ctx context.Context) *cancelCheck {
-	return &cancelCheck{done: ctx.Done()}
+	return &cancelCheck{done: ctx.Done(), mask: 1023}
 }
 
 // stopped reports whether the scan's context was canceled, consulting the
-// channel once every 1024 calls. A Background context has a nil Done channel
-// and costs only the nil compare.
+// channel once every mask+1 calls (1024 for the lattice scans). A
+// Background context has a nil Done channel and costs only the nil compare.
 func (c *cancelCheck) stopped() bool {
 	if c.done == nil {
 		return false
 	}
 	c.n++
-	if c.n&1023 != 0 {
+	if c.n&c.mask != 0 {
 		return false
 	}
 	select {

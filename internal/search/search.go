@@ -18,24 +18,27 @@
 //   - Optimize, OptimizeParallel and OptimizeTable are DAT itself: exact
 //     enumeration over the coarse lattice polished by the GA, keeping the
 //     better of the two (MIP+GA), or the GA alone above CoarseLatticeLimit.
-//   - OptimizeAnalytic derives per-regime closed-form optima of the
-//     piecewise-affine cost model and prices only the integer boundary
-//     candidates around them — tens-to-hundreds of exact evaluations where
-//     the GA pays thousands. It is exact over the full integer space and
-//     is the engine behind /v1/search auto.
+//   - OptimizeAnalytic and WalkCtx are the canonical walk: per-regime
+//     closed-form optima of the piecewise-affine cost model, pricing only
+//     the trip-count plateaus' smallest allowed tiles — tens to hundreds of
+//     exact evaluations where the GA pays thousands. On either lattice it
+//     returns the scans' exact Dataflow and Access, tie-winner included,
+//     and it is the engine behind /v1/search auto, exhaustive and coarse.
 //
-// Every engine prices its candidates directly through the cost.BatchEval
-// kernel: the enumeration engines and the analytic engine in blocks, the GA
-// one genome at a time through its scalar entry. Only candidate tables
-// (CandTable) amortize pricing across calls, by folding a whole lattice
-// into footprint-indexed step functions.
+// The scans and table builds price candidates through the cost.BatchEval
+// kernel in blocks; the walk and the GA price one candidate at a time
+// through its scalar entry. Only candidate tables (CandTable) amortize
+// pricing across calls, by folding a whole lattice into footprint-indexed
+// step functions; they serve offline buffer sweeps, not requests.
 package search
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"fusecu/internal/cost"
@@ -79,26 +82,25 @@ func ExhaustiveCtx(ctx context.Context, mm op.MatMul, bufferSize int64) (Result,
 }
 
 // TileGrid returns the candidate tile values for one dimension extent used
-// by the coarse engines: 1, the extent itself, all powers of two below it,
-// and all divisors up to a density cap. This matches the pragmatic grids
-// search-based mappers explore.
+// by the coarse engines, ascending: 1, the extent itself, all powers of two
+// below it, and every divisor. This matches the pragmatic grids
+// search-based mappers explore. The values are collected into one slice
+// and deduplicated after sorting, so a call makes one allocation.
 func TileGrid(extent int) []int {
-	set := map[int]bool{1: true, extent: true}
+	// The powers of two number bits.Len(extent); the capacity also covers
+	// the divisors of most extents, which otherwise cost one regrow.
+	out := make([]int, 0, 4*bits.Len(uint(extent)))
+	out = append(out, 1, extent)
 	for p := 2; p < extent; p *= 2 {
-		set[p] = true
+		out = append(out, p)
 	}
 	for d := 2; d*d <= extent; d++ {
 		if extent%d == 0 {
-			set[d] = true
-			set[extent/d] = true
+			out = append(out, d, extent/d)
 		}
 	}
-	out := make([]int, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ExhaustiveCoarse enumerates all loop orders over the TileGrid lattice —

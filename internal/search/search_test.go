@@ -1,6 +1,10 @@
 package search
 
 import (
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"fusecu/internal/dataflow"
@@ -69,6 +73,46 @@ func TestTileGridExtentOne(t *testing.T) {
 	g := TileGrid(1)
 	if len(g) != 1 || g[0] != 1 {
 		t.Fatalf("TileGrid(1) = %v", g)
+	}
+}
+
+// frozenTileGrid is TileGrid as first written, on a set map: the
+// reference the slice version is pinned against. Do not optimize it.
+func frozenTileGrid(extent int) []int {
+	set := map[int]bool{1: true, extent: true}
+	for p := 2; p < extent; p *= 2 {
+		set[p] = true
+	}
+	for d := 2; d*d <= extent; d++ {
+		if extent%d == 0 {
+			set[d] = true
+			set[extent/d] = true
+		}
+	}
+	out := make([]int, 0, len(set))
+	for v := range set {
+		out = append(out, v)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// TestTileGridMatchesFrozenMapVersion pins the map-free TileGrid to the
+// frozen map version at every extent 1..10^4 and at 10^3 seeded extents up
+// to MaxInt32.
+func TestTileGridMatchesFrozenMapVersion(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	extents := make([]int, 0, 11_000)
+	for e := 1; e <= 10_000; e++ {
+		extents = append(extents, e)
+	}
+	for i := 0; i < 1000; i++ {
+		extents = append(extents, 1+rng.Intn(math.MaxInt32))
+	}
+	for _, e := range extents {
+		if got, want := TileGrid(e), frozenTileGrid(e); !slices.Equal(got, want) {
+			t.Fatalf("TileGrid(%d) = %v, frozen version %v", e, got, want)
+		}
 	}
 }
 

@@ -118,15 +118,9 @@ func (s *Server) handleSearch(ctx context.Context, body []byte) (any, error) {
 	if err := decodeStrict(body, &req); err != nil {
 		return nil, err
 	}
-	// The engines select GOMAXPROCS for a non-positive count and clamp
-	// larger ones to it, so a client cannot size the pool past the host.
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.SearchWorkers
-	}
 	mm := matmulOf(req.Op)
 
-	// The scan gets only DegradeFraction of the remaining deadline budget:
+	// The engine gets only DegradeFraction of the remaining deadline budget:
 	// if it cannot finish inside that, the leftover slack is spent producing
 	// the principle-based one-shot answer instead of a 504. On the paper's
 	// LLM shapes core.Optimize measures about 15 µs median and 0.15 ms p99
@@ -141,34 +135,20 @@ func (s *Server) handleSearch(ctx context.Context, body []byte) (any, error) {
 		defer cancel()
 	}
 
-	// auto is the exact analytic engine alone. The lattice engines first try
-	// the shared candidate table for the shape: the per-point scan collapses
-	// to an O(log n) footprint lookup, bit-identical to the scan's answer.
-	// Shapes above the table cap — and every request when DisableTables is
-	// set — keep the scan path. A failed build (e.g. an injected fault in the
-	// cost model) flows into the normal error handling below, so the
-	// degraded fallback and error mapping are unchanged.
+	// auto, exhaustive and coarse are one canonical walk: auto and
+	// exhaustive over every integer tiling, coarse over the TileGrid
+	// lattice. Each returns the exact answer of a full scan of its lattice,
+	// tie-winner included, after a few hundred pricings. The workers field
+	// is accepted and ignored: no engine runs a worker pool.
 	var res search.Result
 	var err error
 	switch req.Engine {
 	case "", "auto":
 		res, err = search.OptimizeAnalyticCtx(scanCtx, mm, req.Buffer)
 	case "exhaustive":
-		if tab, used, terr := s.searchTable(mm, search.GridFull); terr != nil {
-			err = terr
-		} else if used {
-			res, err = tab.Best(req.Buffer)
-		} else {
-			res, err = search.ParallelExhaustiveCtx(scanCtx, mm, req.Buffer, workers)
-		}
+		res, err = search.WalkCtx(scanCtx, mm, req.Buffer, search.GridFull)
 	case "coarse":
-		if tab, used, terr := s.searchTable(mm, search.GridCoarse); terr != nil {
-			err = terr
-		} else if used {
-			res, err = tab.Best(req.Buffer)
-		} else {
-			res, err = search.ParallelCoarseCtx(scanCtx, mm, req.Buffer, workers)
-		}
+		res, err = search.WalkCtx(scanCtx, mm, req.Buffer, search.GridCoarse)
 	case "genetic":
 		res, err = search.GeneticCtx(scanCtx, mm, req.Buffer, search.GeneticOptions{Seed: req.Seed})
 	default:
@@ -180,7 +160,7 @@ func (s *Server) handleSearch(ctx context.Context, body []byte) (any, error) {
 				return resp, nil
 			}
 			// The fallback itself failed (e.g. infeasible buffer): report
-			// the scan's original error, which carries the better story.
+			// the engine's original error, which carries the better story.
 		}
 		return nil, err
 	}
@@ -192,32 +172,12 @@ func (s *Server) handleSearch(ctx context.Context, body []byte) (any, error) {
 	}, nil
 }
 
-// searchTable resolves the shared candidate table for mm over grid.
-// used=false means the fast path does not apply (disabled, or the lattice
-// exceeds the configured cap) and the caller should scan; used=true with a non-nil error means the
-// table path was selected but the build failed — the error carries the
-// build failure (typically errs.ErrInternal from a contained panic) into
-// the handler's normal degradation/error mapping.
-func (s *Server) searchTable(mm op.MatMul, grid search.Grid) (*search.CandTable, bool, error) {
-	if s.cfg.DisableTables {
-		return nil, false, nil
-	}
-	if n := search.TableCandidates(mm, grid); n <= 0 || n > s.cfg.TableMaxCandidates {
-		return nil, false, nil
-	}
-	tab, err := s.tables.get(mm, grid)
-	if err != nil {
-		return nil, true, err
-	}
-	return tab, true, nil
-}
-
-// degradeReason decides whether a failed scan should fall back to the
-// principle optimizer: yes when the scan ran out of its deadline budget or
-// failed internally (a contained panic). Only a client disconnect refuses
-// the fallback — even if pool teardown overran the reserve and the request
-// deadline itself has lapsed, a slightly late degraded answer still beats a
-// 504, and the connection is alive to carry it.
+// degradeReason decides whether a failed search should fall back to the
+// principle optimizer: yes when the engine ran out of its deadline budget
+// or failed internally (a contained panic). Only a client disconnect
+// refuses the fallback — even if the engine overran the reserve and the
+// request deadline itself has lapsed, a slightly late degraded answer
+// still beats a 504, and the connection is alive to carry it.
 func (s *Server) degradeReason(ctx context.Context, err error, degradable bool) (string, bool) {
 	if !degradable || errors.Is(ctx.Err(), context.Canceled) {
 		return "", false
@@ -233,7 +193,7 @@ func (s *Server) degradeReason(ctx context.Context, err error, degradable bool) 
 
 // degradedAnswer produces the principle-based fallback response — the
 // paper's Principle 1–3 optimum, always feasible and never worse than any
-// search result the abandoned scan could have returned.
+// search result the abandoned engine could have returned.
 func (s *Server) degradedAnswer(mm op.MatMul, buffer int64, reason string) (searchResponse, error) {
 	pr, err := core.Optimize(mm, buffer)
 	if err != nil {

@@ -70,7 +70,7 @@ func TestChaosPanicWaveKeepsServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := fmt.Sprintf(`{"op":{"name":"load","m":%d,"k":%d,"l":%d},"buffer":4096,"engine":"exhaustive","workers":1}`,
+	body := fmt.Sprintf(`{"op":{"name":"load","m":%d,"k":%d,"l":%d},"buffer":4096,"engine":"exhaustive"}`,
 		loadOp.M, loadOp.K, loadOp.L)
 
 	var wg sync.WaitGroup
@@ -134,12 +134,13 @@ func TestChaosPanicWaveKeepsServing(t *testing.T) {
 
 // --- graceful degradation ---------------------------------------------------
 
-// degradeOp cannot be exhaustively scanned within the test deadlines (67M
-// candidate evaluations), so every request over it is deadline-pressured.
+// degradeOp is the deadline-pressure shape: under slowSearch's 5ms per
+// evaluation its 127-evaluation walk outlives every test deadline below.
 var degradeOp = op.MatMul{Name: "big", M: 224, K: 224, L: 224}
 
 func TestDeadlinePressureDegradesToPrinciple(t *testing.T) {
 	s, ts := newTestServer(t, Config{DefaultTimeout: 150 * time.Millisecond})
+	slowSearch(t, 5*time.Millisecond)
 	const buffer = 1 << 20
 	want, err := core.Optimize(degradeOp, buffer)
 	if err != nil {
@@ -164,9 +165,11 @@ func TestDeadlinePressureDegradesToPrinciple(t *testing.T) {
 
 // TestDegradedConformance sweeps operators and buffers and asserts the
 // degraded answer's contract: always feasible (footprint within the buffer)
-// and exactly the principle optimum — never worse.
+// and exactly the principle optimum — never worse. Every walk here prices
+// at least 77 candidates, so at 5ms each none finishes inside 80ms.
 func TestDegradedConformance(t *testing.T) {
 	_, ts := newTestServer(t, Config{DefaultTimeout: 80 * time.Millisecond})
+	slowSearch(t, 5*time.Millisecond)
 	cases := []struct {
 		mm     op.MatMul
 		buffer int64
@@ -190,7 +193,7 @@ func TestDegradedConformance(t *testing.T) {
 				t.Fatalf("status = %d (%s)", code, raw)
 			}
 			if !resp.Degraded {
-				t.Fatalf("scan unexpectedly finished; response not degraded: %+v", resp)
+				t.Fatalf("walk unexpectedly finished; response not degraded: %+v", resp)
 			}
 			tm, tk, tl := int64(resp.Dataflow.TM), int64(resp.Dataflow.TK), int64(resp.Dataflow.TL)
 			if fp := tm*tk + tk*tl + tm*tl; fp > tc.buffer {
@@ -218,7 +221,7 @@ func TestEngineFailureDegrades(t *testing.T) {
 	}
 	var resp searchResponse
 	code, raw := post(t, ts, "/v1/search",
-		`{"op":{"name":"ref","m":48,"k":32,"l":40},"buffer":4096,"engine":"exhaustive","workers":1}`, &resp)
+		`{"op":{"name":"ref","m":48,"k":32,"l":40},"buffer":4096,"engine":"exhaustive"}`, &resp)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d, want 200 degraded (%s)", code, raw)
 	}
@@ -235,6 +238,7 @@ func TestEngineFailureDegrades(t *testing.T) {
 
 func TestDisableDegradeRestores504(t *testing.T) {
 	_, ts := newTestServer(t, Config{DefaultTimeout: 60 * time.Millisecond, DisableDegrade: true})
+	slowSearch(t, 5*time.Millisecond)
 	code, raw := post(t, ts, "/v1/search",
 		`{"op":{"m":224,"k":224,"l":224},"buffer":1048576,"engine":"exhaustive"}`, nil)
 	if code != http.StatusGatewayTimeout {

@@ -4,9 +4,10 @@
 //
 //   - POST /v1/optimize  — Principles 1–3, one-shot intra-operator optimum
 //   - POST /v1/plan      — Principle 4, chain-level fusion planning
-//   - POST /v1/search    — search: the exact analytic engine (auto) and the
-//     DAT-style baselines (parallel, table-backed lattice scans, the GA)
+//   - POST /v1/search    — search: the exact canonical walk (auto,
+//     exhaustive, coarse) and DAT's GA (genetic)
 //   - POST /v1/evaluate  — cross-platform workload evaluation (Fig. 10/11)
+//   - GET  /v1/version   — the API and cost-model versions
 //   - GET  /metrics      — Prometheus-style text exposition
 //   - GET  /healthz      — liveness probe (200 while the process lives)
 //   - GET  /readyz       — readiness probe (503 before SetReady and during
@@ -15,16 +16,17 @@
 // plus the operational substrate an accelerator-compiler service needs:
 // strict request validation mapped onto the library's unified error
 // sentinels, per-request deadlines whose cancellation is threaded into the
-// search worker pools, a bounded-concurrency admission gate (429 +
-// Retry-After on saturation), and a per-shape candidate-table registry so
-// repeated operators across requests are answered by an O(log n) lookup.
+// search engines, and a bounded-concurrency admission gate (429 +
+// Retry-After on saturation). A Server keeps no per-shape state: every
+// answer is computed from the request alone, in microseconds for the
+// walks.
 //
 // The resilience layer on top:
 //
 //   - Every registered handler runs inside the recovered panic-isolation
 //     middleware: a panic maps to a 500 internal_error envelope and a
 //     panics_recovered counter, and the process keeps serving.
-//   - /v1/search degrades gracefully: when the scan has consumed the
+//   - /v1/search degrades gracefully: when the engine has consumed the
 //     configured fraction of its deadline budget — or the engine itself
 //     failed with errs.ErrInternal — the handler answers with the
 //     principle-based one-shot optimum and "degraded": true instead of a
@@ -47,10 +49,10 @@ import (
 	"time"
 
 	"fusecu/api"
+	"fusecu/internal/cost"
 	"fusecu/internal/errs"
 	"fusecu/internal/faultinject"
 	"fusecu/internal/metrics"
-	"fusecu/internal/tablestore"
 )
 
 // Config tunes a Server. The zero value selects production defaults.
@@ -61,13 +63,10 @@ type Config struct {
 	// DefaultTimeout bounds each request when the client does not pass a
 	// tighter timeout_ms. Default 30s.
 	DefaultTimeout time.Duration
-	// SearchWorkers sizes the per-request search worker pool; 0 means
-	// GOMAXPROCS (the search package's default).
-	SearchWorkers int
 	// RetryAfter is the Retry-After hint (seconds) on 429. Default 1.
 	RetryAfter int
 	// DegradeFraction is the fraction of a /v1/search request's deadline
-	// budget the scan may consume before the handler abandons it and answers
+	// budget the engine may consume before the handler abandons it and answers
 	// with the principle-based one-shot optimum ("degraded": true). Default
 	// 0.9; must stay in (0, 1). DisableDegrade turns the fallback off.
 	DegradeFraction float64
@@ -78,30 +77,6 @@ type Config struct {
 	// "service.search", …), fired once per admitted request before the
 	// handler body. nil (the default) leaves every site disarmed.
 	Injector *faultinject.Injector
-	// TableCapacity bounds the number of per-shape candidate tables kept
-	// resident for /v1/search (LRU-evicted beyond it). Default 64.
-	TableCapacity int
-	// TableMaxCandidates caps the lattice size a request may materialize as
-	// a footprint-indexed candidate table; shapes above it use the scan
-	// engines (and, under deadline pressure, the degraded fallback) as
-	// before. Default 2^21 candidates (~16 MB resident per table bound).
-	TableMaxCandidates int64
-	// DisableTables turns the candidate-table fast path off entirely,
-	// restoring the per-request scan behaviour for every shape.
-	DisableTables bool
-	// TableStore, when non-nil, fronts the table registry with a disk store
-	// of precomputed artifacts (fusecu-tablegen output): resolution becomes
-	// disk → LRU → build. Artifacts are fully re-validated on load; a
-	// corrupt or stale file is logged, counted in table_load_errors, and
-	// the shape falls back to a fresh build — never a wrong answer.
-	TableStore *tablestore.Store
-	// EnableAdmin exposes the table-administration endpoints
-	// (GET /v1/tables, DELETE /v1/tables/{shapeHash}); without it they
-	// answer 403 admin_disabled. /v1/version is always on.
-	EnableAdmin bool
-	// Logf receives operational log lines (table-load fallbacks and the
-	// like). nil discards them.
-	Logf func(format string, args ...any)
 }
 
 func (c Config) withDefaults() Config {
@@ -117,25 +92,15 @@ func (c Config) withDefaults() Config {
 	if c.DegradeFraction <= 0 || c.DegradeFraction >= 1 {
 		c.DegradeFraction = 0.9
 	}
-	if c.TableCapacity <= 0 {
-		c.TableCapacity = 64
-	}
-	if c.TableMaxCandidates <= 0 {
-		c.TableMaxCandidates = 1 << 21
-	}
 	return c
 }
 
-// Server holds the shared state of the service: the candidate-table
-// registry, the metrics registry, the admission gate, and the
-// readiness/drain state machine.
+// Server holds the shared state of the service: the metrics registry, the
+// admission gate, and the readiness/drain state machine.
 type Server struct {
-	cfg Config
-	reg *metrics.Registry
-	// tables shares footprint-indexed candidate tables across requests for
-	// identically shaped operators (metrics: table_builds/hits/evictions).
-	tables *tableRegistry
-	gate   chan struct{}
+	cfg  Config
+	reg  *metrics.Registry
+	gate chan struct{}
 	// ready gates /readyz only: the daemon flips it true once the listener
 	// is up and false when draining, so load balancers steer traffic away
 	// without affecting requests already routed here.
@@ -150,19 +115,10 @@ type Server struct {
 // not-ready; call SetReady(true) once the listener is accepting.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{
+	return &Server{
 		cfg:  cfg,
 		reg:  metrics.NewRegistry(),
 		gate: make(chan struct{}, cfg.MaxInFlight),
-	}
-	s.tables = newTableRegistry(cfg.TableCapacity, s.reg, cfg.TableStore, s.logf)
-	return s
-}
-
-// logf forwards to Config.Logf, discarding when none is configured.
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
 	}
 }
 
@@ -195,8 +151,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/search", s.recovered("search", s.endpoint("search", s.handleSearch)))
 	mux.HandleFunc("/v1/evaluate", s.recovered("evaluate", s.endpoint("evaluate", s.handleEvaluate)))
 	mux.HandleFunc("/v1/version", s.recovered("version", s.handleVersion))
-	mux.HandleFunc("/v1/tables", s.recovered("tables", s.handleTables))
-	mux.HandleFunc("/v1/tables/{shapeHash}", s.recovered("table_evict", s.handleTableEvict))
 	mux.HandleFunc("/metrics", s.recovered("metrics", s.handleMetrics))
 	mux.HandleFunc("/healthz", s.recovered("healthz", s.handleHealthz))
 	mux.HandleFunc("/readyz", s.recovered("readyz", s.handleReadyz))
@@ -437,6 +391,31 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(status)
 	if _, err := io.WriteString(w, body+"\n"); err != nil {
+		s.reg.Counter("http_encode_errors_total").Inc()
+	}
+}
+
+// handleVersion answers GET /v1/version, always on: fusecu-route uses it to
+// refuse mixed-cost-model fleets. It bypasses the POST middleware (no body,
+// no deadline) and the admission gate, being cheap and read-only.
+func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
+	const name = "version"
+	if r.Method != http.MethodGet {
+		s.writeError(w, name, &apiError{
+			status: http.StatusMethodNotAllowed,
+			code:   api.CodeMethodNotAllowed,
+			err:    fmt.Errorf("service: %s requires GET", r.URL.Path),
+		})
+		return
+	}
+	s.reg.Counter(fmt.Sprintf("http_requests_total:%s:%d", name, http.StatusOK)).Inc()
+	s.reg.Counter(fmt.Sprintf("http_responses_total:%d", http.StatusOK)).Inc()
+	w.Header().Set("Content-Type", "application/json")
+	if err := json.NewEncoder(w).Encode(api.VersionResponse{
+		APIVersion:         api.Version,
+		CostModelVersion:   cost.ModelVersion,
+		TableFormatVersion: api.TableFormatVersion,
+	}); err != nil {
 		s.reg.Counter("http_encode_errors_total").Inc()
 	}
 }

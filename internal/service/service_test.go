@@ -8,11 +8,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"fusecu/api"
+	"fusecu/internal/cost"
 	"fusecu/internal/faultinject"
 	"fusecu/internal/op"
 	"fusecu/internal/search"
@@ -51,6 +54,54 @@ func errCode(t *testing.T, raw []byte) string {
 		t.Fatalf("decode error envelope %q: %v", raw, err)
 	}
 	return env.Error.Code
+}
+
+// do sends a bodyless request (GET/DELETE) and decodes a 200 response into
+// out (which may be nil). It returns the status code and raw body.
+func do(t *testing.T, ts *httptest.Server, method, path string, out any) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, ts.URL+path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, path, err)
+	}
+	defer func() {
+		if err := resp.Body.Close(); err != nil {
+			t.Errorf("close body: %v", err)
+		}
+	}()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read body: %v", err)
+	}
+	if out != nil && resp.StatusCode == http.StatusOK {
+		if err := json.Unmarshal(raw, out); err != nil {
+			t.Fatalf("decode %s response %q: %v", path, raw, err)
+		}
+	}
+	return resp.StatusCode, raw
+}
+
+// searchBody builds a /v1/search request body for mm.
+func searchBody(mm op.MatMul, buffer int64, engine string) string {
+	return fmt.Sprintf(`{"op":{"name":%q,"m":%d,"k":%d,"l":%d},"buffer":%d,"engine":%q}`,
+		mm.Name, mm.M, mm.K, mm.L, buffer, engine)
+}
+
+// slowSearch arms latency on every cost evaluation (search.SiteEval) for
+// the rest of the test. The walks answer in microseconds, so this is what
+// keeps a search in flight long enough to meet a deadline, hold an
+// admission slot, or be canceled mid-walk: a request then takes about
+// delay times its evaluation count (127 for 224³ at 1 MiB).
+func slowSearch(t *testing.T, delay time.Duration) *faultinject.Injector {
+	t.Helper()
+	in := faultinject.New(1, faultinject.Plan{Site: search.SiteEval, Mode: faultinject.ModeLatency, Delay: delay})
+	faultinject.Activate(in)
+	t.Cleanup(faultinject.Deactivate)
+	return in
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -122,37 +173,165 @@ func TestSearchEndpointMatchesReference(t *testing.T) {
 		fmt.Sprintf("%d/%d/%d", want.Dataflow.Tiling.TM, want.Dataflow.Tiling.TK, want.Dataflow.Tiling.TL) {
 		t.Fatalf("served tiling %s != reference %v", got, want.Dataflow.Tiling)
 	}
-	if resp.Evaluations+resp.CacheHits == 0 {
-		t.Fatal("search reported no candidate visits")
+	if resp.Method != "exhaustive" || resp.Evaluations == 0 || resp.CacheHits != 0 {
+		t.Fatalf("method %q, %d evaluations, %d cache hits; want the walk's exhaustive answer",
+			resp.Method, resp.Evaluations, resp.CacheHits)
 	}
 }
 
-// TestSearchEndpointCacheHitsOnRepeat checks the cache_hits field: a repeat
-// request for the same shape is answered from the shared candidate table,
-// which reports every lattice visit it served as a cache hit and prices
-// nothing, and the table is built once.
+// TestSearchEndpointCacheHitsOnRepeat checks the cache_hits field on a
+// repeat request: the server keeps no per-shape state, so the repeat is
+// walked afresh — the identical response, the same evaluation count, and
+// cache_hits 0 both times.
 func TestSearchEndpointCacheHitsOnRepeat(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	body := `{"op":{"name":"rep","m":48,"k":32,"l":40},"buffer":4096,"engine":"exhaustive"}`
-	var first, second searchResponse
-	if code, raw := post(t, ts, "/v1/search", body, &first); code != http.StatusOK {
-		t.Fatalf("first: status %d: %s", code, raw)
+	_, ts := newTestServer(t, Config{})
+	for _, engine := range []string{"auto", "exhaustive", "coarse"} {
+		body := searchBody(op.MatMul{Name: "rep", M: 48, K: 32, L: 40}, 4096, engine)
+		var first, second searchResponse
+		if code, raw := post(t, ts, "/v1/search", body, &first); code != http.StatusOK {
+			t.Fatalf("%s first: status %d: %s", engine, code, raw)
+		}
+		if code, raw := post(t, ts, "/v1/search", body, &second); code != http.StatusOK {
+			t.Fatalf("%s second: status %d: %s", engine, code, raw)
+		}
+		if first.CacheHits != 0 || first.Evaluations == 0 {
+			t.Fatalf("%s: %d evals + %d cache hits, want a walk with no cache", engine, first.Evaluations, first.CacheHits)
+		}
+		if second != first {
+			t.Fatalf("%s: repeat changed the response: %+v vs %+v", engine, second, first)
+		}
 	}
-	if code, raw := post(t, ts, "/v1/search", body, &second); code != http.StatusOK {
-		t.Fatalf("second: status %d: %s", code, raw)
+}
+
+// TestSearchBitIdentityAcrossEngines drives every walk-served engine
+// through the endpoint and checks the answers against the frozen
+// reference engines, tie-winner included: exhaustive and auto against
+// ReferenceExhaustive, coarse against ReferenceCoarse. A shape whose full
+// lattice (20M candidates) is far beyond what a per-request scan could
+// finish is checked against the pruned Exhaustive, which is proven
+// bit-identical to the reference.
+func TestSearchBitIdentityAcrossEngines(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	small := op.MatMul{Name: "tbl", M: 36, K: 28, L: 30}
+	big := op.MatMul{Name: "big", M: 160, K: 150, L: 140}
+	cases := []struct {
+		mm     op.MatMul
+		buffer int64
+		engine string
+		method string
+		ref    func(op.MatMul, int64) (search.Result, error)
+	}{
+		{small, 2048, "exhaustive", "exhaustive", search.ReferenceExhaustive},
+		{small, 2048, "auto", "analytic", search.ReferenceExhaustive},
+		{small, 2048, "coarse", "exhaustive-coarse", search.ReferenceCoarse},
+		{big, 2048, "exhaustive", "exhaustive", search.Exhaustive},
+		{big, 2048, "coarse", "exhaustive-coarse", search.ExhaustiveCoarse},
 	}
-	if second.CacheHits == 0 || second.Evaluations != 0 || second.CacheHits != first.CacheHits+first.Evaluations {
-		t.Fatalf("repeat request visits %d evals + %d hits, first %d + %d",
-			second.Evaluations, second.CacheHits, first.Evaluations, first.CacheHits)
+	for _, tc := range cases {
+		want, err := tc.ref(tc.mm, tc.buffer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp searchResponse
+		code, raw := post(t, ts, "/v1/search", searchBody(tc.mm, tc.buffer, tc.engine), &resp)
+		if code != http.StatusOK {
+			t.Fatalf("%v %s: status %d: %s", tc.mm, tc.engine, code, raw)
+		}
+		wantDF := dataflowOf(want.Dataflow, want.Access.NRA, want.Access.Total, want.Access.PerTensor)
+		if resp.Dataflow != wantDF || resp.Method != tc.method || resp.Degraded {
+			t.Fatalf("%v %s: answer %s %+v != reference %+v", tc.mm, tc.engine, resp.Method, resp.Dataflow, wantDF)
+		}
 	}
-	if first.Dataflow != second.Dataflow {
-		t.Fatalf("repeat changed the result: %+v vs %+v", first.Dataflow, second.Dataflow)
+}
+
+// TestSearchWorkersIgnored: the workers field is still accepted but sizes
+// nothing — a client-sized count far beyond the host's cores returns the
+// same answer as the default, without allocating per requested worker.
+func TestSearchWorkersIgnored(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	mm := op.MatMul{Name: "workers", M: 24, K: 20, L: 24}
+	var plain searchResponse
+	if code, raw := post(t, ts, "/v1/search", searchBody(mm, 512, "coarse"), &plain); code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, raw)
 	}
-	if th := s.Registry().Counter("table_hits").Value(); th == 0 {
-		t.Fatal("repeat request did not hit the table registry")
+	body := fmt.Sprintf(`{"op":{"name":"workers","m":%d,"k":%d,"l":%d},"buffer":512,"engine":"coarse","workers":%d}`,
+		mm.M, mm.K, mm.L, 1<<20)
+	var resp searchResponse
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	code, raw := post(t, ts, "/v1/search", body, &resp)
+	runtime.ReadMemStats(&after)
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, raw)
 	}
-	if tb := s.Registry().Counter("table_builds").Value(); tb != 1 {
-		t.Fatalf("table_builds = %d, want 1 (one shape, one build)", tb)
+	if resp != plain {
+		t.Fatalf("workers changed the answer: %+v vs %+v", resp, plain)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 16<<20 {
+		t.Fatalf("request allocated %d bytes, want ≤ 16 MiB", n)
+	}
+}
+
+// TestSearchHugeExtentIsInvalidRequest pins the typed rejection of extents
+// beyond the batch kernel's int32 tile range: 400 invalid_request at once on
+// every engine that prices through the kernel, never a degraded fallback.
+func TestSearchHugeExtentIsInvalidRequest(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	mm := op.MatMul{Name: "huge", M: 3_000_000_000, K: 2, L: 2}
+	for _, engine := range []string{"auto", "exhaustive", "coarse"} {
+		start := time.Now()
+		code, raw := post(t, ts, "/v1/search", searchBody(mm, 1<<40, engine), nil)
+		if code != http.StatusBadRequest || errCode(t, raw) != api.CodeInvalidRequest {
+			t.Fatalf("%s: status %d: %s, want 400 invalid_request", engine, code, raw)
+		}
+		if el := time.Since(start); el > 2*time.Second {
+			t.Errorf("%s: rejection took %v", engine, el)
+		}
+	}
+}
+
+// TestSearchGeneticServesHugeExtent: the GA prices through the kernel's
+// scalar entry, which takes int64 tiles, so the shape the walks reject is
+// answered by the GA itself, not a degraded fallback.
+func TestSearchGeneticServesHugeExtent(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	mm := op.MatMul{Name: "huge", M: 3_000_000_000, K: 2, L: 2}
+	const buffer = 1 << 40
+	var resp searchResponse
+	if code, raw := post(t, ts, "/v1/search", searchBody(mm, buffer, "genetic"), &resp); code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, raw)
+	}
+	if resp.Degraded || resp.Method != "genetic" {
+		t.Fatalf("method %q degraded %v, want an undegraded genetic answer", resp.Method, resp.Degraded)
+	}
+	if resp.Dataflow.MemoryAccess < mm.IdealMA() {
+		t.Fatalf("MA %d below the ideal %d", resp.Dataflow.MemoryAccess, mm.IdealMA())
+	}
+}
+
+// TestVersionEndpoint pins /v1/version: always on, GET only, reporting the
+// API and cost-model versions and the retired table-format version (1).
+func TestVersionEndpoint(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var v api.VersionResponse
+	if code, raw := do(t, ts, http.MethodGet, "/v1/version", &v); code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, raw)
+	}
+	want := api.VersionResponse{
+		APIVersion:         api.Version,
+		CostModelVersion:   cost.ModelVersion,
+		TableFormatVersion: 1,
+	}
+	if v != want {
+		t.Fatalf("version = %+v, want %+v", v, want)
+	}
+	if code, raw := do(t, ts, http.MethodPost, "/v1/version", nil); code != http.StatusMethodNotAllowed ||
+		errCode(t, raw) != api.CodeMethodNotAllowed {
+		t.Fatalf("POST /v1/version: status %d body %s", code, raw)
+	}
+	// The retired table-admin routes are not served.
+	if code, _ := do(t, ts, http.MethodGet, "/v1/tables", nil); code != http.StatusNotFound {
+		t.Fatalf("GET /v1/tables: status %d, want 404", code)
 	}
 }
 
@@ -241,7 +420,8 @@ func TestDeadlineMapsToGatewayTimeout(t *testing.T) {
 	// default) a deadline-pressured search answers 200 degraded instead —
 	// see resilience_test.go.
 	_, ts := newTestServer(t, Config{DefaultTimeout: 20 * time.Millisecond, DisableDegrade: true})
-	// 192³ exhaustive takes far longer than 20ms.
+	// 121 evaluations at 5ms each take far longer than 20ms.
+	slowSearch(t, 5*time.Millisecond)
 	code, raw := post(t, ts, "/v1/search",
 		`{"op":{"m":192,"k":192,"l":192},"buffer":1048576,"engine":"exhaustive"}`, nil)
 	if code != http.StatusGatewayTimeout {
@@ -253,9 +433,10 @@ func TestDeadlineMapsToGatewayTimeout(t *testing.T) {
 }
 
 func TestAdmissionGate(t *testing.T) {
-	// The slot-holding search is big enough to outlive the second request
-	// and is reaped by the server deadline so the test stays fast.
+	// The slot-holding search is slowed to outlive the second request and
+	// is reaped by the server deadline so the test stays fast.
 	s, ts := newTestServer(t, Config{MaxInFlight: 1, RetryAfter: 7, DefaultTimeout: 500 * time.Millisecond})
+	slowSearch(t, 5*time.Millisecond)
 	blocked := make(chan struct{})
 	go func() {
 		defer close(blocked)
@@ -332,14 +513,16 @@ func TestHealthzAndMetrics(t *testing.T) {
 }
 
 // TestSearchCancellationStopsWorkers disconnects a client mid-search and
-// verifies the worker pool actually stops: the visit count of the
-// per-candidate fault-injection site (armed with no plans, so it only
-// counts) must settle shortly after the disconnect instead of running the
-// full scan.
+// verifies the walk actually stops: the visit count of the per-evaluation
+// fault-injection site (slowed so the walk is still running when the
+// client leaves) must settle shortly after the disconnect, short of the
+// full walk's evaluation count.
 func TestSearchCancellationStopsWorkers(t *testing.T) {
-	in := faultinject.New(1)
-	faultinject.Activate(in)
-	t.Cleanup(faultinject.Deactivate)
+	full, err := search.WalkCtx(context.Background(), op.MatMul{M: 224, K: 224, L: 224}, 1<<20, search.GridFull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := slowSearch(t, 5*time.Millisecond)
 	visits := func() int64 { return in.Visits(search.SiteEval) }
 	s, ts := newTestServer(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -372,8 +555,8 @@ func TestSearchCancellationStopsWorkers(t *testing.T) {
 	if err := <-done; err == nil {
 		t.Fatal("expected client-side error after cancel")
 	}
-	// The handler returning within seconds is itself the proof the pool
-	// stopped: an uncancelled 224³ exhaustive scan runs far longer.
+	// The handler returning within seconds is itself the proof the walk
+	// stopped: uncancelled, it would run its full evaluation count.
 	drainDeadline := time.Now().Add(5 * time.Second)
 	for s.Registry().Gauge("http_inflight").Value() != 0 {
 		if time.Now().After(drainDeadline) {
@@ -381,19 +564,22 @@ func TestSearchCancellationStopsWorkers(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// And the evaluation counter must settle — no orphaned workers still
-	// burning the cost model after the request is gone.
+	// And the evaluation counter must settle — nothing still burning the
+	// cost model after the request is gone — short of the full walk.
 	before := visits()
 	time.Sleep(300 * time.Millisecond)
 	if after := visits(); after != before {
 		t.Fatalf("evaluations still climbing after drain: %d → %d", before, after)
 	}
+	if before >= full.Evaluations {
+		t.Fatalf("walk ran all %d evaluations despite the disconnect", before)
+	}
 }
 
 // TestConcurrentSearchLoad drives 96 concurrent /v1/search requests through
 // a 64-slot gate and checks: every admitted request returns the
-// reference-identical optimum, the in-flight high-water mark actually
-// reached the configured ceiling, and one shared table served repeats.
+// reference-identical optimum, and any shed request proves the in-flight
+// high-water mark reached the configured ceiling.
 func TestConcurrentSearchLoad(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxInFlight: 64})
 	want, err := search.ReferenceExhaustive(loadOp, 4096)
@@ -409,7 +595,7 @@ func TestConcurrentSearchLoad(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			body := fmt.Sprintf(`{"op":{"name":"load","m":%d,"k":%d,"l":%d},"buffer":4096,"engine":"exhaustive","workers":1}`, loadOp.M, loadOp.K, loadOp.L)
+			body := fmt.Sprintf(`{"op":{"name":"load","m":%d,"k":%d,"l":%d},"buffer":4096,"engine":"exhaustive"}`, loadOp.M, loadOp.K, loadOp.L)
 			resp, err := http.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader([]byte(body)))
 			if err != nil {
 				t.Errorf("client %d: %v", i, err)
@@ -456,12 +642,6 @@ func TestConcurrentSearchLoad(t *testing.T) {
 
 	if ok200 == 0 || bad != 0 || ok200+ok429 != clients {
 		t.Fatalf("load outcome: %d ok, %d rejected, %d bad", ok200, ok429, bad)
-	}
-	// Repeated identical operators share one candidate table: exactly one
-	// build, every other admitted request a registry hit.
-	if tb, th := s.Registry().Counter("table_builds").Value(), s.Registry().Counter("table_hits").Value(); tb != 1 || th != int64(ok200-1) {
-		t.Fatalf("table sharing broke: %d builds, %d hits for %d accepted requests",
-			tb, th, ok200)
 	}
 	// A 429 is only issued while all 64 slots are occupied, so any shed
 	// request proves the server sustained its full admission ceiling.

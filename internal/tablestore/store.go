@@ -5,8 +5,8 @@
 //
 //	<shapehash>-<costmodel>.fct
 //
-// so that a cost-model bump orphans stale artifacts instead of serving
-// them, and the server falls back to a fresh build. Publication is atomic
+// so that a cost-model bump orphans stale artifacts instead of loading
+// them, and the caller falls back to a fresh build. Publication is atomic
 // (write to a temp file in the same directory, then rename), so a reader
 // racing a publish sees either the complete old artifact, the complete new
 // one, or nothing — never a torn file. Every load re-validates the artifact

@@ -69,7 +69,7 @@ func TestPutLoadRoundTrip(t *testing.T) {
 }
 
 // TestLoadMissing distinguishes "no artifact" (ErrNotFound, also
-// fs.ErrNotExist) from every corruption error, so the registry can count
+// fs.ErrNotExist) from every corruption error, so a caller can count
 // misses and load failures separately.
 func TestLoadMissing(t *testing.T) {
 	st, err := Open(t.TempDir())
