@@ -67,15 +67,16 @@ test-checks:
 	$(GO) test -tags=fusecuchecks ./...
 
 ## fuzz-smoke runs each native fuzz target briefly: the request-decode
-## strictness invariants, the tiling-constructor contracts, and the
-## canonical walk's exactness against the frozen full and coarse reference
-## scans. Failing
+## strictness invariants, the tiling-constructor contracts, the router
+## relay's handling of arbitrary upstream reply bytes, and the canonical
+## walk's exactness against the frozen full and coarse reference scans.
+## Failing
 ## inputs are minimized into testdata/fuzz corpora for regression.
 fuzz-smoke:
 	$(GO) test -fuzz='^FuzzDecodeOptimizeRequest$$' -fuzztime=20s -run='^$$' ./internal/service
 	$(GO) test -fuzz='^FuzzDecodeSearchRequest$$' -fuzztime=20s -run='^$$' ./internal/service
 	$(GO) test -fuzz='^FuzzNewTiling$$' -fuzztime=20s -run='^$$' ./internal/dataflow
-	$(GO) test -fuzz='^FuzzAffinityKey$$' -fuzztime=20s -run='^$$' ./internal/route
+	$(GO) test -fuzz='^FuzzRelayResponse$$' -fuzztime=20s -run='^$$' ./internal/route
 	$(GO) test -fuzz='^FuzzAnalyticOptimum$$' -fuzztime=20s -run='^$$' ./internal/search
 
 ## bench is the CI smoke pass: every benchmark runs once, then fusecu-bench
@@ -93,8 +94,8 @@ bench-serve:
 	$(GO) run ./cmd/fusecu-bench -serve-load -serve-out BENCH_serve.json -replicas 3
 
 ## bench-compare reruns the search-layer, principle-optimizer, fused
-## tile-OS/IS (internal/fusion) and /v1/evaluate (internal/arch)
-## microbenchmarks and diffs the medians
+## tile-OS/IS (internal/fusion), /v1/evaluate (internal/arch) and router
+## proxy-handler (internal/route) microbenchmarks and diffs the medians
 ## against the committed baseline with the stdlib-only fusecu-benchstat
 ## (CI has no network for x/perf's benchstat). The target is blocking: it
 ## fails when any benchmark's median runs more than BENCH_GATE× the
@@ -111,13 +112,16 @@ bench-serve:
 ## point per run, which measures 4× and up on the core LLM benchmarks and
 ## on BenchmarkTileOSISLLM/align=1, and /v1/search's exhaustive and coarse
 ## engines sliding back from the canonical walk to a per-request lattice
-## scan, which measures about 200× slower on BenchmarkSearchHotWalk.
+## scan, which measures about 200× slower on BenchmarkSearchHotWalk, and
+## the router's own per-request work growing back: BenchmarkProxyHandler
+## times it with a socket-free canned-reply Transport, and the per-request
+## shape-hash body parse and http.Client path it replaced measure 1.9× there.
 ## Set BENCH_GATE=0 for the old advisory behaviour.
 BENCH_BASELINE ?= bench/baseline_search.txt
 BENCH_GATE ?= 1.75
 bench-compare:
 	mkdir -p bench
-	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/search ./internal/core ./internal/fusion ./internal/arch > bench/current_search.txt
+	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/search ./internal/core ./internal/fusion ./internal/arch ./internal/route > bench/current_search.txt
 	@$(GO) run ./cmd/fusecu-benchstat -gate $(BENCH_GATE) $(BENCH_BASELINE) bench/current_search.txt > bench/compare_search.txt 2>&1; s=$$?; \
 	cat bench/compare_search.txt; \
 	exit $$s
@@ -126,7 +130,7 @@ bench-compare:
 ## against. Run it on a quiet machine and commit the result.
 bench-baseline:
 	mkdir -p bench
-	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/search ./internal/core ./internal/fusion ./internal/arch > $(BENCH_BASELINE)
+	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/search ./internal/core ./internal/fusion ./internal/arch ./internal/route > $(BENCH_BASELINE)
 
 ## bench-full is the measurement pass: statistically meaningful benchmark
 ## iterations plus the paper's full 32KiB-32MiB Fig. 9 sweep.

@@ -1,11 +1,11 @@
 // Package api is the single source of truth for the fusecu-serve wire
 // contract: the v1 request/response schemas, the uniform error envelope and
 // its machine-readable codes, the version-introspection schema, and the
-// shape hash that drives shape-affinity routing.
+// shape hash that addresses offline candidate-table artifacts.
 //
 // internal/service marshals these exact structs, the client package
 // consumes them (its exported wire names are aliases), and cmd/fusecu-route
-// hashes and passes them through — so a field rename here is a deliberate,
+// passes them through unparsed — so a field rename here is a deliberate,
 // visible wire-format change instead of a silent drift between the server's
 // private mirror and the client's copy. The JSON layout is pinned by golden
 // tests in wire_test.go; changing it requires bumping Version.
@@ -176,7 +176,7 @@ const (
 	CodeDeadlineExceeded    = "deadline_exceeded"
 	CodeClientClosedRequest = "client_closed_request"
 	// CodeNoBackend is fusecu-route's answer when no healthy replica is
-	// available for the affinity key.
+	// available, or when every attempt at one failed.
 	CodeNoBackend = "no_backend"
 	// CodeVersionMismatch marks a router refusing a fleet whose replicas
 	// disagree on the cost-model version.

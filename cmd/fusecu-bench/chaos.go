@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fusecu/api"
 	"fusecu/client"
 	"fusecu/internal/experiments"
 	"fusecu/internal/faultinject"
@@ -38,7 +37,7 @@ const (
 	chaosEjectWindow    = 400 * time.Millisecond
 	// chaosPreKill is how many wave completions must land before each kill
 	// (the fleet is demonstrably serving); chaosPostKill how many must land
-	// while the victim is down (its shapes are demonstrably failing over);
+	// while the victim is down (its traffic is demonstrably failing over);
 	// chaosSettle how many after the last recovery (the fleet is whole
 	// again).
 	chaosPreKill  = 32
@@ -354,29 +353,17 @@ func chaosLoad(out string, clients, maxInFlight, replicas int, seed int64, kills
 		return nil
 	}
 
-	// Victim order: a seeded permutation of the slots that own at least one
-	// serve-load shape — killing a replica no shape routes to would test
-	// nothing.
-	owned := make(map[string][]op.MatMul, replicas)
-	for _, mm := range ops {
-		u := router.OwnerURL(api.ShapeHash(mm.M, mm.K, mm.L, ""))
-		owned[u] = append(owned[u], mm)
-	}
+	// Victim order: a seeded permutation of all slots. Every replica takes
+	// its turn in the router's rotation, so every kill catches traffic.
 	rng := rand.New(rand.NewSource(seed))
-	var eligible []*chaosSlot
+	victims := make([]*chaosSlot, 0, len(slots))
 	for _, idx := range rng.Perm(len(slots)) {
-		if len(owned[slots[idx].url]) > 0 {
-			eligible = append(eligible, slots[idx])
-		}
-	}
-	if len(eligible) == 0 {
-		stopWave()
-		return errors.New("chaos: no replica owns a serve-load shape (ring degenerate?)")
+		victims = append(victims, slots[idx])
 	}
 
 	schedule := func() error {
 		for ki := 0; ki < kills; ki++ {
-			v := eligible[ki%len(eligible)]
+			v := victims[ki%len(victims)]
 			if err := waitUntil(completions.Load()+chaosPreKill, fmt.Sprintf("pre-kill traffic before kill %d", ki+1)); err != nil {
 				return err
 			}
@@ -384,8 +371,8 @@ func chaosLoad(out string, clients, maxInFlight, replicas int, seed int64, kills
 			logf("chaos: killing %s at %d completions", v.url, ev.KilledAt)
 			v.rep.kill()
 			v.rep = nil
-			// Keep the wave running against the hole: the victim's shapes
-			// must demonstrably fail over while it is down.
+			// Keep the wave running against the hole: requests rotated onto
+			// the victim must demonstrably fail over while it is down.
 			if err := waitUntil(ev.KilledAt+chaosPostKill, fmt.Sprintf("failover traffic during outage %d", ki+1)); err != nil {
 				return err
 			}

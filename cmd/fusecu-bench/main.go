@@ -102,12 +102,12 @@ func main() {
 		loadOut = flag.String("serve-out", "BENCH_serve.json", "output report path (-serve-load mode)")
 		clients = flag.Int("clients", 96, "concurrent clients for -serve-load")
 		maxInFl = flag.Int("max-inflight", 64, "service admission ceiling for -serve-load (per replica)")
-		repl    = flag.Int("replicas", 1, "fusecu-serve replicas behind the shape-affinity router for -serve-load")
+		repl    = flag.Int("replicas", 1, "fusecu-serve replicas behind the round-robin router for -serve-load")
 		pprofAt = flag.String("pprof", "", "expose net/http/pprof on this separate listener during -serve-load (empty = disabled)")
 		chaos   = flag.Bool("chaos", false, "with -serve-load: run the seeded chaos schedule — replicas hard-killed and restarted mid-wave — and assert the failover/ejection/recovery contract")
 		cseed   = flag.Int64("chaos-seed", 1, "seed for the chaos schedule's victim order and injected-fault RNG")
 		ckills  = flag.Int("chaos-kills", 2, "kill/restart cycles in the chaos schedule")
-		hedge   = flag.Duration("hedge-after", 0, "router hedge delay for affinity-keyed requests in chaos mode (0 = hedging off)")
+		hedge   = flag.Duration("hedge-after", 0, "router hedge delay in chaos mode (0 = hedging off)")
 		proxyAt = flag.Int("proxy-attempts", 3, "router per-request upstream attempt budget in chaos mode")
 	)
 	flag.Parse()

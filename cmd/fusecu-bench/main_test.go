@@ -206,7 +206,7 @@ func TestServeLoadWritesReport(t *testing.T) {
 }
 
 // TestServeLoadRoutedFleet is the acceptance run in miniature: a 3-replica
-// fleet behind the shape-affinity router, every answer bit-identical to the
+// fleet behind the round-robin router, every answer bit-identical to the
 // reference engine, and the wave spread over more than one replica.
 func TestServeLoadRoutedFleet(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "serve.json")
@@ -234,6 +234,6 @@ func TestServeLoadRoutedFleet(t *testing.T) {
 		}
 	}
 	if busy < 2 {
-		t.Errorf("affinity routing pinned the whole wave to %d replica(s)", busy)
+		t.Errorf("routing pinned the whole wave to %d replica(s)", busy)
 	}
 }

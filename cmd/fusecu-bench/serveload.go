@@ -22,7 +22,7 @@ import (
 
 // serveReport is the machine-readable result of the service load benchmark
 // (BENCH_serve.json): a wave of concurrent /v1/search requests over the
-// serve-load shape set, fired through the shape-affinity router at a fleet
+// serve-load shape set, fired through the round-robin router at a fleet
 // of in-process fusecu-serve replicas, driven through the public retrying
 // client, every accepted answer checked against the frozen sequential
 // reference engine.
@@ -57,8 +57,8 @@ type serveReport struct {
 	LatencyP50Ms float64 `json:"latency_p50_ms"`
 	LatencyP95Ms float64 `json:"latency_p95_ms"`
 	LatencyP99Ms float64 `json:"latency_p99_ms"`
-	// PerReplica breaks the wave down by replica: consistent hashing gives
-	// every replica its own shape subset.
+	// PerReplica breaks the wave down by replica: the router rotates
+	// requests over the healthy replicas.
 	PerReplica []replicaReport `json:"per_replica"`
 	// IdenticalResults is true iff every 200 response carried the reference
 	// engine's exact optimum (tiling and memory access) for its shape.
@@ -120,7 +120,7 @@ func (r *serveReplica) kill() {
 }
 
 // serveLoad boots a fleet of in-process fusecu-serve replicas behind the
-// shape-affinity router, fires clients concurrent /v1/search calls over the
+// round-robin router, fires clients concurrent /v1/search calls over the
 // serve-load shape set through the public retrying client, verifies every
 // accepted answer against the sequential reference engine, and writes the
 // report to out. A non-empty pprofAddr additionally serves net/http/pprof
@@ -177,8 +177,8 @@ func serveLoad(out string, clients, maxInFlight, replicas int, pprofAddr string)
 		backends = append(backends, "http://"+r.addr)
 	}
 
-	// Front the fleet with the shape-affinity router: identical shapes
-	// always land on the same replica.
+	// Front the fleet with the router, which rotates requests over the
+	// healthy replicas.
 	router, err := route.New(route.Config{Backends: backends})
 	if err != nil {
 		return err

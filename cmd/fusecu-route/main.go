@@ -1,16 +1,18 @@
-// Command fusecu-route runs the shape-affinity router in front of a fleet of
-// fusecu-serve replicas.
+// Command fusecu-route runs the router in front of a fleet of fusecu-serve
+// replicas.
 //
 //	fusecu-route -addr :8090 -backends http://127.0.0.1:8081,http://127.0.0.1:8082
 //
-// Requests are routed by consistent hashing on the request's shape hash, so
-// identically shaped operators always reach the same replica. At startup
-// every backend's /v1/version is
-// checked: a fleet that disagrees on the cost-model, table-format, or API
-// version is refused with a nonzero exit, because mixed generations behind
-// one router would let identical requests return different optima. At
-// runtime /readyz and /v1/version are re-polled every -health-interval and
-// unhealthy or drifted replicas are routed around.
+// Requests are routed by health, not by shape: each one starts at the next
+// replica of a round-robin rotation and fails over along it, skipping
+// ejected replicas; the router never parses a request body. Replicas are
+// reached over plain HTTP/1.1 keep-alive connections. At startup every
+// backend's /v1/version is checked: a fleet that disagrees on the
+// cost-model, table-format, or API version is refused with a nonzero exit,
+// because mixed generations behind one router would let identical requests
+// return different optima. At runtime /readyz and /v1/version are re-polled
+// every -health-interval and unhealthy or drifted replicas are routed
+// around.
 package main
 
 import (
@@ -44,8 +46,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	var (
 		addr     = fs.String("addr", ":8090", "listen address")
 		backends = fs.String("backends", "",
-			"comma-separated fusecu-serve replica base URLs (required)")
-		vnodes         = fs.Int("vnodes", 64, "virtual ring points per replica")
+			"comma-separated fusecu-serve replica base URLs, plain http (required)")
 		healthInterval = fs.Duration("health-interval", 2*time.Second,
 			"period between /readyz + /v1/version probes of each replica")
 		probeTimeout = fs.Duration("probe-timeout", 2*time.Second, "per-probe deadline")
@@ -57,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		ejectFor = fs.Duration("eject-window", 5*time.Second,
 			"how long an ejected replica sits out before one half-open probe request may test it")
 		hedgeAfter = fs.Duration("hedge-after", 0,
-			"duplicate an affinity-keyed request to the next ring owner if the primary has not answered within this delay; first response wins (0 = off)")
+			"duplicate a request to the next healthy replica of its rotation if the primary has not answered within this delay; first response wins (0 = off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -78,8 +79,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		fs.Usage()
 		return 2
 	}
-	if *vnodes <= 0 || *healthInterval <= 0 || *probeTimeout <= 0 || *drain <= 0 {
-		fmt.Fprintln(stderr, "fusecu-route: -vnodes, -health-interval, -probe-timeout and -drain must be positive")
+	if *healthInterval <= 0 || *probeTimeout <= 0 || *drain <= 0 {
+		fmt.Fprintln(stderr, "fusecu-route: -health-interval, -probe-timeout and -drain must be positive")
 		fs.Usage()
 		return 2
 	}
@@ -97,7 +98,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	logger := log.New(stderr, "fusecu-route: ", log.LstdFlags)
 	router, err := route.New(route.Config{
 		Backends:       urls,
-		VNodes:         *vnodes,
 		HealthInterval: *healthInterval,
 		ProbeTimeout:   *probeTimeout,
 		ProxyAttempts:  *attempts,

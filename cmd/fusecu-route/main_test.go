@@ -25,7 +25,9 @@ func TestRunFlagErrors(t *testing.T) {
 		{"positional args", []string{"-backends", "http://x", "extra"}},
 		{"missing backends", nil},
 		{"blank backends", []string{"-backends", " , "}},
-		{"bad vnodes", []string{"-backends", "http://x", "-vnodes", "0"}},
+		// The hash ring's flag is gone with the ring: it fails startup
+		// loudly instead of being silently accepted.
+		{"retired vnodes", []string{"-backends", "http://x", "-vnodes", "64"}},
 		{"bad health interval", []string{"-backends", "http://x", "-health-interval", "-1s"}},
 		{"bad proxy attempts", []string{"-backends", "http://x", "-proxy-attempts", "0"}},
 		{"bad eject threshold", []string{"-backends", "http://x", "-eject-threshold", "-1"}},

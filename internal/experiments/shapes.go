@@ -39,9 +39,8 @@ func TableIIShapes() ([]op.MatMul, error) {
 
 // ServeLoadOps returns the serve-load benchmark's operator shapes: small
 // enough that a wave of ~100 requests finishes quickly on one core, large
-// enough that requests overlap, and numerous enough that consistent hashing
-// spreads them across a multi-replica fleet (the affinity key is the shape,
-// so one shape alone would pin a single replica).
+// enough that requests overlap, and varied enough to cover several tiling
+// regimes per buffer.
 func ServeLoadOps() []op.MatMul {
 	return []op.MatMul{
 		{Name: "bench0", M: 32, K: 24, L: 28},

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -31,6 +32,36 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
+
+// StatusCounters is a family of counters named prefix:<status>, one per
+// HTTP status code. Each member is looked up in the registry on its first
+// increment, so it enters the exposition exactly when a direct Counter
+// call would have created it; later increments cost an atomic load and an
+// add, with no name formatting and no registry lock.
+type StatusCounters struct {
+	reg    *Registry
+	prefix string
+	byCode [1000]atomic.Pointer[Counter] // net/http status codes are 100-999
+}
+
+// StatusCounters returns the family of counters named prefix:<status>.
+func (r *Registry) StatusCounters(prefix string) *StatusCounters {
+	return &StatusCounters{reg: r, prefix: prefix}
+}
+
+// Inc adds one to the counter for status.
+func (s *StatusCounters) Inc(status int) {
+	if status < 0 || status >= len(s.byCode) {
+		s.reg.Counter(s.prefix + ":" + strconv.Itoa(status)).Inc()
+		return
+	}
+	c := s.byCode[status].Load()
+	if c == nil {
+		c = s.reg.Counter(s.prefix + ":" + strconv.Itoa(status))
+		s.byCode[status].Store(c)
+	}
+	c.Inc()
+}
 
 // Gauge is an instantaneous level metric (e.g. in-flight requests) that
 // additionally records its high-water mark, which the load harness uses to

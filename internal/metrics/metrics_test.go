@@ -133,3 +133,36 @@ func TestDefaultBuckets(t *testing.T) {
 		t.Fatal("default-bucket histogram dropped a sample")
 	}
 }
+
+// TestStatusCounters: a family member is the registry counter of the same
+// name, absent from the exposition until its first increment, and exact
+// under concurrent increments (codes outside 0-999 included).
+func TestStatusCounters(t *testing.T) {
+	r := NewRegistry()
+	fam := r.StatusCounters("responses")
+	var buf strings.Builder
+	if err := r.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "responses") {
+		t.Fatalf("untouched family is in the exposition:\n%s", buf.String())
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				fam.Inc(200)
+				fam.Inc(1200)
+			}
+		}()
+	}
+	wg.Wait()
+	fam.Inc(503)
+	for name, want := range map[string]int64{"responses:200": 8000, "responses:1200": 8000, "responses:503": 1} {
+		if got := r.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}

@@ -152,25 +152,23 @@ func backendByURL(t *testing.T, r *Router, url string) *Backend {
 	return nil
 }
 
-// shapeOwnedBy finds a search body whose affinity key routes to the named
-// replica at full fleet health.
-func shapeOwnedBy(t *testing.T, h http.Handler, name string) string {
+// aimAt advances the router's round-robin cursor so that the next proxied
+// request tries the backend at url first.
+func aimAt(t *testing.T, r *Router, url string) {
 	t.Helper()
-	for i := 0; i < 64; i++ {
-		body := searchBody(16+i, 12, 8)
-		if replicaFor(t, h, body) == name {
-			return body
-		}
+	b := backendByURL(t, r, url)
+	n := uint64(len(r.backends))
+	for r.backends[r.rr.Load()%n] != b {
+		r.rr.Add(1)
 	}
-	t.Fatalf("no shape routed to %s in 64 tries", name)
-	return ""
 }
 
 // TestEjectionAndHalfOpenRecovery runs the breaker end to end over HTTP on
 // a fake clock: a replica answering retryable 5xxs is ejected after the
 // threshold (each client request still succeeding via failover), sits out
 // its window untouched, then is re-admitted through a single half-open
-// probe once it answers again — and affinity returns to it. No sleeps.
+// probe once it answers again — and takes its turn in the rotation again.
+// Each request is aimed at r1 first. No sleeps.
 func TestEjectionAndHalfOpenRecovery(t *testing.T) {
 	ts1, failing := newFlakyBackend(t, "r1")
 	ts2, _ := newFlakyBackend(t, "r2")
@@ -188,13 +186,14 @@ func TestEjectionAndHalfOpenRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := r.Handler()
-	body := shapeOwnedBy(t, h, "r1")
+	body := searchBody(16, 12, 8)
 	b1 := backendByURL(t, r, ts1.URL)
 
 	// r1 starts answering 503: each request fails over to r2 (the client
 	// still sees 200), and the second failure ejects r1.
 	failing.Store(true)
 	for i := 0; i < 2; i++ {
+		aimAt(t, r, ts1.URL)
 		if got := replicaFor(t, h, body); got != "r2" {
 			t.Fatalf("request %d answered by %q, want failover to r2", i, got)
 		}
@@ -204,6 +203,7 @@ func TestEjectionAndHalfOpenRecovery(t *testing.T) {
 	}
 
 	// While ejected, r1 is not even attempted.
+	aimAt(t, r, ts1.URL)
 	before := b1.Attempts()
 	if got := replicaFor(t, h, body); got != "r2" {
 		t.Fatalf("ejected window request answered by %q", got)
@@ -213,15 +213,18 @@ func TestEjectionAndHalfOpenRecovery(t *testing.T) {
 	}
 
 	// Window over and r1 recovered: the next request is the half-open
-	// probe, succeeds on r1, and closes the breaker — affinity restored.
+	// probe, succeeds on r1, and closes the breaker — r1 is back in
+	// rotation.
 	clk.Advance(5 * time.Second)
 	failing.Store(false)
+	aimAt(t, r, ts1.URL)
 	if got := replicaFor(t, h, body); got != "r1" {
 		t.Fatalf("half-open probe answered by %q, want r1", got)
 	}
 	if !b1.Healthy() {
 		t.Fatal("successful probe did not close the breaker")
 	}
+	aimAt(t, r, ts1.URL)
 	if got := replicaFor(t, h, body); got != "r1" {
 		t.Fatalf("post-recovery request answered by %q, want r1", got)
 	}
@@ -235,12 +238,13 @@ func TestEjectionAndHalfOpenRecovery(t *testing.T) {
 	}
 }
 
-// TestMidRequestReplicaKill: the owner's connection dies while the request
-// is in flight (before any response bytes); the client still sees a single
+// TestMidRequestReplicaKill: the first replica dies while the request is
+// in flight (before any response bytes); the client still sees a single
 // 200 whose body is bit-identical to the survivor's direct answer.
 func TestMidRequestReplicaKill(t *testing.T) {
 	const payload = `{"best":{"f1":8,"c1":4,"cost":12345}}` + "\n"
 	serve := func(name string, killFirst *atomic.Bool) *httptest.Server {
+		var ts *httptest.Server
 		mux := http.NewServeMux()
 		mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 			_, _ = io.WriteString(w, `{"status":"ready"}`)
@@ -250,15 +254,16 @@ func TestMidRequestReplicaKill(t *testing.T) {
 		})
 		mux.HandleFunc("/v1/", func(w http.ResponseWriter, r *http.Request) {
 			if killFirst != nil && killFirst.CompareAndSwap(true, false) {
-				// Abort the connection with the request in flight — the
-				// router's Do sees an EOF, exactly like a replica killed
-				// mid-request.
+				// Stop listening and abort the connection with the request
+				// in flight — the router's relay sees an EOF and a refused
+				// redial, exactly like a replica killed mid-request.
+				_ = ts.Listener.Close()
 				panic(http.ErrAbortHandler)
 			}
 			w.Header().Set("Content-Type", "application/json")
 			_, _ = io.WriteString(w, payload)
 		})
-		ts := httptest.NewServer(mux)
+		ts = httptest.NewServer(mux)
 		t.Cleanup(ts.Close)
 		return ts
 	}
@@ -269,17 +274,9 @@ func TestMidRequestReplicaKill(t *testing.T) {
 	r := newFleetRouter(t, ts1.URL, ts2.URL)
 	h := r.Handler()
 
-	// Find a shape owned by ts1, then arm the kill.
-	var body string
-	for i := 0; i < 64 && body == ""; i++ {
-		cand := searchBody(16+i, 12, 8)
-		if key, ok := affinityKey([]byte(cand)); ok && r.OwnerURL(key) == strings.TrimRight(ts1.URL, "/") {
-			body = cand
-		}
-	}
-	if body == "" {
-		t.Fatal("no shape owned by ts1")
-	}
+	// Aim the request at ts1, then arm the kill.
+	body := searchBody(16, 12, 8)
+	aimAt(t, r, ts1.URL)
 	kill.Store(true)
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/search", strings.NewReader(body))
@@ -300,17 +297,10 @@ func TestMidRequestReplicaKill(t *testing.T) {
 // TestClientDisconnectDoesNotEject is the regression test for the ejection
 // bugfix: the inbound client canceling its own request used to mark the
 // (healthy) upstream down. Now it maps to a 499 envelope, no breaker
-// accounting.
+// accounting, and the relay closes the upstream connection.
 func TestClientDisconnectDoesNotEject(t *testing.T) {
 	entered := make(chan struct{}, 1)
-	mux := http.NewServeMux()
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		_, _ = io.WriteString(w, `{"status":"ready"}`)
-	})
-	mux.HandleFunc("/v1/version", func(w http.ResponseWriter, r *http.Request) {
-		_ = json.NewEncoder(w).Encode(fleetVersion)
-	})
-	mux.HandleFunc("/v1/", func(w http.ResponseWriter, r *http.Request) {
+	ts, cc := newCountedBackend(t, func(w http.ResponseWriter, r *http.Request) {
 		// Consume the body so the server's background read can observe the
 		// client-side cancel and end this request's context.
 		_, _ = io.Copy(io.Discard, r.Body)
@@ -318,8 +308,6 @@ func TestClientDisconnectDoesNotEject(t *testing.T) {
 		// Serve only after the caller abandons the request.
 		<-r.Context().Done()
 	})
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
 
 	// The most aggressive breaker possible: a single counted failure ejects.
 	r, err := New(Config{Backends: []string{ts.URL}, EjectThreshold: 1})
@@ -363,6 +351,12 @@ func TestClientDisconnectDoesNotEject(t *testing.T) {
 	if snap["route_upstream_errors_total"] != 0 {
 		t.Fatalf("route_upstream_errors_total = %v, want 0", snap["route_upstream_errors_total"])
 	}
+	// The upstream connection, a reply still owed on it, is closed rather
+	// than pooled.
+	waitFor(t, "the upstream connection to close", func() bool { return cc.closed.Load() == 1 })
+	if n := len(r.cfg.Transport.(*relay).idle[strings.TrimPrefix(ts.URL, "http://")]); n != 0 {
+		t.Fatalf("%d connections pooled after a disconnect, want 0", n)
+	}
 }
 
 // TestHedgeWinsAndCancelsLoser: a primary that never answers is overtaken
@@ -405,18 +399,10 @@ func TestHedgeWinsAndCancelsLoser(t *testing.T) {
 	}
 	h := r.Handler()
 
-	// Pick a shape whose ring owner is the slow replica, so the hedge goes
-	// to the fast one.
-	var body string
-	for i := 0; i < 64 && body == ""; i++ {
-		cand := searchBody(16+i, 12, 8)
-		if key, ok := affinityKey([]byte(cand)); ok && r.OwnerURL(key) == strings.TrimRight(ts1.URL, "/") {
-			body = cand
-		}
-	}
-	if body == "" {
-		t.Fatal("no shape owned by the slow replica")
-	}
+	// Aim the request at the slow replica, so the hedge goes to the fast
+	// one.
+	body := searchBody(16, 12, 8)
+	aimAt(t, r, ts1.URL)
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/search", strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
@@ -444,7 +430,7 @@ func TestHedgeWinsAndCancelsLoser(t *testing.T) {
 
 // TestNonRetryableStatusPassesThrough: 504 (deadline already spent) and 429
 // (admission backpressure) are never failed over, even with a healthy
-// alternative in the ring.
+// alternative in the rotation.
 func TestNonRetryableStatusPassesThrough(t *testing.T) {
 	for _, status := range []int{http.StatusGatewayTimeout, http.StatusTooManyRequests} {
 		statusBackend := func(code int, name string) *httptest.Server {
@@ -472,17 +458,8 @@ func TestNonRetryableStatusPassesThrough(t *testing.T) {
 		r := newFleetRouter(t, ts1.URL, ts2.URL)
 		h := r.Handler()
 
-		var body string
-		for i := 0; i < 64 && body == ""; i++ {
-			cand := searchBody(16+i, 12, 8)
-			if key, ok := affinityKey([]byte(cand)); ok && r.OwnerURL(key) == strings.TrimRight(ts1.URL, "/") {
-				body = cand
-			}
-		}
-		if body == "" {
-			t.Fatal("no shape owned by ts1")
-		}
-		req := httptest.NewRequest(http.MethodPost, "/v1/search", strings.NewReader(body))
+		aimAt(t, r, ts1.URL)
+		req := httptest.NewRequest(http.MethodPost, "/v1/search", strings.NewReader(searchBody(16, 12, 8)))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code != status {
@@ -536,7 +513,7 @@ func TestCopyAndCloseErrorSplit(t *testing.T) {
 				Body:       body,
 			}, nil
 		})
-		r, err := New(Config{Backends: []string{"http://stub"}, HTTPClient: &http.Client{Transport: rt}})
+		r, err := New(Config{Backends: []string{"http://stub"}, Transport: rt})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -577,7 +554,7 @@ func TestProxyAttemptBudgetExhaustion(t *testing.T) {
 	})
 	r, err := New(Config{
 		Backends:      []string{"http://stub-a", "http://stub-b", "http://stub-c", "http://stub-d"},
-		HTTPClient:    &http.Client{Transport: rt},
+		Transport:     rt,
 		ProxyAttempts: 2,
 		// A high threshold so ejection doesn't shrink the candidate list
 		// under the attempt budget being tested.

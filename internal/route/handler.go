@@ -7,19 +7,21 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"sync"
 
 	"fusecu/api"
 	"fusecu/internal/faultinject"
-	"fusecu/internal/metrics"
 )
 
 // statusClientClosedRequest mirrors the service's convention (nginx's 499)
 // for requests abandoned by the inbound client mid-proxy.
 const statusClientClosedRequest = 499
 
-// Handler returns the router's surface: /v1/* proxied by shape affinity,
-// plus the router's own probes, metrics, and version report. Every
-// registration is wrapped in the recovered panic-isolation middleware.
+// Handler returns the router's surface: /v1/* proxied round-robin over the
+// healthy replicas, plus the router's own probes, metrics, and version
+// report. Every registration is wrapped in the recovered panic-isolation
+// middleware.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/version", r.recovered("version", r.handleVersion))
@@ -53,7 +55,7 @@ func (r *Router) recovered(name string, h http.HandlerFunc) http.HandlerFunc {
 // router-originated failure is indistinguishable in shape from a backend
 // one.
 func (r *Router) writeError(w http.ResponseWriter, status int, code, msg string) {
-	r.reg.Counter(fmt.Sprintf("route_responses_total:%d", status)).Inc()
+	r.responses.Inc(status)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	env := api.ErrorEnvelope{Error: api.ErrorBody{Code: code, Message: msg}}
@@ -73,30 +75,34 @@ func retryableStatus(code int) bool {
 		code == http.StatusServiceUnavailable
 }
 
-// upstreamResult is one finished upstream attempt. cancel, when non-nil,
-// releases the attempt's private hedge context and must be called only
-// after the response body is consumed (deliver and discard both do).
+// replyBufs recycles the buffers upstream reply bodies are read into.
+var replyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledReply is the largest buffer capacity returned to replyBufs, so
+// one outsized reply does not pin its buffer for the process lifetime.
+const maxPooledReply = 64 << 10
+
+// upstreamResult is one finished upstream attempt: the reply's status,
+// headers, Connection: close flag and whole body, or the error that ended
+// the attempt.
 type upstreamResult struct {
 	b      *Backend
 	probe  bool
-	resp   *http.Response
+	status int
+	header http.Header
+	close  bool
+	body   *bytes.Buffer // from replyBufs; nil on error
 	err    error
-	cancel context.CancelFunc
 }
 
-// attemptUpstream issues one proxy attempt against b. On the error path the
-// hedge context (if any) is released immediately; on success the cancel
-// travels on the result so the body can be streamed first.
-func (r *Router) attemptUpstream(ctx context.Context, cancel context.CancelFunc, b *Backend, probe bool, method, uri, contentType string, body []byte) upstreamResult {
-	fail := func(err error) upstreamResult {
-		if cancel != nil {
-			cancel()
-		}
-		return upstreamResult{b: b, probe: probe, err: err}
-	}
-	b.attempts.Add(1)
-	if err := faultinject.Active().FireCtx(ctx, SiteProxy); err != nil {
-		return fail(err)
+// attemptUpstream runs one proxy attempt against b and reads the reply's
+// body in full, so a reply cut short is a failed attempt like any other
+// transport error.
+func (r *Router) attemptUpstream(ctx context.Context, b *Backend, probe bool, method, uri, contentType string, body []byte) upstreamResult {
+	res := upstreamResult{b: b, probe: probe}
+	b.attempts.Inc()
+	if res.err = faultinject.Active().FireCtx(ctx, SiteProxy); res.err != nil {
+		return res
 	}
 	var reqBody io.Reader
 	if len(body) > 0 {
@@ -104,24 +110,44 @@ func (r *Router) attemptUpstream(ctx context.Context, cancel context.CancelFunc,
 	}
 	out, err := http.NewRequestWithContext(ctx, method, b.url+uri, reqBody)
 	if err != nil {
-		return fail(err)
+		res.err = err
+		return res
 	}
 	if contentType != "" {
 		out.Header.Set("Content-Type", contentType)
 	}
-	resp, err := r.cfg.HTTPClient.Do(out)
+	resp, err := r.cfg.Transport.RoundTrip(out)
 	if err != nil {
-		return fail(err)
+		res.err = err
+		return res
 	}
-	return upstreamResult{b: b, probe: probe, resp: resp, cancel: cancel}
+	buf := replyBufs.Get().(*bytes.Buffer)
+	_, err = buf.ReadFrom(resp.Body)
+	if cerr := resp.Body.Close(); cerr != nil && err == nil {
+		r.reg.Counter("route_close_errors_total").Inc()
+	}
+	if err != nil {
+		releaseReply(buf)
+		res.err = err
+		return res
+	}
+	res.status, res.header, res.close, res.body = resp.StatusCode, resp.Header, resp.Close, buf
+	return res
 }
 
-// handleProxy forwards one /v1/* request to the replica owning its affinity
-// key. The body is fully buffered up front, so a replica dying mid-request
-// is retried against the next candidate (ring successor for affinity keys,
-// round-robin rotation otherwise) under the per-request attempt budget —
-// the client sees one successful response instead of a 502. The winning
-// response streams back verbatim — status, envelope, Retry-After included.
+func releaseReply(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledReply {
+		buf.Reset()
+		replyBufs.Put(buf)
+	}
+}
+
+// handleProxy forwards one /v1/* request to the next replica of the
+// round-robin rotation. The body is fully buffered up front, so a replica
+// dying mid-request is retried against the next replica of the rotation
+// under the per-request attempt budget — the client sees one successful
+// response instead of a 502. The winning response passes through verbatim —
+// status, envelope, Retry-After included.
 func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, 1<<20))
 	if err != nil {
@@ -129,8 +155,7 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 			fmt.Sprintf("route: reading body: %v", err))
 		return
 	}
-	key, withKey := affinityKey(body)
-	it := &attemptIter{cands: r.candidates(key, withKey)}
+	it := &attemptIter{cands: r.candidates()}
 	uri := req.URL.RequestURI()
 	ct := req.Header.Get("Content-Type")
 
@@ -145,13 +170,13 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 			r.reg.Counter("route_failovers_total").Inc()
 		}
 		var res upstreamResult
-		if attempts == 0 && withKey && r.cfg.HedgeAfter > 0 {
+		if attempts == 0 && r.cfg.HedgeAfter > 0 {
 			var n int
 			res, n = r.raceHedge(req, it, b, probe, ct, uri, body)
 			attempts += n
 		} else {
 			attempts++
-			res = r.attemptUpstream(req.Context(), nil, b, probe, req.Method, uri, ct, body)
+			res = r.attemptUpstream(req.Context(), b, probe, req.Method, uri, ct, body)
 		}
 		if res.err != nil {
 			if req.Context().Err() != nil {
@@ -173,30 +198,24 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 			lastErr = fmt.Errorf("upstream %s: %w", res.b.url, res.err)
 			continue
 		}
-		if retryableStatus(res.resp.StatusCode) && attempts < r.cfg.ProxyAttempts && it.more() {
+		if retryableStatus(res.status) && attempts < r.cfg.ProxyAttempts && it.more() {
 			// A retryable 5xx with somewhere else to go: count the failure,
 			// drop the response, fail over. At the end of the line the
 			// response instead falls through below and passes through
 			// verbatim — the pass-through contract.
 			r.reg.Counter("route_retryable_status_total").Inc()
-			r.noteFailure(res.b, fmt.Sprintf("status %d", res.resp.StatusCode))
-			lastErr = fmt.Errorf("upstream %s answered %d", res.b.url, res.resp.StatusCode)
-			r.discard(res)
+			r.noteFailure(res.b, fmt.Sprintf("status %d", res.status))
+			lastErr = fmt.Errorf("upstream %s answered %d", res.b.url, res.status)
+			discard(res)
 			continue
 		}
-		if res.resp.StatusCode < http.StatusInternalServerError {
+		if res.status < http.StatusInternalServerError {
 			r.noteSuccess(res.b)
 		} else {
-			r.noteFailure(res.b, fmt.Sprintf("status %d", res.resp.StatusCode))
+			r.noteFailure(res.b, fmt.Sprintf("status %d", res.status))
 		}
-		res.b.requests.Add(1)
-		if withKey {
-			res.b.affinity.Add(1)
-			r.reg.Counter("route_affinity_total").Inc()
-		} else {
-			r.reg.Counter("route_roundrobin_total").Inc()
-		}
-		r.reg.Histogram("route_proxy_attempts", metrics.LinearBuckets(1, 1, 8)).Observe(float64(attempts))
+		res.b.requests.Inc()
+		r.proxyAttempts.Observe(float64(attempts))
 		r.deliver(w, res)
 		return
 	}
@@ -210,41 +229,35 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 		"route: no healthy replica available")
 }
 
-// deliver streams a winning upstream response to the client verbatim.
-// Mid-stream copy failures (the client saw a truncated body) and body-close
-// failures (benign connection noise) are counted separately so chaos
-// assertions can tell them apart.
+// deliver writes a winning upstream reply to the client verbatim, in one
+// write with its Content-Length. A reply that closed its connection (a
+// draining replica's 503) closes the client's too. A failed write (the
+// client saw a truncated body) counts as route_copy_errors_total.
 func (r *Router) deliver(w http.ResponseWriter, res upstreamResult) {
-	for _, h := range []string{"Content-Type", "Retry-After", "Connection"} {
-		if v := res.resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
+	h := w.Header()
+	for _, k := range []string{"Content-Type", "Retry-After"} {
+		if v := res.header.Get(k); v != "" {
+			h.Set(k, v)
 		}
 	}
-	r.reg.Counter(fmt.Sprintf("route_responses_total:%d", res.resp.StatusCode)).Inc()
-	w.WriteHeader(res.resp.StatusCode)
-	if _, err := io.Copy(w, res.resp.Body); err != nil {
+	if res.close {
+		h.Set("Connection", "close")
+	}
+	if res.status != http.StatusNoContent && res.status != http.StatusNotModified {
+		h.Set("Content-Length", strconv.Itoa(res.body.Len()))
+	}
+	r.responses.Inc(res.status)
+	w.WriteHeader(res.status)
+	if _, err := w.Write(res.body.Bytes()); err != nil {
 		r.reg.Counter("route_copy_errors_total").Inc()
 	}
-	if cerr := res.resp.Body.Close(); cerr != nil {
-		r.reg.Counter("route_close_errors_total").Inc()
-	}
-	if res.cancel != nil {
-		res.cancel()
-	}
+	releaseReply(res.body)
 }
 
-// discard disposes of a losing or failed attempt: body drained (errors are
-// expected — the attempt may have been canceled) and closed, hedge context
-// released.
-func (r *Router) discard(res upstreamResult) {
-	if res.resp != nil {
-		_, _ = io.Copy(io.Discard, io.LimitReader(res.resp.Body, 1<<12))
-		if cerr := res.resp.Body.Close(); cerr != nil {
-			r.reg.Counter("route_close_errors_total").Inc()
-		}
-	}
-	if res.cancel != nil {
-		res.cancel()
+// discard disposes of a losing or failed attempt's reply buffer.
+func discard(res upstreamResult) {
+	if res.body != nil {
+		releaseReply(res.body)
 	}
 }
 
@@ -262,22 +275,6 @@ func (r *Router) handleVersion(w http.ResponseWriter, req *http.Request) {
 }
 
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	// Fold the per-backend counters in at scrape time.
-	for _, b := range r.backends {
-		for _, f := range []struct {
-			name string
-			v    int64
-		}{
-			{"route_backend_requests:" + b.url, b.requests.Load()},
-			{"route_backend_attempts:" + b.url, b.attempts.Load()},
-			{"route_backend_failures:" + b.url, b.failures.Load()},
-		} {
-			c := r.reg.Counter(f.name)
-			if d := f.v - c.Value(); d > 0 {
-				c.Add(d)
-			}
-		}
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	if err := r.reg.WriteText(w); err != nil {
 		r.reg.Counter("route_encode_errors_total").Inc()

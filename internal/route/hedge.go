@@ -11,22 +11,28 @@ import (
 // launches immediately and, if it has not produced a response within
 // HedgeAfter, a hedge fires to the next admissible candidate. The first
 // response wins — any status, so a fast drain-503 can still be failed over
-// by the caller — and the loser is canceled and drained. A transport error
+// by the caller — and the loser is canceled and waited for. A transport error
 // or retryable 5xx keeps the race alive while an attempt is still in
 // flight; once nothing is pending the last failure is handed back for the
 // outer failover loop to account and act on.
 //
 // Each attempt runs under its own cancelable child of the inbound request
-// context and reports through a buffered single-send channel, so losing
-// goroutines never block and always exit once canceled.
+// context, released when the race returns (every attempt has read its
+// reply in full by then), and reports through a buffered single-send
+// channel, so losing goroutines never block and always exit once canceled.
 func (r *Router) raceHedge(req *http.Request, it *attemptIter, primary *Backend, primaryProbe bool, ct, uri string, body []byte) (upstreamResult, int) {
 	resc := make(chan upstreamResult, 2)
 	launch := func(b *Backend, probe bool) context.CancelFunc {
 		actx, cancel := context.WithCancel(req.Context())
-		go func() { resc <- r.attemptUpstream(actx, cancel, b, probe, req.Method, uri, ct, body) }()
+		go func() { resc <- r.attemptUpstream(actx, b, probe, req.Method, uri, ct, body) }()
 		return cancel
 	}
 	cancels := map[*Backend]context.CancelFunc{primary: launch(primary, primaryProbe)}
+	defer func() {
+		for _, cancel := range cancels {
+			cancel()
+		}
+	}()
 	attempts, pending := 1, 1
 
 	timer := time.NewTimer(r.cfg.HedgeAfter)
@@ -38,10 +44,10 @@ func (r *Router) raceHedge(req *http.Request, it *attemptIter, primary *Backend,
 		select {
 		case res := <-resc:
 			pending--
-			if res.err == nil && !retryableStatus(res.resp.StatusCode) {
-				// First good response wins: cancel the loser, then drain it
-				// synchronously (its Do returns promptly on cancel) so no
-				// goroutine or open body is left behind.
+			if res.err == nil && !retryableStatus(res.status) {
+				// First good response wins: cancel the loser, then wait for
+				// it (its exchange fails promptly on cancel) so no goroutine
+				// or upstream connection is left behind.
 				for b, cancel := range cancels {
 					if b != res.b {
 						cancel()
@@ -52,7 +58,7 @@ func (r *Router) raceHedge(req *http.Request, it *attemptIter, primary *Backend,
 					if loser.probe {
 						loser.b.ej.cancelProbe()
 					}
-					r.discard(loser)
+					discard(loser)
 				}
 				if res.b != primary {
 					r.reg.Counter("route_hedge_wins_total").Inc()
@@ -76,7 +82,7 @@ func (r *Router) raceHedge(req *http.Request, it *attemptIter, primary *Backend,
 				if res.probe {
 					res.b.ej.cancelProbe()
 				}
-				r.discard(res)
+				discard(res)
 				continue
 			}
 			if res.err != nil {
@@ -84,9 +90,9 @@ func (r *Router) raceHedge(req *http.Request, it *attemptIter, primary *Backend,
 				r.noteFailure(res.b, fmt.Sprintf("transport: %v", res.err))
 			} else {
 				r.reg.Counter("route_retryable_status_total").Inc()
-				r.noteFailure(res.b, fmt.Sprintf("status %d", res.resp.StatusCode))
+				r.noteFailure(res.b, fmt.Sprintf("status %d", res.status))
 			}
-			r.discard(res)
+			discard(res)
 		case <-timerC:
 			timerC = nil
 			hb, hprobe := it.next()

@@ -1,24 +1,22 @@
-// Package route implements fusecu-route: a shape-affinity HTTP router in
-// front of a fleet of fusecu-serve replicas.
+// Package route implements fusecu-route: an HTTP router in front of a
+// fleet of fusecu-serve replicas.
 //
-// Routing is consistent hashing on the request's shape hash (api.ShapeHash
-// with an empty grid), so identically shaped operators always hit the same
-// replica. Replicas no longer keep per-shape state, so the affinity buys
-// nothing beyond a stable spread; it remains until routing moves to plain
-// selection over the healthy set. Requests without an operator (e.g.
-// /v1/evaluate) get a model-derived affinity key; requests with no key at
-// all round-robin.
-//
-// The ring uses virtual nodes so a replica joining or leaving moves only
-// ~1/N of the key space. Because every /v1/* request is a pure,
+// Replicas keep no per-shape state, so the router routes by health, not by
+// shape: each request starts at the next replica of a round-robin rotation
+// and walks the rest of the rotation on failure. The router buffers each
+// request body but never parses it. Because every /v1/* request is a pure,
 // deterministic, fully-buffered optimization query, the router treats
 // replica failure as retryable: an upstream transport error or retryable
-// 5xx fails over to the next ring successor (round-robin order for keyless
-// requests) under a per-request attempt budget, so a replica dying
-// mid-request still yields a single successful response. Optionally, an
-// affinity-keyed request that has not answered within HedgeAfter launches a
-// hedge to the next ring owner; the first response wins and the loser is
-// canceled.
+// 5xx fails over to the next replica in the rotation under a per-request
+// attempt budget, so a replica dying mid-request still yields a single
+// successful response. Optionally, a request that has not answered within
+// HedgeAfter launches a hedge to the next admissible replica; the first
+// response wins and the loser is canceled.
+//
+// Upstream exchanges run on the relay (relay.go), a synchronous HTTP/1.1
+// client over pooled keep-alive connections: the handler goroutine writes
+// the request and reads the reply itself, with no per-connection
+// goroutines.
 //
 // Backend health is a per-replica ejection breaker (see ejector):
 // consecutive request failures eject a replica for a window, after which a
@@ -33,22 +31,20 @@
 // answered.
 //
 // The router is a pass-through for the wire contract: backend status codes,
-// error envelopes, and Retry-After headers reach the client byte for byte.
-// The one exception is a retryable 5xx with a healthy alternative left in
-// the candidate walk — that response is discarded and the request retried;
-// when no alternative remains the 5xx passes through verbatim.
+// error envelopes, and Retry-After headers reach the client byte for byte,
+// each reply written once with its Content-Length. The one exception is a
+// retryable 5xx with a healthy alternative left in the candidate walk —
+// that response is discarded and the request retried; when no alternative
+// remains the 5xx passes through verbatim.
 package route
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -72,11 +68,10 @@ type Config struct {
 	// Backends are the replica base URLs, e.g. "http://127.0.0.1:8081".
 	// Required, at least one.
 	Backends []string
-	// VNodes is the number of ring points per backend (default 64).
-	VNodes int
-	// HTTPClient issues proxy and probe requests; defaults to a dedicated
-	// client with a 30s timeout.
-	HTTPClient *http.Client
+	// Transport runs proxy attempts and health/version probes; nil means
+	// the relay, the router's synchronous HTTP/1.1 client (relay.go).
+	// Tests substitute fakes here.
+	Transport http.RoundTripper
 	// HealthInterval is the /readyz + /v1/version poll period (default 2s).
 	HealthInterval time.Duration
 	// ProbeTimeout bounds each health/version probe (default 2s).
@@ -90,9 +85,10 @@ type Config struct {
 	// EjectWindow is how long an ejected backend sits out before a single
 	// half-open probe request may test it (default 5s).
 	EjectWindow time.Duration
-	// HedgeAfter, when positive, duplicates an affinity-keyed request to
-	// the next ring owner if the primary has not answered within the delay;
-	// the first response wins and the loser is canceled. Default 0 = off.
+	// HedgeAfter, when positive, duplicates a request to the next
+	// admissible replica in its rotation if the primary has not answered
+	// within the delay; the first response wins and the loser is canceled.
+	// Default 0 = off.
 	HedgeAfter time.Duration
 	// Now is the clock consulted by the ejection breakers; nil means
 	// time.Now. Tests substitute a fake clock for deterministic
@@ -103,11 +99,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{Timeout: 30 * time.Second}
+	if c.Transport == nil {
+		c.Transport = newRelay()
 	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 2 * time.Second
@@ -137,12 +130,11 @@ type Backend struct {
 	// requests counts responses delivered to clients from this backend;
 	// attempts counts every upstream attempt (failed, failover, and hedge
 	// attempts included); failures the attempts that ended in a transport
-	// error or retryable 5xx; affinity the delivered subset routed by shape
-	// affinity (vs round-robin fallback).
-	requests atomic.Int64
-	attempts atomic.Int64
-	failures atomic.Int64
-	affinity atomic.Int64
+	// error or retryable 5xx. They are the registry's
+	// route_backend_{requests,attempts,failures}:<url> counters.
+	requests *metrics.Counter
+	attempts *metrics.Counter
+	failures *metrics.Counter
 }
 
 // URL returns the replica's base URL.
@@ -152,27 +144,23 @@ func (b *Backend) URL() string { return b.url }
 func (b *Backend) Healthy() bool { return b.ej.healthy() }
 
 // Requests returns the delivered-response count.
-func (b *Backend) Requests() int64 { return b.requests.Load() }
+func (b *Backend) Requests() int64 { return b.requests.Value() }
 
 // Attempts returns the upstream attempt count, failed and hedged included.
-func (b *Backend) Attempts() int64 { return b.attempts.Load() }
+func (b *Backend) Attempts() int64 { return b.attempts.Value() }
 
-// ringPoint is one virtual node: a position on the hash circle owned by a
-// backend.
-type ringPoint struct {
-	hash    uint64
-	backend *Backend
-}
-
-// Router proxies requests to the replica owning each request's shape hash.
+// Router proxies each request to the next healthy replica of a round-robin
+// rotation.
 type Router struct {
 	cfg      Config
 	backends []*Backend
-	ring     []ringPoint // sorted by hash
 	reg      *metrics.Registry
-	rr       atomic.Uint64 // round-robin cursor for keyless requests
+	rr       atomic.Uint64 // round-robin cursor
 	// version is the fleet's agreed version triple, set by CheckBackends.
 	version api.VersionResponse
+	// Request-path instruments, resolved once.
+	proxyAttempts *metrics.Histogram
+	responses     *metrics.StatusCounters
 }
 
 // New builds a Router over cfg.Backends. Call CheckBackends before serving
@@ -182,14 +170,23 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("route: no backends configured")
 	}
-	r := &Router{cfg: cfg, reg: metrics.NewRegistry()}
+	reg := metrics.NewRegistry()
+	r := &Router{
+		cfg:           cfg,
+		reg:           reg,
+		proxyAttempts: reg.Histogram("route_proxy_attempts", metrics.LinearBuckets(1, 1, 8)),
+		responses:     reg.StatusCounters("route_responses_total"),
+	}
 	seen := map[string]bool{}
 	for _, raw := range cfg.Backends {
 		u := strings.TrimRight(strings.TrimSpace(raw), "/")
 		if u == "" {
 			return nil, errors.New("route: empty backend URL")
 		}
-		if !strings.HasPrefix(u, "http://") && !strings.HasPrefix(u, "https://") {
+		if strings.HasPrefix(u, "https://") {
+			return nil, fmt.Errorf("route: backend %s: https is not supported; replicas speak plain HTTP", u)
+		}
+		if !strings.HasPrefix(u, "http://") {
 			u = "http://" + u
 		}
 		if seen[u] {
@@ -198,13 +195,14 @@ func New(cfg Config) (*Router, error) {
 		seen[u] = true
 		// Breakers start closed: every replica is in rotation until the
 		// first failure or probe verdict.
-		b := &Backend{url: u, ej: newEjector(cfg.EjectThreshold, cfg.EjectWindow, cfg.Now)}
-		r.backends = append(r.backends, b)
-		for v := 0; v < cfg.VNodes; v++ {
-			r.ring = append(r.ring, ringPoint{hash: hashPoint(fmt.Sprintf("%s#%d", u, v)), backend: b})
-		}
+		r.backends = append(r.backends, &Backend{
+			url:      u,
+			ej:       newEjector(cfg.EjectThreshold, cfg.EjectWindow, cfg.Now),
+			requests: reg.Counter("route_backend_requests:" + u),
+			attempts: reg.Counter("route_backend_attempts:" + u),
+			failures: reg.Counter("route_backend_failures:" + u),
+		})
 	}
-	sort.Slice(r.ring, func(i, j int) bool { return r.ring[i].hash < r.ring[j].hash })
 	return r, nil
 }
 
@@ -217,12 +215,6 @@ func (r *Router) Registry() *metrics.Registry { return r.reg }
 // Version returns the fleet's agreed version triple (valid after
 // CheckBackends).
 func (r *Router) Version() api.VersionResponse { return r.version }
-
-// hashPoint maps a string onto the ring circle.
-func hashPoint(s string) uint64 {
-	sum := sha256.Sum256([]byte(s))
-	return binary.BigEndian.Uint64(sum[:8])
-}
 
 // CheckBackends queries every replica's /v1/version and refuses to front a
 // fleet that disagrees on the cost-model (or table-format, or API) version:
@@ -254,16 +246,20 @@ func (r *Router) fetchVersion(ctx context.Context, b *Backend) (api.VersionRespo
 	if err != nil {
 		return api.VersionResponse{}, err
 	}
-	resp, err := r.cfg.HTTPClient.Do(req)
+	resp, err := r.cfg.Transport.RoundTrip(req)
 	if err != nil {
 		return api.VersionResponse{}, err
 	}
-	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	_ = resp.Body.Close()
+	if err != nil {
+		return api.VersionResponse{}, fmt.Errorf("read /v1/version: %w", err)
+	}
 	if resp.StatusCode != http.StatusOK {
 		return api.VersionResponse{}, fmt.Errorf("/v1/version answered %d", resp.StatusCode)
 	}
 	var v api.VersionResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&v); err != nil {
+	if err := json.Unmarshal(body, &v); err != nil {
 		return api.VersionResponse{}, fmt.Errorf("decode /v1/version: %w", err)
 	}
 	return v, nil
@@ -316,7 +312,7 @@ func (r *Router) probe(ctx context.Context, b *Backend) bool {
 	if err != nil {
 		return false
 	}
-	resp, err := r.cfg.HTTPClient.Do(req)
+	resp, err := r.cfg.Transport.RoundTrip(req)
 	if err != nil {
 		return false
 	}
@@ -344,43 +340,19 @@ func (r *Router) healthyBackends() []*Backend {
 	return out
 }
 
-// candidates returns every backend in a request's failover preference
-// order. Affinity keys walk the ring from the key's position — the first
-// entry is the key's owner at full fleet health, followers are its ring
-// successors, so failover lands the key on the replica that inherits it if
-// the owner left the ring. Keyless requests rotate the whole fleet from the
-// round-robin cursor. Breaker state is deliberately ignored here: it is
-// consulted per attempt by attemptIter, so a backend ejected mid-request is
-// skipped at hand-out time.
-func (r *Router) candidates(key string, withKey bool) []*Backend {
+// candidates returns every backend in one request's failover preference
+// order: the whole fleet rotated from the round-robin cursor, so successive
+// requests start on successive replicas. Breaker state is deliberately
+// ignored here: it is consulted per attempt by attemptIter, so a backend
+// ejected mid-request is skipped at hand-out time.
+func (r *Router) candidates() []*Backend {
 	n := len(r.backends)
-	if !withKey {
-		start := int(r.rr.Add(1)-1) % n
-		out := make([]*Backend, 0, n)
-		for i := 0; i < n; i++ {
-			out = append(out, r.backends[(start+i)%n])
-		}
-		return out
-	}
-	h := hashPoint(key)
-	start := sort.Search(len(r.ring), func(i int) bool { return r.ring[i].hash >= h })
+	start := int((r.rr.Add(1) - 1) % uint64(n))
 	out := make([]*Backend, 0, n)
-	seen := make(map[*Backend]bool, n)
-	for i := 0; i < len(r.ring) && len(out) < n; i++ {
-		b := r.ring[(start+i)%len(r.ring)].backend
-		if !seen[b] {
-			seen[b] = true
-			out = append(out, b)
-		}
+	for i := 0; i < n; i++ {
+		out = append(out, r.backends[(start+i)%n])
 	}
 	return out
-}
-
-// OwnerURL reports which backend owns an affinity key's ring position,
-// breaker state aside — the replica the key routes to at full fleet health.
-// The chaos harness uses it to aim failures at a specific key's replica.
-func (r *Router) OwnerURL(key string) string {
-	return r.candidates(key, true)[0].url
 }
 
 // attemptIter hands out one request's failover candidates in preference
@@ -420,7 +392,7 @@ func (it *attemptIter) more() bool {
 // noteFailure records one failed upstream attempt against b's breaker,
 // counting and logging the transition if this failure ejected the backend.
 func (r *Router) noteFailure(b *Backend, why string) {
-	b.failures.Add(1)
+	b.failures.Inc()
 	if b.ej.failure() {
 		r.reg.Counter("route_ejections_total").Inc()
 		if r.cfg.Logf != nil {
@@ -434,29 +406,4 @@ func (r *Router) noteSuccess(b *Backend) {
 	if b.ej.success() && r.cfg.Logf != nil {
 		r.cfg.Logf("route: backend %s recovered", b.url)
 	}
-}
-
-// affinityKey extracts the routing key from a request body: the shape hash
-// (empty grid — lattice-independent) of the request's operator, the first
-// operator of a chain, or a model-derived key for /v1/evaluate. ok=false
-// means no key (round-robin).
-func affinityKey(body []byte) (string, bool) {
-	var peek struct {
-		Op    *api.OpSpec  `json:"op"`
-		Ops   []api.OpSpec `json:"ops"`
-		Model string       `json:"model"`
-		Seq   int          `json:"seq"`
-	}
-	if err := json.Unmarshal(body, &peek); err != nil {
-		return "", false
-	}
-	switch {
-	case peek.Op != nil:
-		return api.ShapeHash(peek.Op.M, peek.Op.K, peek.Op.L, ""), true
-	case len(peek.Ops) > 0:
-		return api.ShapeHash(peek.Ops[0].M, peek.Ops[0].K, peek.Ops[0].L, ""), true
-	case peek.Model != "":
-		return fmt.Sprintf("model|%s|%d", peek.Model, peek.Seq), true
-	}
-	return "", false
 }

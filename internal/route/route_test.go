@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -81,101 +82,6 @@ func replicaFor(t *testing.T, router http.Handler, body string) string {
 
 func searchBody(m, k, l int) string {
 	return fmt.Sprintf(`{"op":{"name":"t","m":%d,"k":%d,"l":%d},"buffer":1024}`, m, k, l)
-}
-
-// TestAffinityStickiness: the same shape must always land on the same
-// replica, regardless of request order or repetition, and distinct shapes
-// must spread across the fleet (the whole point of affinity routing).
-func TestAffinityStickiness(t *testing.T) {
-	b1 := newBackend(t, "r1", fleetVersion)
-	b2 := newBackend(t, "r2", fleetVersion)
-	b3 := newBackend(t, "r3", fleetVersion)
-	r := newFleetRouter(t, b1.URL, b2.URL, b3.URL)
-	h := r.Handler()
-
-	hit := map[string]bool{}
-	for shape := 0; shape < 24; shape++ {
-		body := searchBody(16+shape, 12, 8)
-		first := replicaFor(t, h, body)
-		hit[first] = true
-		for rep := 0; rep < 4; rep++ {
-			if got := replicaFor(t, h, body); got != first {
-				t.Fatalf("shape %d moved from %s to %s", shape, first, got)
-			}
-		}
-	}
-	if len(hit) < 2 {
-		t.Fatalf("24 shapes all routed to one replica: %v", hit)
-	}
-}
-
-// TestAffinityGridIndependent: both lattices of one shape share a replica —
-// the affinity key hashes the shape with an empty grid.
-func TestAffinityGridIndependent(t *testing.T) {
-	b1 := newBackend(t, "r1", fleetVersion)
-	b2 := newBackend(t, "r2", fleetVersion)
-	r := newFleetRouter(t, b1.URL, b2.URL)
-	h := r.Handler()
-
-	full := `{"op":{"name":"t","m":48,"k":32,"l":40},"buffer":1024,"grid":"full"}`
-	coarse := `{"op":{"name":"t","m":48,"k":32,"l":40},"buffer":1024,"grid":"coarse"}`
-	if a, b := replicaFor(t, h, full), replicaFor(t, h, coarse); a != b {
-		t.Fatalf("full lattice on %s, coarse on %s — grids split the shape", a, b)
-	}
-}
-
-// TestFailoverPreservesAffinity: when one replica goes down its keys move to
-// a healthy owner, while shapes owned by surviving replicas stay put.
-func TestFailoverPreservesAffinity(t *testing.T) {
-	b1 := newBackend(t, "r1", fleetVersion)
-	b2 := newBackend(t, "r2", fleetVersion)
-	b3 := newBackend(t, "r3", fleetVersion)
-	r := newFleetRouter(t, b1.URL, b2.URL, b3.URL)
-	h := r.Handler()
-
-	// Map enough shapes that every replica owns at least one.
-	owner := map[string]string{}
-	for shape := 0; shape < 30; shape++ {
-		body := searchBody(16+shape, 12, 8)
-		owner[body] = replicaFor(t, h, body)
-	}
-
-	// Take r2 down (as the health loop would on probe failure).
-	var downed *Backend
-	for _, b := range r.Backends() {
-		if b.URL() == strings.TrimRight(b2.URL, "/") {
-			b.ej.eject()
-			downed = b
-		}
-	}
-	if downed == nil {
-		t.Fatal("backend for r2 not found")
-	}
-
-	moved := 0
-	for body, was := range owner {
-		now := replicaFor(t, h, body)
-		if now == "r2" {
-			t.Fatalf("request still routed to downed replica r2")
-		}
-		if was != "r2" && now != was {
-			t.Fatalf("shape owned by healthy %s moved to %s", was, now)
-		}
-		if was == "r2" {
-			moved++
-		}
-	}
-	if moved == 0 {
-		t.Skip("no shape happened to hash to r2; distribution covered elsewhere")
-	}
-
-	// Recovery restores the original owner.
-	downed.ej.success()
-	for body, was := range owner {
-		if got := replicaFor(t, h, body); got != was {
-			t.Fatalf("after recovery shape moved from %s to %s", was, got)
-		}
-	}
 }
 
 // TestCheckBackendsRefusesVersionMismatch: a fleet that disagrees on the
@@ -316,8 +222,9 @@ func TestNoBackendAvailable(t *testing.T) {
 	}
 }
 
-// TestKeylessRoundRobin: requests with no extractable affinity key spread
-// across the fleet instead of pinning one replica.
+// TestKeylessRoundRobin: requests spread across the fleet in strict
+// rotation whatever their bodies say — the router never parses a body, so
+// a shaped request and a keyless one are routed alike.
 func TestKeylessRoundRobin(t *testing.T) {
 	b1 := newBackend(t, "r1", fleetVersion)
 	b2 := newBackend(t, "r2", fleetVersion)
@@ -327,28 +234,10 @@ func TestKeylessRoundRobin(t *testing.T) {
 	hit := map[string]int{}
 	for i := 0; i < 6; i++ {
 		hit[replicaFor(t, h, `{}`)]++
+		hit[replicaFor(t, h, searchBody(16, 12, 8))]++
 	}
-	if hit["r1"] != 3 || hit["r2"] != 3 {
-		t.Fatalf("round-robin split %v, want 3/3", hit)
-	}
-}
-
-// TestEvaluateAffinityKey: /v1/evaluate has no operator; its model+seq pair
-// is the affinity key, so repeated sweeps of one workload stay warm on one
-// replica.
-func TestEvaluateAffinityKey(t *testing.T) {
-	b1 := newBackend(t, "r1", fleetVersion)
-	b2 := newBackend(t, "r2", fleetVersion)
-	b3 := newBackend(t, "r3", fleetVersion)
-	r := newFleetRouter(t, b1.URL, b2.URL, b3.URL)
-	h := r.Handler()
-
-	body := `{"model":"llama2","seq":1024}`
-	first := replicaFor(t, h, body)
-	for i := 0; i < 5; i++ {
-		if got := replicaFor(t, h, body); got != first {
-			t.Fatalf("evaluate key moved from %s to %s", first, got)
-		}
+	if hit["r1"] != 6 || hit["r2"] != 6 {
+		t.Fatalf("round-robin split %v, want 6/6", hit)
 	}
 }
 
@@ -372,27 +261,21 @@ func TestVersionEndpointReportsFleetTriple(t *testing.T) {
 }
 
 // TestUpstreamFailureFailsOver: a replica dying no longer surfaces as a
-// 502 — the buffered request is retried against the ring successor and the
-// client sees a single 200 from the survivor.
+// 502 — the buffered request is retried against the next replica of the
+// rotation and the client sees a single 200 from the survivor.
 func TestUpstreamFailureFailsOver(t *testing.T) {
 	b1 := newBackend(t, "r1", fleetVersion)
 	b2 := newBackend(t, "r2", fleetVersion)
 	r := newFleetRouter(t, b1.URL, b2.URL)
 	h := r.Handler()
 
-	// Kill whichever replica owns this shape.
+	// Kill the replica the next request starts on.
 	body := searchBody(20, 16, 12)
-	owner := replicaFor(t, h, body)
-	survivor := "r1"
-	if owner == "r1" {
-		b1.Close()
-		survivor = "r2"
-	} else {
-		b2.Close()
-	}
+	aimAt(t, r, b1.URL)
+	b1.Close()
 
-	if got := replicaFor(t, h, body); got != survivor {
-		t.Fatalf("request answered by %q, want failover to %q", got, survivor)
+	if got := replicaFor(t, h, body); got != "r2" {
+		t.Fatalf("request answered by %q, want failover to r2", got)
 	}
 	snap := r.Registry().Snapshot()
 	if got := snap["route_failovers_total"]; got != 1 {
@@ -413,6 +296,10 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Backends: []string{"http://a:1", "a:1"}}); err == nil {
 		t.Fatal("accepted duplicate backends (after normalization)")
+	}
+	// The relay speaks plain HTTP, and replicas have no TLS listener.
+	if _, err := New(Config{Backends: []string{"https://a:1"}}); err == nil || !strings.Contains(err.Error(), "https") {
+		t.Fatalf("https backend: err = %v, want a rejection naming https", err)
 	}
 }
 
@@ -439,4 +326,49 @@ func TestStartHealthLoop(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("health loop never recovered the replica")
+}
+
+// TestBackendCountersExactUnderConcurrentScrapes: the per-backend counters
+// are incremented on the request path, so overlapping /metrics scrapes
+// read them without adding to them.
+func TestBackendCountersExactUnderConcurrentScrapes(t *testing.T) {
+	rt := roundTripFunc(func(*http.Request) (*http.Response, error) {
+		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(strings.NewReader(`{}`))}, nil
+	})
+	r, err := New(Config{Backends: []string{"http://stub"}, Transport: rt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := r.Handler()
+	const n = 50
+	for i := 0; i < n; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/search", strings.NewReader(searchBody(8, 8, 8))))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d", rec.Code)
+		}
+	}
+	want := []string{
+		fmt.Sprintf("route_backend_requests:http://stub %d\n", n),
+		fmt.Sprintf("route_backend_attempts:http://stub %d\n", n),
+		"route_backend_failures:http://stub 0\n",
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+				for _, line := range want {
+					if !strings.Contains(rec.Body.String(), line) {
+						t.Errorf("scrape missing %q", line)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

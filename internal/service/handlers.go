@@ -52,11 +52,7 @@ func dataflowOf(df dataflow.Dataflow, nra dataflow.NRAClass, total int64, per [3
 
 // --- /v1/optimize -----------------------------------------------------------
 
-func (s *Server) handleOptimize(ctx context.Context, body []byte) (any, error) {
-	var req optimizeRequest
-	if err := decodeStrict(body, &req); err != nil {
-		return nil, err
-	}
+func (s *Server) handleOptimize(ctx context.Context, req *optimizeRequest) (any, error) {
 	res, err := core.Optimize(matmulOf(req.Op), req.Buffer)
 	if err != nil {
 		return nil, err
@@ -72,11 +68,7 @@ func (s *Server) handleOptimize(ctx context.Context, body []byte) (any, error) {
 
 // --- /v1/plan ---------------------------------------------------------------
 
-func (s *Server) handlePlan(ctx context.Context, body []byte) (any, error) {
-	var req planRequest
-	if err := decodeStrict(body, &req); err != nil {
-		return nil, err
-	}
+func (s *Server) handlePlan(ctx context.Context, req *planRequest) (any, error) {
 	ops := make([]op.MatMul, len(req.Ops))
 	for i, o := range req.Ops {
 		ops[i] = matmulOf(o)
@@ -113,11 +105,7 @@ func (s *Server) handlePlan(ctx context.Context, body []byte) (any, error) {
 
 // --- /v1/search -------------------------------------------------------------
 
-func (s *Server) handleSearch(ctx context.Context, body []byte) (any, error) {
-	var req searchRequest
-	if err := decodeStrict(body, &req); err != nil {
-		return nil, err
-	}
+func (s *Server) handleSearch(ctx context.Context, req *searchRequest) (any, error) {
 	mm := matmulOf(req.Op)
 
 	// The engine gets only DegradeFraction of the remaining deadline budget:
@@ -210,11 +198,7 @@ func (s *Server) degradedAnswer(mm op.MatMul, buffer int64, reason string) (sear
 
 // --- /v1/evaluate -----------------------------------------------------------
 
-func (s *Server) handleEvaluate(ctx context.Context, body []byte) (any, error) {
-	var req evaluateRequest
-	if err := decodeStrict(body, &req); err != nil {
-		return nil, err
-	}
+func (s *Server) handleEvaluate(ctx context.Context, req *evaluateRequest) (any, error) {
 	cfg, err := model.ByName(req.Model)
 	if err != nil {
 		return nil, err

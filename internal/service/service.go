@@ -109,17 +109,29 @@ type Server struct {
 	// close; probes and /metrics keep answering so operators can watch the
 	// drain.
 	draining atomic.Bool
+	// requests holds each counted endpoint's http_requests_total:<name>
+	// family and responses the fleet-wide http_responses_total family,
+	// resolved once so a request formats no counter names.
+	requests  map[string]*metrics.StatusCounters
+	responses *metrics.StatusCounters
 }
 
 // New builds a Server with cfg (zero value → defaults). The server starts
 // not-ready; call SetReady(true) once the listener is accepting.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	return &Server{
-		cfg:  cfg,
-		reg:  metrics.NewRegistry(),
-		gate: make(chan struct{}, cfg.MaxInFlight),
+	reg := metrics.NewRegistry()
+	s := &Server{
+		cfg:       cfg,
+		reg:       reg,
+		gate:      make(chan struct{}, cfg.MaxInFlight),
+		requests:  map[string]*metrics.StatusCounters{},
+		responses: reg.StatusCounters("http_responses_total"),
 	}
+	for _, name := range []string{"optimize", "plan", "search", "evaluate", "version"} {
+		s.requests[name] = reg.StatusCounters("http_requests_total:" + name)
+	}
+	return s
 }
 
 // SetReady flips the readiness probe. Liveness (/healthz) is unaffected.
@@ -146,10 +158,10 @@ func (s *Server) Registry() *metrics.Registry { return s.reg }
 // fusecu-vet unrecoveredhandler analyzer.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/optimize", s.recovered("optimize", s.endpoint("optimize", s.handleOptimize)))
-	mux.HandleFunc("/v1/plan", s.recovered("plan", s.endpoint("plan", s.handlePlan)))
-	mux.HandleFunc("/v1/search", s.recovered("search", s.endpoint("search", s.handleSearch)))
-	mux.HandleFunc("/v1/evaluate", s.recovered("evaluate", s.endpoint("evaluate", s.handleEvaluate)))
+	mux.HandleFunc("/v1/optimize", s.recovered("optimize", endpoint(s, "optimize", s.handleOptimize)))
+	mux.HandleFunc("/v1/plan", s.recovered("plan", endpoint(s, "plan", s.handlePlan)))
+	mux.HandleFunc("/v1/search", s.recovered("search", endpoint(s, "search", s.handleSearch)))
+	mux.HandleFunc("/v1/evaluate", s.recovered("evaluate", endpoint(s, "evaluate", s.handleEvaluate)))
 	mux.HandleFunc("/v1/version", s.recovered("version", s.handleVersion))
 	mux.HandleFunc("/metrics", s.recovered("metrics", s.handleMetrics))
 	mux.HandleFunc("/healthz", s.recovered("healthz", s.handleHealthz))
@@ -240,13 +252,13 @@ type (
 	errorBody     = api.ErrorBody
 )
 
-// handlerFunc is a typed endpoint body: decode already done, context
-// already deadline-bound; return a JSON-marshalable response or an error.
-type handlerFunc func(ctx context.Context, body []byte) (any, error)
-
-// endpoint wraps h with the service middleware: method check, admission
-// gate, per-request deadline, metrics, and the error envelope.
-func (s *Server) endpoint(name string, h handlerFunc) http.HandlerFunc {
+// endpoint wraps a typed endpoint body h with the service middleware:
+// method check, admission gate, strict decode of the body into a Req, the
+// per-request deadline (the request's timeout_ms, capped by
+// DefaultTimeout), metrics, and the error envelope. h gets the decoded
+// request under its deadline and returns a JSON-marshalable response or an
+// error.
+func endpoint[Req any](s *Server, name string, h func(ctx context.Context, req *Req) (any, error)) http.HandlerFunc {
 	latency := s.reg.Histogram("http_latency_ms:"+name, nil)
 	inflight := s.reg.Gauge("http_inflight")
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -300,22 +312,26 @@ func (s *Server) endpoint(name string, h handlerFunc) http.HandlerFunc {
 			s.writeError(w, name, badRequest("service: reading body: %v", err))
 			return
 		}
-		timeout := s.cfg.DefaultTimeout
-		if ms := requestTimeoutMS(body); ms > 0 && time.Duration(ms)*time.Millisecond < timeout {
-			timeout = time.Duration(ms) * time.Millisecond
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		defer cancel()
 
 		start := time.Now()
-		resp, herr := h(ctx, body)
+		var req Req
+		herr := decodeStrict(body, &req)
+		var resp any
+		if herr == nil {
+			timeout := s.cfg.DefaultTimeout
+			if ms := timeoutMS(&req); ms > 0 && time.Duration(ms)*time.Millisecond < timeout {
+				timeout = time.Duration(ms) * time.Millisecond
+			}
+			ctx, cancel := context.WithTimeout(r.Context(), timeout)
+			defer cancel()
+			resp, herr = h(ctx, &req)
+		}
 		latency.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 		if herr != nil {
 			s.writeError(w, name, herr)
 			return
 		}
-		s.reg.Counter(fmt.Sprintf("http_requests_total:%s:%d", name, http.StatusOK)).Inc()
-		s.reg.Counter(fmt.Sprintf("http_responses_total:%d", http.StatusOK)).Inc()
+		s.count(name, http.StatusOK)
 		w.Header().Set("Content-Type", "application/json")
 		if err := json.NewEncoder(w).Encode(resp); err != nil {
 			// Headers are gone; nothing useful to send. Count it.
@@ -329,8 +345,7 @@ func (s *Server) endpoint(name string, h handlerFunc) http.HandlerFunc {
 // endpoints for the /metrics dashboard).
 func (s *Server) writeError(w http.ResponseWriter, name string, err error) {
 	ae := toAPIError(err)
-	s.reg.Counter(fmt.Sprintf("http_requests_total:%s:%d", name, ae.status)).Inc()
-	s.reg.Counter(fmt.Sprintf("http_responses_total:%d", ae.status)).Inc()
+	s.count(name, ae.status)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(ae.status)
 	if encErr := json.NewEncoder(w).Encode(errorEnvelope{Error: errorBody{Code: ae.code, Message: ae.err.Error()}}); encErr != nil {
@@ -338,16 +353,30 @@ func (s *Server) writeError(w http.ResponseWriter, name string, err error) {
 	}
 }
 
-// requestTimeoutMS peeks the optional timeout_ms field shared by every
-// request schema, before strict decoding runs.
-func requestTimeoutMS(body []byte) int64 {
-	var peek struct {
-		TimeoutMS int64 `json:"timeout_ms"`
+// count bumps the per-endpoint and the per-status response counters.
+func (s *Server) count(name string, status int) {
+	if c, ok := s.requests[name]; ok {
+		c.Inc(status)
+	} else {
+		s.reg.Counter(fmt.Sprintf("http_requests_total:%s:%d", name, status)).Inc()
 	}
-	if err := json.Unmarshal(body, &peek); err != nil {
-		return 0
+	s.responses.Inc(status)
+}
+
+// timeoutMS reads the optional timeout_ms field every request schema
+// carries.
+func timeoutMS(req any) int64 {
+	switch r := req.(type) {
+	case *optimizeRequest:
+		return r.TimeoutMS
+	case *planRequest:
+		return r.TimeoutMS
+	case *searchRequest:
+		return r.TimeoutMS
+	case *evaluateRequest:
+		return r.TimeoutMS
 	}
-	return peek.TimeoutMS
+	return 0
 }
 
 // decodeStrict unmarshals body into v rejecting unknown fields and
@@ -408,8 +437,7 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	s.reg.Counter(fmt.Sprintf("http_requests_total:%s:%d", name, http.StatusOK)).Inc()
-	s.reg.Counter(fmt.Sprintf("http_responses_total:%d", http.StatusOK)).Inc()
+	s.count(name, http.StatusOK)
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(api.VersionResponse{
 		APIVersion:         api.Version,
