@@ -40,9 +40,10 @@ test-race:
 	$(GO) test -race ./...
 
 ## test-race-service is the focused race pass over the HTTP service stack
-## (admission gate, metrics registry, graceful shutdown).
+## (admission gate, metrics registry, the inbound HTTP/1.1 server, graceful
+## shutdown).
 test-race-service:
-	$(GO) test -race ./internal/service ./internal/metrics ./cmd/fusecu-serve
+	$(GO) test -race ./internal/service ./internal/metrics ./internal/h1 ./cmd/fusecu-serve
 
 ## serve-load-race runs the in-process serve-load smoke under the race
 ## detector: concurrent /v1/search waves through the router and the
@@ -68,8 +69,9 @@ test-checks:
 
 ## fuzz-smoke runs each native fuzz target briefly: the request-decode
 ## strictness invariants, the tiling-constructor contracts, the router
-## relay's handling of arbitrary upstream reply bytes, and the canonical
-## walk's exactness against the frozen full and coarse reference scans.
+## relay's handling of arbitrary upstream reply bytes, the inbound server's
+## handling of arbitrary client bytes, and the canonical walk's exactness
+## against the frozen full and coarse reference scans.
 ## Failing
 ## inputs are minimized into testdata/fuzz corpora for regression.
 fuzz-smoke:
@@ -77,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzDecodeSearchRequest$$' -fuzztime=20s -run='^$$' ./internal/service
 	$(GO) test -fuzz='^FuzzNewTiling$$' -fuzztime=20s -run='^$$' ./internal/dataflow
 	$(GO) test -fuzz='^FuzzRelayResponse$$' -fuzztime=20s -run='^$$' ./internal/route
+	$(GO) test -fuzz='^FuzzServeConn$$' -fuzztime=20s -run='^$$' ./internal/h1
 	$(GO) test -fuzz='^FuzzAnalyticOptimum$$' -fuzztime=20s -run='^$$' ./internal/search
 
 ## bench is the CI smoke pass: every benchmark runs once, then fusecu-bench
@@ -94,8 +97,9 @@ bench-serve:
 	$(GO) run ./cmd/fusecu-bench -serve-load -serve-out BENCH_serve.json -replicas 3
 
 ## bench-compare reruns the search-layer, principle-optimizer, fused
-## tile-OS/IS (internal/fusion), /v1/evaluate (internal/arch) and router
-## proxy-handler (internal/route) microbenchmarks and diffs the medians
+## tile-OS/IS (internal/fusion), /v1/evaluate (internal/arch), router
+## proxy-handler (internal/route) and inbound-connection (internal/h1)
+## microbenchmarks and diffs the medians
 ## against the committed baseline with the stdlib-only fusecu-benchstat
 ## (CI has no network for x/perf's benchstat). The target is blocking: it
 ## fails when any benchmark's median runs more than BENCH_GATE× the
@@ -115,13 +119,18 @@ bench-serve:
 ## scan, which measures about 200× slower on BenchmarkSearchHotWalk, and
 ## the router's own per-request work growing back: BenchmarkProxyHandler
 ## times it with a socket-free canned-reply Transport, and the per-request
-## shape-hash body parse and http.Client path it replaced measure 1.9× there.
+## shape-hash body parse and http.Client path it replaced measure 1.9× there,
+## and the inbound server's per-request work growing: BenchmarkServeConn
+## drives one keep-alive connection over net.Pipe. net/http.Server, which
+## it replaced, measures only about 1.4× there (the pipe's goroutine
+## handoffs are common to both) but allocates 24 times per request against
+## 11, which the allocs column shows.
 ## Set BENCH_GATE=0 for the old advisory behaviour.
 BENCH_BASELINE ?= bench/baseline_search.txt
 BENCH_GATE ?= 1.75
 bench-compare:
 	mkdir -p bench
-	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/search ./internal/core ./internal/fusion ./internal/arch ./internal/route > bench/current_search.txt
+	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/search ./internal/core ./internal/fusion ./internal/arch ./internal/route ./internal/h1 > bench/current_search.txt
 	@$(GO) run ./cmd/fusecu-benchstat -gate $(BENCH_GATE) $(BENCH_BASELINE) bench/current_search.txt > bench/compare_search.txt 2>&1; s=$$?; \
 	cat bench/compare_search.txt; \
 	exit $$s
@@ -130,7 +139,7 @@ bench-compare:
 ## against. Run it on a quiet machine and commit the result.
 bench-baseline:
 	mkdir -p bench
-	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/search ./internal/core ./internal/fusion ./internal/arch ./internal/route > $(BENCH_BASELINE)
+	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/search ./internal/core ./internal/fusion ./internal/arch ./internal/route ./internal/h1 > $(BENCH_BASELINE)
 
 ## bench-full is the measurement pass: statistically meaningful benchmark
 ## iterations plus the paper's full 32KiB-32MiB Fig. 9 sweep.

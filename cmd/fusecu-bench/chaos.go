@@ -16,6 +16,7 @@ import (
 	"fusecu/client"
 	"fusecu/internal/experiments"
 	"fusecu/internal/faultinject"
+	"fusecu/internal/h1"
 	"fusecu/internal/op"
 	"fusecu/internal/route"
 	"fusecu/internal/search"
@@ -210,7 +211,7 @@ func chaosLoad(out string, clients, maxInFlight, replicas int, seed int64, kills
 	defer hcancel()
 	router.Start(hctx)
 
-	rsrv := &http.Server{Handler: router.Handler()}
+	rsrv := &h1.Server{Handler: router.Handler()}
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err

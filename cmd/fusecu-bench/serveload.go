@@ -14,6 +14,7 @@ import (
 
 	"fusecu/client"
 	"fusecu/internal/experiments"
+	"fusecu/internal/h1"
 	"fusecu/internal/op"
 	"fusecu/internal/route"
 	"fusecu/internal/search"
@@ -78,7 +79,7 @@ const serveLoadBuffer = 4096
 // serveReplica is one in-process fusecu-serve instance behind the router.
 type serveReplica struct {
 	svc  *service.Server
-	srv  *http.Server
+	srv  *h1.Server
 	addr string
 	errc chan error
 }
@@ -89,7 +90,7 @@ type serveReplica struct {
 // the restarted replica rebinds the same URL the router was configured with.
 func startServeReplica(addr string, cfg service.Config) (*serveReplica, error) {
 	svc := service.New(cfg)
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := &h1.Server{Handler: svc.Handler()}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -115,7 +116,9 @@ func (r *serveReplica) shutdown() error {
 func (r *serveReplica) kill() {
 	// Close's error is the listener's close result; the interesting signal
 	// (aborted connections) reaches the router as transport errors.
-	_ = r.srv.Close()
+	if err := r.srv.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "fusecu-bench: kill:", err)
+	}
 	<-r.errc
 }
 
@@ -186,7 +189,7 @@ func serveLoad(out string, clients, maxInFlight, replicas int, pprofAddr string)
 	if err := router.CheckBackends(context.Background()); err != nil {
 		return err
 	}
-	rsrv := &http.Server{Handler: router.Handler()}
+	rsrv := &h1.Server{Handler: router.Handler()}
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err

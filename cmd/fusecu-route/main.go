@@ -30,6 +30,7 @@ import (
 	"syscall"
 	"time"
 
+	"fusecu/internal/h1"
 	"fusecu/internal/route"
 )
 
@@ -130,7 +131,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		return 1
 	}
 	router.Start(ctx)
-	srv := &http.Server{Handler: router.Handler()}
+	srv := &h1.Server{Handler: router.Handler()}
 
 	fmt.Fprintf(stdout, "fusecu-route: listening on %s\n", ln.Addr())
 	if ready != nil {

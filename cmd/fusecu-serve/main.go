@@ -32,6 +32,7 @@ import (
 	"syscall"
 	"time"
 
+	"fusecu/internal/h1"
 	"fusecu/internal/service"
 )
 
@@ -73,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		MaxInFlight:    *maxInflight,
 		DefaultTimeout: *timeout,
 	})
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := &h1.Server{Handler: svc.Handler()}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -174,8 +174,8 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 // race: a request arriving after SIGTERM but before the listener closes must
 // get a fast 503 draining envelope with Connection: close — not hang, not a
 // connection reset. A long in-flight search pins the grace window open while
-// the probe runs; cancelling it lets the window end early so the test exits
-// fast.
+// the probe runs; once it finishes the window ends early, well inside the
+// grace budget.
 func TestDrainRejectsNewRequestsWith503(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	ready := make(chan string, 1)
@@ -205,7 +205,8 @@ func TestDrainRejectsNewRequestsWith503(t *testing.T) {
 	}
 
 	// Pin the grace window open with a search slowed to about 2.5s (127
-	// evaluations at 20ms); cancelling it ends the walk at its next poll.
+	// evaluations at 20ms). Its client hangs up later, but the server does
+	// not cancel a request whose client hung up, so the walk runs out.
 	slowSearch(t, 20*time.Millisecond)
 	slowCtx, cancelSlow := context.WithCancel(context.Background())
 	slowDone := make(chan struct{})
@@ -285,8 +286,9 @@ func TestDrainRejectsNewRequestsWith503(t *testing.T) {
 		t.Fatal(cerr)
 	}
 
-	// Release the pin; in-flight hits zero, the grace window ends early and
-	// the process exits cleanly well before the 30s grace budget.
+	// Release the pin; once the walk finishes, in-flight hits zero, the grace
+	// window ends early and the process exits cleanly well before the 30s
+	// grace budget.
 	cancelSlow()
 	<-slowDone
 	select {

@@ -157,13 +157,21 @@ func frontierCandidate(k *cost.BatchEval, bufferSize int64, stationary dataflow.
 	}
 	best := tiling(t1, t2)
 	acc := price(k, oi, best)
+	note := notes.frontier[stationary]
+	if q > 1 {
+		note = frontierNote(stationary, q)
+	}
 	return Candidate{
 		Dataflow:  dataflow.Must(mm, order, best),
 		Access:    acc,
 		Principle: principleForNRA(acc.NRA),
-		Note: fmt.Sprintf("constrained frontier: %s stationary (%s), quantum %d",
-			stationary, stationary.Kind(), q),
+		Note:      note,
 	}, true
+}
+
+func frontierNote(stationary dataflow.Tensor, quantum int) string {
+	return fmt.Sprintf("constrained frontier: %s stationary (%s), quantum %d",
+		stationary, stationary.Kind(), quantum)
 }
 
 // squareScan is the frontier walk under Constraint.Square. Square arrays

@@ -230,8 +230,40 @@ func singleNRA(k *cost.BatchEval, bufferSize int64, stationary dataflow.Tensor) 
 		return Candidate{}, false
 	}
 	c.Principle = 1
-	c.Note = fmt.Sprintf("P1: %s stationary (%s)", stationary, stationary.Kind())
+	c.Note = notes.p1[stationary]
 	return c, true
+}
+
+// notes holds every candidate note that depends only on a tensor or a
+// dimension, formatted once, so constructing a candidate formats nothing.
+var notes = formatNotes()
+
+type noteTable struct {
+	p1, p3   [3]string    // by stationary or resident tensor
+	p2       [3][3]string // by untiled dimension, then redundant tensor
+	frontier [3]string    // by stationary tensor, at quantum 1
+}
+
+func formatNotes() (n noteTable) {
+	for _, t := range dataflow.Tensors() {
+		n.p1[t] = fmt.Sprintf("P1: %s stationary (%s)", t, t.Kind())
+		dd := t.Dims()
+		n.p3[t] = fmt.Sprintf("P3: keep %s resident, untile %s and %s", t, dd[0], dd[1])
+		n.frontier[t] = frontierNote(t, 1)
+	}
+	for _, d := range dataflow.Dims() {
+		for _, r := range dataflow.TensorsWithDim(d) {
+			// The maximized dimension is the one r does not index.
+			p := dataflow.DimM
+			for _, e := range dataflow.Dims() {
+				if e != d && !r.HasDim(e) {
+					p = e
+				}
+			}
+			n.p2[d][r] = fmt.Sprintf("P2: untile %s, %s redundant, maximize T_%s", d, r, p)
+		}
+	}
+	return n
 }
 
 // TwoNRACandidate constructs the Principle 2 dataflow that untiles dimension
@@ -294,7 +326,7 @@ func twoNRA(k *cost.BatchEval, bufferSize int64, untiled dataflow.Dim, redundant
 		Dataflow:  dataflow.Must(mm, order, ti),
 		Access:    acc,
 		Principle: 2,
-		Note:      fmt.Sprintf("P2: untile %s, %s redundant, maximize T_%s", untiled, redundant, p),
+		Note:      notes.p2[untiled][redundant],
 	}, true
 }
 
@@ -356,7 +388,7 @@ func threeNRA(k *cost.BatchEval, bufferSize int64, resident dataflow.Tensor) (Ca
 		Dataflow:  dataflow.Must(mm, order, ti),
 		Access:    acc,
 		Principle: 3,
-		Note:      fmt.Sprintf("P3: keep %s resident, untile %s and %s", resident, d1, d2),
+		Note:      notes.p3[resident],
 	}, true
 }
 
