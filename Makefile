@@ -98,8 +98,8 @@ bench-serve:
 
 ## bench-compare reruns the search-layer, principle-optimizer, fused
 ## tile-OS/IS (internal/fusion), /v1/evaluate (internal/arch), router
-## proxy-handler (internal/route) and inbound-connection (internal/h1)
-## microbenchmarks and diffs the medians
+## proxy-handler (internal/route), inbound-connection (internal/h1) and
+## replica-handler (internal/service) microbenchmarks and diffs the medians
 ## against the committed baseline with the stdlib-only fusecu-benchstat
 ## (CI has no network for x/perf's benchstat). The target is blocking: it
 ## fails when any benchmark's median runs more than BENCH_GATE× the
@@ -121,16 +121,21 @@ bench-serve:
 ## times it with a socket-free canned-reply Transport, and the per-request
 ## shape-hash body parse and http.Client path it replaced measure 1.9× there,
 ## and the inbound server's per-request work growing: BenchmarkServeConn
-## drives one keep-alive connection over net.Pipe. net/http.Server, which
-## it replaced, measures only about 1.4× there (the pipe's goroutine
-## handoffs are common to both) but allocates 24 times per request against
-## 11, which the allocs column shows.
+## runs one keep-alive connection's loop on the benchmark goroutine over a
+## scripted in-memory connection, so no goroutine handoff or scheduling
+## enters its time, and net/http.Server, which it replaced, allocated 24
+## times per request against its 11, which the allocs column shows, and
+## a replica's own per-request work growing back: BenchmarkSearchHotHandler
+## serves search-hot's 54 bodies through the service handler. The
+## per-request context.WithTimeout timers and formatted loop-order names it
+## replaced measure only 1.2× there, but allocate 36 times per request
+## against 24, which the allocs column shows.
 ## Set BENCH_GATE=0 for the old advisory behaviour.
 BENCH_BASELINE ?= bench/baseline_search.txt
 BENCH_GATE ?= 1.75
 bench-compare:
 	mkdir -p bench
-	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/search ./internal/core ./internal/fusion ./internal/arch ./internal/route ./internal/h1 > bench/current_search.txt
+	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/search ./internal/core ./internal/fusion ./internal/arch ./internal/route ./internal/h1 ./internal/service > bench/current_search.txt
 	@$(GO) run ./cmd/fusecu-benchstat -gate $(BENCH_GATE) $(BENCH_BASELINE) bench/current_search.txt > bench/compare_search.txt 2>&1; s=$$?; \
 	cat bench/compare_search.txt; \
 	exit $$s
@@ -139,7 +144,7 @@ bench-compare:
 ## against. Run it on a quiet machine and commit the result.
 bench-baseline:
 	mkdir -p bench
-	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/search ./internal/core ./internal/fusion ./internal/arch ./internal/route ./internal/h1 > $(BENCH_BASELINE)
+	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -benchtime=0.1s ./internal/search ./internal/core ./internal/fusion ./internal/arch ./internal/route ./internal/h1 ./internal/service > $(BENCH_BASELINE)
 
 ## bench-full is the measurement pass: statistically meaningful benchmark
 ## iterations plus the paper's full 32KiB-32MiB Fig. 9 sweep.

@@ -286,9 +286,29 @@ func (o Order) Position(d Dim) int {
 // the tensor not indexed by the innermost dimension.
 func (o Order) Stationary() Tensor { return TensorWithoutDim(o.Innermost()) }
 
+// String names the loop order outermost first, e.g. "M→L→K". The six
+// valid orders come from a table built once, so naming a dataflow in a
+// response formats nothing; an invalid order is formatted on each call.
 func (o Order) String() string {
+	if o[0] < numDims && o[1] < numDims && o[2] < numDims {
+		if name := orderNames[o[0]][o[1]][o[2]]; name != "" {
+			return name
+		}
+	}
+	return o.format()
+}
+
+func (o Order) format() string {
 	return fmt.Sprintf("%s→%s→%s", o[0], o[1], o[2])
 }
+
+// orderNames holds every valid order's String, indexed by its dims.
+var orderNames = func() (names [numDims][numDims][numDims]string) {
+	for _, o := range AllOrders() {
+		names[o[0]][o[1]][o[2]] = o.format()
+	}
+	return names
+}()
 
 // StationaryKind names the classic stationary taxonomies for display.
 type StationaryKind uint8

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -221,6 +222,36 @@ func TestStringersDoNotPanic(t *testing.T) {
 	df := Dataflow{Order: OrderWS, Tiling: Tiling{TM: 1, TK: 2, TL: 3}}
 	if df.String() == "" {
 		t.Fatal("empty dataflow string")
+	}
+}
+
+// TestOrderStringMatchesFormatting pins Order.String, served from a table
+// for the six valid orders, byte for byte against the formatting it
+// replaced, over every order of dims up to one past the last valid dim
+// (invalid and duplicate orders included).
+func TestOrderStringMatchesFormatting(t *testing.T) {
+	want := map[Order]string{
+		OrderOS: "M→L→K", OrderOSSwap: "L→M→K",
+		OrderWS: "K→L→M", OrderWSSwap: "L→K→M",
+		OrderIS: "M→K→L", OrderISSwap: "K→M→L",
+	}
+	for _, o := range AllOrders() {
+		if got := o.String(); got != want[o] {
+			t.Errorf("%v.String() = %q, want %q", [3]Dim(o), got, want[o])
+		}
+	}
+	for a := Dim(0); a <= numDims; a++ {
+		for b := Dim(0); b <= numDims; b++ {
+			for c := Dim(0); c <= numDims; c++ {
+				o := Order{a, b, c}
+				if got, old := o.String(), fmt.Sprintf("%s→%s→%s", a, b, c); got != old {
+					t.Errorf("%v.String() = %q, want %q", [3]Dim(o), got, old)
+				}
+			}
+		}
+	}
+	if got, old := (Order{DimM, 200, DimK}).String(), "M→Dim(200)→K"; got != old {
+		t.Errorf("String() = %q, want %q", got, old)
 	}
 }
 

@@ -155,7 +155,7 @@ func (a *Analytic) OptimizeCtx(ctx context.Context, bufferSize int64) (res Resul
 		return Result{}, fmt.Errorf("search: buffer %d cannot hold 1×1 tiles: %w", bufferSize, errs.ErrBufferTooSmall)
 	}
 	a.acc = enumBest{}
-	a.stop = cancelCheck{done: ctx.Done(), mask: walkPollStride - 1}
+	a.stop = cancelCheck{ctx: ctx, mask: walkPollStride - 1}
 	a.buffer = bufferSize
 	a.emitAll()
 	if err := ctx.Err(); err != nil {

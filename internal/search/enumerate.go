@@ -112,39 +112,32 @@ func guardScan(fn func()) (err error) {
 	return nil
 }
 
-// cancelCheck polls a context's Done channel at a coarse stride, so the hot
+// cancelCheck polls a context's Err at a coarse stride, so the hot
 // enumeration loop pays one local counter increment per visit instead of a
-// synchronized ctx.Err() call. Each goroutine owns its own cancelCheck (the
-// counter is unsynchronized by design).
+// synchronized ctx.Err() call. It never calls Done: a context that reads
+// its deadline from the clock (the service's) then arms no timer for the
+// engine. Each goroutine owns its own cancelCheck (the counter is
+// unsynchronized by design).
 type cancelCheck struct {
-	done <-chan struct{}
-	n    uint32
+	ctx context.Context
+	n   uint32
 	// mask is the poll stride minus one (a power of two minus one); the
 	// zero value polls on every call.
 	mask uint32
 }
 
 func newCancelCheck(ctx context.Context) *cancelCheck {
-	return &cancelCheck{done: ctx.Done(), mask: 1023}
+	return &cancelCheck{ctx: ctx, mask: 1023}
 }
 
-// stopped reports whether the scan's context was canceled, consulting the
-// channel once every mask+1 calls (1024 for the lattice scans). A
-// Background context has a nil Done channel and costs only the nil compare.
+// stopped reports whether the scan's context has ended, consulting
+// ctx.Err() once every mask+1 calls (1024 for the lattice scans).
 func (c *cancelCheck) stopped() bool {
-	if c.done == nil {
-		return false
-	}
 	c.n++
 	if c.n&c.mask != 0 {
 		return false
 	}
-	select {
-	case <-c.done:
-		return true
-	default:
-		return false
-	}
+	return c.ctx.Err() != nil
 }
 
 // enumBest accumulates one scan's running optimum and cost counters.

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"time"
 
 	"fusecu/api"
 	"fusecu/internal/arch"
@@ -108,42 +107,32 @@ func (s *Server) handlePlan(ctx context.Context, req *planRequest) (any, error) 
 func (s *Server) handleSearch(ctx context.Context, req *searchRequest) (any, error) {
 	mm := matmulOf(req.Op)
 
-	// The engine gets only DegradeFraction of the remaining deadline budget:
-	// if it cannot finish inside that, the leftover slack is spent producing
-	// the principle-based one-shot answer instead of a 504. On the paper's
-	// LLM shapes core.Optimize measures about 15 µs median and 0.15 ms p99
-	// (2-vCPU host), so the reserve of a deadline of a few milliseconds
-	// already covers the fallback.
-	scanCtx := ctx
-	degradable := !s.cfg.DisableDegrade
-	if deadline, ok := ctx.Deadline(); ok && degradable {
-		budget := time.Until(deadline)
-		var cancel context.CancelFunc
-		scanCtx, cancel = context.WithTimeout(ctx, time.Duration(float64(budget)*s.cfg.DegradeFraction))
-		defer cancel()
-	}
-
 	// auto, exhaustive and coarse are one canonical walk: auto and
 	// exhaustive over every integer tiling, coarse over the TileGrid
 	// lattice. Each returns the exact answer of a full scan of its lattice,
 	// tie-winner included, after a few hundred pricings. The workers field
-	// is accepted and ignored: no engine runs a worker pool.
+	// is accepted and ignored: no engine runs a worker pool. Every engine
+	// polls ctx.Err(), the walks every 64 cells and candidates and the GA
+	// every generation, so an engine that overruns the request's deadline
+	// stops at its next poll and degrades below: the principle answer then
+	// arrives one core.Optimize (about 15 µs median, 0.15 ms p99 on the
+	// paper's LLM shapes, 2-vCPU host) after the deadline.
 	var res search.Result
 	var err error
 	switch req.Engine {
 	case "", "auto":
-		res, err = search.OptimizeAnalyticCtx(scanCtx, mm, req.Buffer)
+		res, err = search.OptimizeAnalyticCtx(ctx, mm, req.Buffer)
 	case "exhaustive":
-		res, err = search.WalkCtx(scanCtx, mm, req.Buffer, search.GridFull)
+		res, err = search.WalkCtx(ctx, mm, req.Buffer, search.GridFull)
 	case "coarse":
-		res, err = search.WalkCtx(scanCtx, mm, req.Buffer, search.GridCoarse)
+		res, err = search.WalkCtx(ctx, mm, req.Buffer, search.GridCoarse)
 	case "genetic":
-		res, err = search.GeneticCtx(scanCtx, mm, req.Buffer, search.GeneticOptions{Seed: req.Seed})
+		res, err = search.GeneticCtx(ctx, mm, req.Buffer, search.GeneticOptions{Seed: req.Seed})
 	default:
 		return nil, badRequest("service: unknown engine %q (want auto, exhaustive, coarse or genetic)", req.Engine)
 	}
 	if err != nil {
-		if reason, ok := s.degradeReason(ctx, err, degradable); ok {
+		if reason, ok := s.degradeReason(ctx, err); ok {
 			if resp, derr := s.degradedAnswer(mm, req.Buffer, reason); derr == nil {
 				return resp, nil
 			}
@@ -161,13 +150,13 @@ func (s *Server) handleSearch(ctx context.Context, req *searchRequest) (any, err
 }
 
 // degradeReason decides whether a failed search should fall back to the
-// principle optimizer: yes when the engine ran out of its deadline budget
-// or failed internally (a contained panic). Only a client disconnect
-// refuses the fallback — even if the engine overran the reserve and the
-// request deadline itself has lapsed, a slightly late degraded answer
-// still beats a 504, and the connection is alive to carry it.
-func (s *Server) degradeReason(ctx context.Context, err error, degradable bool) (string, bool) {
-	if !degradable || errors.Is(ctx.Err(), context.Canceled) {
+// principle optimizer: yes when the engine overran the request's deadline
+// or failed internally (a contained panic), unless DisableDegrade is set.
+// Only a client disconnect refuses the fallback — the request deadline has
+// lapsed, but a slightly late degraded answer still beats a 504, and the
+// connection is alive to carry it.
+func (s *Server) degradeReason(ctx context.Context, err error) (string, bool) {
+	if s.cfg.DisableDegrade || errors.Is(ctx.Err(), context.Canceled) {
 		return "", false
 	}
 	switch {

@@ -15,8 +15,9 @@
 //
 // plus the operational substrate an accelerator-compiler service needs:
 // strict request validation mapped onto the library's unified error
-// sentinels, per-request deadlines whose cancellation is threaded into the
-// search engines, and a bounded-concurrency admission gate (429 +
+// sentinels, per-request deadlines that the engines poll through
+// ctx.Err() (the deadline is read from the clock, so a request arms no
+// runtime timer), and a bounded-concurrency admission gate (429 +
 // Retry-After on saturation). A Server keeps no per-shape state: every
 // answer is computed from the request alone, in microseconds for the
 // walks.
@@ -26,12 +27,11 @@
 //   - Every registered handler runs inside the recovered panic-isolation
 //     middleware: a panic maps to a 500 internal_error envelope and a
 //     panics_recovered counter, and the process keeps serving.
-//   - /v1/search degrades gracefully: when the engine has consumed the
-//     configured fraction of its deadline budget — or the engine itself
-//     failed with errs.ErrInternal — the handler answers with the
-//     principle-based one-shot optimum and "degraded": true instead of a
-//     504, turning the paper's closed-form result into the service's
-//     always-available fallback.
+//   - /v1/search degrades gracefully: when the engine overran the
+//     request's deadline — or itself failed with errs.ErrInternal — the
+//     handler answers with the principle-based one-shot optimum and
+//     "degraded": true instead of a 504, turning the paper's closed-form
+//     result into the service's always-available fallback.
 //   - Config.Injector arms deterministic fault-injection sites
 //     ("service.<endpoint>") in the request path for chaos testing.
 package service
@@ -65,11 +65,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// RetryAfter is the Retry-After hint (seconds) on 429. Default 1.
 	RetryAfter int
-	// DegradeFraction is the fraction of a /v1/search request's deadline
-	// budget the engine may consume before the handler abandons it and answers
-	// with the principle-based one-shot optimum ("degraded": true). Default
-	// 0.9; must stay in (0, 1). DisableDegrade turns the fallback off.
-	DegradeFraction float64
 	// DisableDegrade forces deadline-pressured searches to 504 instead of
 	// falling back to the principle optimizer.
 	DisableDegrade bool
@@ -88,9 +83,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 1
-	}
-	if c.DegradeFraction <= 0 || c.DegradeFraction >= 1 {
-		c.DegradeFraction = 0.9
 	}
 	return c
 }
@@ -257,7 +249,8 @@ type (
 // per-request deadline (the request's timeout_ms, capped by
 // DefaultTimeout), metrics, and the error envelope. h gets the decoded
 // request under its deadline and returns a JSON-marshalable response or an
-// error.
+// error. The deadline is a deadlineCtx: it arms no timer unless something
+// blocks on its Done, and it is released when the request returns.
 func endpoint[Req any](s *Server, name string, h func(ctx context.Context, req *Req) (any, error)) http.HandlerFunc {
 	latency := s.reg.Histogram("http_latency_ms:"+name, nil)
 	inflight := s.reg.Gauge("http_inflight")
@@ -318,12 +311,14 @@ func endpoint[Req any](s *Server, name string, h func(ctx context.Context, req *
 		herr := decodeStrict(body, &req)
 		var resp any
 		if herr == nil {
+			// timeout_ms is compared in milliseconds, so a value whose
+			// Duration would overflow is capped like any other.
 			timeout := s.cfg.DefaultTimeout
-			if ms := timeoutMS(&req); ms > 0 && time.Duration(ms)*time.Millisecond < timeout {
+			if ms := timeoutMS(&req); ms > 0 && ms <= int64(timeout/time.Millisecond) {
 				timeout = time.Duration(ms) * time.Millisecond
 			}
-			ctx, cancel := context.WithTimeout(r.Context(), timeout)
-			defer cancel()
+			ctx := withDeadline(r.Context(), time.Now().Add(timeout))
+			defer ctx.release()
 			resp, herr = h(ctx, &req)
 		}
 		latency.Observe(float64(time.Since(start)) / float64(time.Millisecond))
