@@ -83,8 +83,10 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzAnalyticOptimum$$' -fuzztime=20s -run='^$$' ./internal/search
 
 ## bench is the CI smoke pass: every benchmark runs once, then fusecu-bench
-## times the Fig. 9 search engines against the frozen reference and writes
-## BENCH_search.json (verifying all engines return identical results).
+## times DAT (the coarse walk plus the GA) and the analytic engine against
+## DAT on the frozen reference scan and writes BENCH_search.json (verifying
+## that both DATs return identical results and the analytic engine stays on
+## the principle line).
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1x ./...
 	$(GO) run ./cmd/fusecu-bench -out BENCH_search.json
@@ -106,12 +108,11 @@ bench-serve:
 ## baseline, or when a baseline benchmark vanished. The tolerance absorbs
 ## shared-runner noise (per-benchmark spikes up to ~1.7× observed on
 ## loaded single-core runners) while still catching the class of
-## regression this gate exists for — engines quietly
-## sliding back to per-candidate dispatch, which measures 2× and up on
-## these benchmarks, the principle optimizer sliding back to a linear
-## tile sweep, which measures 40× and up on the core LLM benchmarks,
-## core pricing its walks through the scalar cost.Evaluate instead of the
-## compiled kernel, which measures 3× and up on the same benchmarks, and
+## regression this gate exists for — the principle optimizer sliding back
+## to a linear tile sweep, which measures 40× and up on the core LLM
+## benchmarks, core pricing its walks through the scalar cost.Evaluate
+## instead of the compiled kernel, which measures 3× and up on the same
+## benchmarks, and
 ## the core and fused walks pricing every trip-count plateau instead of one
 ## point per run, which measures 4× and up on the core LLM benchmarks and
 ## on BenchmarkTileOSISLLM/align=1, and /v1/search's exhaustive and coarse
@@ -129,7 +130,7 @@ bench-serve:
 ## serves search-hot's 54 bodies through the service handler. The
 ## per-request context.WithTimeout timers and formatted loop-order names it
 ## replaced measure only 1.2× there, but allocate 36 times per request
-## against 24, which the allocs column shows.
+## against 23, which the allocs column shows.
 ## Set BENCH_GATE=0 for the old advisory behaviour.
 BENCH_BASELINE ?= bench/baseline_search.txt
 BENCH_GATE ?= 1.75

@@ -1,27 +1,23 @@
-// Command fusecu-bench times the Fig. 9 search-validation sweep under five
-// engine configurations and writes a machine-readable report:
+// Command fusecu-bench times the Fig. 9 search-validation sweep under three
+// engines and writes a machine-readable report:
 //
 //   - reference-sequential: DAT on the frozen pre-optimization engines
 //     (unpruned coarse scan, per-candidate cost.Evaluate) plus the GA — the
 //     honest baseline.
-//   - pruned: footprint-pruned scans priced through the batch kernel at
-//     every buffer point (experiments.Fig9).
-//   - parallel: the same, with (operator, buffer) points fanned across a
-//     worker pool (experiments.Fig9Parallel).
-//   - search-sweep-table: one footprint-indexed candidate table per operator,
-//     answering every buffer point by binary search over the table
-//     (experiments.Fig9Sweep).
+//   - dat: DAT as the experiments run it (experiments.Fig9, search.Optimize):
+//     the canonical coarse walk with its lattice visits counted, not
+//     priced, plus the same GA.
 //   - search-sweep-analytic: the exact analytic optimizer alone — no
 //     lattice, no GA; hundreds of exact evaluations per point
 //     (experiments.Fig9Analytic). It is held to the principle line, not to
 //     DAT: DAT's GA lands above the line at some small buffers by design.
 //
-// The report (default BENCH_search.json) records wall time, cost-model
-// invocations, and table-served visits (cache_hits) per engine, whether
-// the four DAT engines produced bit-identical results and the analytic
-// engine matched the principle line at every point — which they must —
-// and the polish evaluation drop: the GA's evaluation count over the
-// analytic engine's across the same sweep points, gated ≥ 10×.
+// The report (default BENCH_search.json) records wall time and candidate
+// visits per engine, whether the two DAT engines produced bit-identical
+// results and the analytic engine matched the principle line at every
+// point — which they must — and the polish evaluation drop: the GA's
+// evaluation count over the analytic engine's across the same sweep points,
+// gated ≥ 10×.
 //
 //	fusecu-bench -out BENCH_search.json        # reduced sweep (CI smoke)
 //	fusecu-bench -full -out BENCH_search.json  # the paper's 32KiB–32MiB sweep
@@ -31,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -43,14 +40,9 @@ import (
 )
 
 type engineReport struct {
-	Name   string  `json:"name"`
-	WallMs float64 `json:"wall_ms"`
-	// Workers is the worker count the engine effectively ran with: the pool
-	// size clamped to schedulable cores for the parallel engine, 1 for the
-	// sequential ones.
-	Workers     int   `json:"workers"`
-	Evaluations int64 `json:"evaluations"`
-	CacheHits   int64 `json:"cache_hits"`
+	Name        string  `json:"name"`
+	WallMs      float64 `json:"wall_ms"`
+	Evaluations int64   `json:"evaluations"`
 }
 
 type report struct {
@@ -59,26 +51,16 @@ type report struct {
 	Ops          []string       `json:"ops"`
 	BufferPoints int            `json:"buffer_points"`
 	Cores        int            `json:"cores"`
-	Workers      int            `json:"workers"`
 	Engines      []engineReport `json:"engines"`
-	// Speedups are reference-sequential wall time divided by each optimized
-	// engine's wall time. A speedup is null — never Inf or NaN — when either
-	// wall time is too close to zero for the ratio to mean anything, and
-	// speedup_parallel is additionally null when the parallel engine could
-	// not actually parallelize (single_core below): a 1-worker "parallel"
-	// ratio would quietly report scheduling noise as scaling.
-	SpeedupPruned   *float64 `json:"speedup_pruned"`
-	SpeedupParallel *float64 `json:"speedup_parallel"`
-	SpeedupTable    *float64 `json:"speedup_table"`
+	// Speedups are reference-sequential wall time divided by each engine's
+	// wall time. A speedup is null — never Inf or NaN — when either wall
+	// time is too close to zero for the ratio to mean anything.
+	SpeedupDAT      *float64 `json:"speedup_dat"`
 	SpeedupAnalytic *float64 `json:"speedup_analytic"`
-	// SingleCore is true when the parallel engine effectively ran one
-	// worker (single-core container or -workers=1), so no parallel-scaling
-	// conclusion can be drawn from this report.
-	SingleCore bool `json:"single_core,omitempty"`
 	// IdenticalResults is true iff every (operator, buffer) point's
-	// principle MA, search MA, and total candidate-visit count agree across
-	// the lattice-backed DAT engines, and the analytic engine's search MA
-	// equals the principle MA at every point.
+	// principle MA, search MA, and candidate-visit count agree between the
+	// two DAT engines, and the analytic engine's search MA equals the
+	// principle MA at every point.
 	IdenticalResults bool `json:"identical_results"`
 	// PolishEvalsGA / PolishEvalsAnalytic sum, over the same sweep points,
 	// the evaluation counts of the GA and of the analytic engine; their
@@ -93,67 +75,58 @@ type report struct {
 // sweep, or the bench fails loudly.
 const minPolishDrop = 10
 
-func main() {
+func main() { os.Exit(cli(os.Args[1:], os.Stderr)) }
+
+// cli parses args and runs the selected mode. A usage error — an unknown
+// or retired flag, or -chaos without -serve-load — exits 2, a failed run 1.
+func cli(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fusecu-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		out     = flag.String("out", "BENCH_search.json", "output report path (search sweep mode)")
-		full    = flag.Bool("full", false, "run the paper's full 32KiB-32MiB sweep instead of the reduced smoke sweep")
-		workers = flag.Int("workers", 0, "workers for the parallel engine in the search sweep (0 = GOMAXPROCS)")
-		load    = flag.Bool("serve-load", false, "benchmark the fusecu-serve HTTP service under concurrent /v1/search load instead")
-		loadOut = flag.String("serve-out", "BENCH_serve.json", "output report path (-serve-load mode)")
-		clients = flag.Int("clients", 96, "concurrent clients for -serve-load")
-		maxInFl = flag.Int("max-inflight", 64, "service admission ceiling for -serve-load (per replica)")
-		repl    = flag.Int("replicas", 1, "fusecu-serve replicas behind the round-robin router for -serve-load")
-		pprofAt = flag.String("pprof", "", "expose net/http/pprof on this separate listener during -serve-load (empty = disabled)")
-		chaos   = flag.Bool("chaos", false, "with -serve-load: run the seeded chaos schedule — replicas hard-killed and restarted mid-wave — and assert the failover/ejection/recovery contract")
-		cseed   = flag.Int64("chaos-seed", 1, "seed for the chaos schedule's victim order and injected-fault RNG")
-		ckills  = flag.Int("chaos-kills", 2, "kill/restart cycles in the chaos schedule")
-		hedge   = flag.Duration("hedge-after", 0, "router hedge delay in chaos mode (0 = hedging off)")
-		proxyAt = flag.Int("proxy-attempts", 3, "router per-request upstream attempt budget in chaos mode")
+		out     = fs.String("out", "BENCH_search.json", "output report path (search sweep mode)")
+		full    = fs.Bool("full", false, "run the paper's full 32KiB-32MiB sweep instead of the reduced smoke sweep")
+		load    = fs.Bool("serve-load", false, "benchmark the fusecu-serve HTTP service under concurrent /v1/search load instead")
+		loadOut = fs.String("serve-out", "BENCH_serve.json", "output report path (-serve-load mode)")
+		clients = fs.Int("clients", 96, "concurrent clients for -serve-load")
+		maxInFl = fs.Int("max-inflight", 64, "service admission ceiling for -serve-load (per replica)")
+		repl    = fs.Int("replicas", 1, "fusecu-serve replicas behind the round-robin router for -serve-load")
+		pprofAt = fs.String("pprof", "", "expose net/http/pprof on this separate listener during -serve-load (empty = disabled)")
+		chaos   = fs.Bool("chaos", false, "with -serve-load: run the seeded chaos schedule — replicas hard-killed and restarted mid-wave — and assert the failover/ejection/recovery contract")
+		cseed   = fs.Int64("chaos-seed", 1, "seed for the chaos schedule's victim order and injected-fault RNG")
+		ckills  = fs.Int("chaos-kills", 2, "kill/restart cycles in the chaos schedule")
+		hedge   = fs.Duration("hedge-after", 0, "router hedge delay in chaos mode (0 = hedging off)")
+		proxyAt = fs.Int("proxy-attempts", 3, "router per-request upstream attempt budget in chaos mode")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *chaos && !*load {
-		fmt.Fprintln(os.Stderr, "fusecu-bench: -chaos requires -serve-load")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "fusecu-bench: -chaos requires -serve-load")
+		return 2
 	}
-	if *load {
-		var err error
-		if *chaos {
-			err = chaosLoad(*loadOut, *clients, *maxInFl, *repl, *cseed, *ckills, *hedge, *proxyAt)
-		} else {
-			err = serveLoad(*loadOut, *clients, *maxInFl, *repl, *pprofAt)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fusecu-bench:", err)
-			os.Exit(1)
-		}
-		return
+	var err error
+	switch {
+	case *chaos:
+		err = chaosLoad(*loadOut, *clients, *maxInFl, *repl, *cseed, *ckills, *hedge, *proxyAt)
+	case *load:
+		err = serveLoad(*loadOut, *clients, *maxInFl, *repl, *pprofAt)
+	default:
+		err = run(*out, *full)
 	}
-	if err := run(*out, *full, *workers); err != nil {
-		fmt.Fprintln(os.Stderr, "fusecu-bench:", err)
-		os.Exit(1)
+	if err != nil {
+		fmt.Fprintln(stderr, "fusecu-bench:", err)
+		return 1
 	}
+	return 0
 }
 
-func run(out string, full bool, workers int) error {
+func run(out string, full bool) error {
 	ops, buffers := sweep(full)
-
-	// Cores is the schedulable parallelism (GOMAXPROCS may be capped below
-	// NumCPU in containers); Workers is the count the parallel engine
-	// effectively ran with — the resolved pool size clamped to cores, since
-	// goroutines beyond GOMAXPROCS cannot add parallelism to a CPU-bound
-	// scan.
-	cores := runtime.GOMAXPROCS(0)
-	effectiveWorkers := workers
-	if effectiveWorkers <= 0 || effectiveWorkers > cores {
-		effectiveWorkers = cores
-	}
 	rep := report{
 		Benchmark:    "fig9-search-sweep",
 		FullSweep:    full,
 		BufferPoints: len(buffers),
-		Cores:        cores,
-		Workers:      effectiveWorkers,
-		SingleCore:   effectiveWorkers == 1,
+		Cores:        runtime.GOMAXPROCS(0),
 	}
 	for _, mm := range ops {
 		rep.Ops = append(rep.Ops, mm.String())
@@ -166,26 +139,12 @@ func run(out string, full bool, workers int) error {
 	}
 	refWall := time.Since(refStart)
 
-	prunedStart := time.Now()
-	pruned, err := experiments.Fig9(ops, buffers, 1)
+	datStart := time.Now()
+	dat, err := experiments.Fig9(ops, buffers, 1)
 	if err != nil {
-		return fmt.Errorf("pruned engine: %w", err)
+		return fmt.Errorf("dat engine: %w", err)
 	}
-	prunedWall := time.Since(prunedStart)
-
-	parStart := time.Now()
-	par, err := experiments.Fig9Parallel(ops, buffers, 1, workers)
-	if err != nil {
-		return fmt.Errorf("parallel engine: %w", err)
-	}
-	parWall := time.Since(parStart)
-
-	tabStart := time.Now()
-	tab, err := experiments.Fig9Sweep(ops, buffers, 1)
-	if err != nil {
-		return fmt.Errorf("table-sweep engine: %w", err)
-	}
-	tabWall := time.Since(tabStart)
+	datWall := time.Since(datStart)
 
 	anaStart := time.Now()
 	ana, err := experiments.Fig9Analytic(ops, buffers)
@@ -195,23 +154,16 @@ func run(out string, full bool, workers int) error {
 	anaWall := time.Since(anaStart)
 
 	rep.Engines = []engineReport{
-		tally("reference-sequential", refWall, 1, ref),
-		tally("pruned", prunedWall, 1, pruned),
-		tally("parallel", parWall, effectiveWorkers, par),
-		tally("search-sweep-table", tabWall, 1, tab),
-		tally("search-sweep-analytic", anaWall, 1, ana),
+		tally("reference-sequential", refWall, ref),
+		tally("dat", datWall, dat),
+		tally("search-sweep-analytic", anaWall, ana),
 	}
-	rep.SpeedupPruned = ratio(refWall, prunedWall)
-	rep.SpeedupTable = ratio(refWall, tabWall)
+	rep.SpeedupDAT = ratio(refWall, datWall)
 	rep.SpeedupAnalytic = ratio(refWall, anaWall)
-	if !rep.SingleCore {
-		rep.SpeedupParallel = ratio(refWall, parWall)
-	}
-	rep.IdenticalResults = identical(ref, pruned) && identical(ref, par) && identical(ref, tab) &&
-		onPrincipleLine(ana)
+	rep.IdenticalResults = identical(ref, dat) && onPrincipleLine(ana)
 
 	// Price the GA alone once over the same points for the drop.
-	rep.PolishEvalsAnalytic = tally("", 0, 1, ana).Evaluations
+	rep.PolishEvalsAnalytic = rep.Engines[2].Evaluations
 	rep.PolishEvalsGA, err = gaPolishEvals(ops, buffers, 1)
 	if err != nil {
 		return fmt.Errorf("ga baseline: %w", err)
@@ -238,13 +190,8 @@ func run(out string, full bool, workers int) error {
 	if err := write(out, rep); err != nil {
 		return err
 	}
-	parNote := fmtSpeedup(rep.SpeedupParallel)
-	if rep.SingleCore {
-		parNote = "single-core"
-	}
-	fmt.Printf("wrote %s: reference %.1fms, pruned %.1fms (%s), parallel %.1fms (%s), table %.1fms (%s), analytic %.1fms (%s), polish-drop %.1fx, identical=%v\n",
-		out, ms(refWall), ms(prunedWall), fmtSpeedup(rep.SpeedupPruned),
-		ms(parWall), parNote, ms(tabWall), fmtSpeedup(rep.SpeedupTable),
+	fmt.Printf("wrote %s: reference %.1fms, dat %.1fms (%s), analytic %.1fms (%s), polish-drop %.1fx, identical=%v\n",
+		out, ms(refWall), ms(datWall), fmtSpeedup(rep.SpeedupDAT),
 		ms(anaWall), fmtSpeedup(rep.SpeedupAnalytic), rep.PolishEvalDrop, rep.IdenticalResults)
 	return nil
 }
@@ -343,22 +290,20 @@ func referenceOptimize(mm op.MatMul, bufferSize, seed int64) (search.Result, err
 	return r, nil
 }
 
-// tally sums an engine's evaluation and table-hit counters over the sweep.
-func tally(name string, wall time.Duration, workers int, results []experiments.Fig9Result) engineReport {
-	rep := engineReport{Name: name, WallMs: ms(wall), Workers: workers}
+// tally sums an engine's candidate visits over the sweep.
+func tally(name string, wall time.Duration, results []experiments.Fig9Result) engineReport {
+	rep := engineReport{Name: name, WallMs: ms(wall)}
 	for _, r := range results {
 		for _, p := range r.Points {
 			rep.Evaluations += p.SearchEvals
-			rep.CacheHits += p.SearchCacheHits
 		}
 	}
 	return rep
 }
 
 // identical reports whether two sweeps agree on every paper-facing value:
-// buffer point, principle MA, search MA, ideal bound, and the total
-// candidate-visit count (evaluations + table hits, which a table must
-// conserve).
+// buffer point, principle MA, search MA, ideal bound, and the
+// candidate-visit count.
 func identical(a, b []experiments.Fig9Result) bool {
 	if len(a) != len(b) {
 		return false
@@ -371,7 +316,7 @@ func identical(a, b []experiments.Fig9Result) bool {
 			pa, pb := a[i].Points[j], b[i].Points[j]
 			if pa.BufferElems != pb.BufferElems || pa.PrincipleMA != pb.PrincipleMA ||
 				pa.SearchMA != pb.SearchMA || pa.Ideal != pb.Ideal ||
-				pa.SearchEvals+pa.SearchCacheHits != pb.SearchEvals+pb.SearchCacheHits {
+				pa.SearchEvals != pb.SearchEvals {
 				return false
 			}
 		}

@@ -1,16 +1,18 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 )
 
 func TestRunWritesConsistentReport(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "bench.json")
-	if err := run(out, false, 2); err != nil {
+	if err := run(out, false); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
@@ -24,43 +26,28 @@ func TestRunWritesConsistentReport(t *testing.T) {
 	if !rep.IdenticalResults {
 		t.Fatal("engines disagreed on the sweep")
 	}
-	if len(rep.Engines) != 5 {
-		t.Fatalf("engines = %d", len(rep.Engines))
-	}
-	if rep.Engines[3].Name != "search-sweep-table" {
-		t.Fatalf("fourth engine = %q, want search-sweep-table", rep.Engines[3].Name)
-	}
-	if rep.Engines[4].Name != "search-sweep-analytic" {
-		t.Fatalf("fifth engine = %q, want search-sweep-analytic", rep.Engines[4].Name)
-	}
-	if rep.Cores <= 0 || rep.Workers <= 0 {
-		t.Fatalf("cores/workers not resolved: %d/%d", rep.Cores, rep.Workers)
-	}
-	refEvals := rep.Engines[0].Evaluations + rep.Engines[0].CacheHits
+	var names []string
 	for _, e := range rep.Engines {
+		names = append(names, e.Name)
 		if e.WallMs <= 0 {
 			t.Errorf("%s: wall %.3fms", e.Name, e.WallMs)
 		}
-		if e.Name == "search-sweep-analytic" {
-			// The analytic engine runs no lattice stage at all: its visit
-			// count is its whole advantage, so it sits far below the
-			// conserved lattice sum and is never served from a table.
-			if e.Evaluations <= 0 || e.Evaluations >= refEvals || e.CacheHits != 0 {
-				t.Errorf("analytic engine visits %d/%d hits (lattice sum %d)",
-					e.Evaluations, e.CacheHits, refEvals)
-			}
-			continue
-		}
-		// The table reassigns visits between the counters but must
-		// conserve their sum across the lattice-backed engines.
-		if e.Evaluations+e.CacheHits != refEvals {
-			t.Errorf("%s: visits %d, reference %d", e.Name, e.Evaluations+e.CacheHits, refEvals)
-		}
 	}
-	for _, e := range rep.Engines {
-		if served := e.CacheHits != 0; served != (e.Name == "search-sweep-table") {
-			t.Errorf("%s: %d table-served visits", e.Name, e.CacheHits)
-		}
+	if want := []string{"reference-sequential", "dat", "search-sweep-analytic"}; !slices.Equal(names, want) {
+		t.Fatalf("engines = %v, want %v", names, want)
+	}
+	if rep.Cores <= 0 {
+		t.Fatalf("cores not resolved: %d", rep.Cores)
+	}
+	// DAT counts the lattice visits the reference prices, so the two
+	// report the same total; the analytic engine runs no lattice stage at
+	// all, so it sits far below it.
+	ref, dat, ana := rep.Engines[0], rep.Engines[1], rep.Engines[2]
+	if dat.Evaluations != ref.Evaluations {
+		t.Errorf("dat visits %d, reference %d", dat.Evaluations, ref.Evaluations)
+	}
+	if ana.Evaluations <= 0 || ana.Evaluations >= ref.Evaluations {
+		t.Errorf("analytic engine visits %d (lattice sum %d)", ana.Evaluations, ref.Evaluations)
 	}
 	// The polish-drop gate holds the analytic engine to pricing at least
 	// 10× fewer candidates than the GA, over the same sweep points.
@@ -71,68 +58,37 @@ func TestRunWritesConsistentReport(t *testing.T) {
 	if rep.PolishEvalDrop < minPolishDrop {
 		t.Errorf("polish eval drop %.1fx below the %dx floor", rep.PolishEvalDrop, minPolishDrop)
 	}
-	if rep.Engines[4].Evaluations != rep.PolishEvalsAnalytic {
-		t.Errorf("analytic evals %d != analytic engine evals %d",
-			rep.PolishEvalsAnalytic, rep.Engines[4].Evaluations)
+	if ana.Evaluations != rep.PolishEvalsAnalytic {
+		t.Errorf("analytic evals %d != analytic engine evals %d", rep.PolishEvalsAnalytic, ana.Evaluations)
 	}
-	for i, e := range rep.Engines {
-		want := 1
-		if e.Name == "parallel" {
-			want = rep.Workers
-		}
-		if e.Workers != want {
-			t.Errorf("engine %d (%s): workers %d, want %d", i, e.Name, e.Workers, want)
-		}
-	}
-	if rep.SpeedupPruned == nil || *rep.SpeedupPruned <= 0 ||
-		rep.SpeedupTable == nil || *rep.SpeedupTable <= 0 {
-		t.Errorf("degenerate sequential speedups: %+v", rep)
-	}
-	// The parallel ratio only means something when the engine could actually
-	// parallelize; on a single schedulable core it must be suppressed rather
-	// than reported as scaling.
-	if rep.SingleCore {
-		if rep.SpeedupParallel != nil {
-			t.Errorf("single-core run reported speedup_parallel %v, want null", *rep.SpeedupParallel)
-		}
-	} else if rep.SpeedupParallel == nil || *rep.SpeedupParallel <= 0 {
-		t.Errorf("multi-core run suppressed speedup_parallel: %+v", rep)
+	if rep.SpeedupDAT == nil || *rep.SpeedupDAT <= 0 ||
+		rep.SpeedupAnalytic == nil || *rep.SpeedupAnalytic <= 0 {
+		t.Errorf("degenerate speedups: %+v", rep)
 	}
 }
 
-// TestRunSingleWorkerNullsParallelSpeedup pins the misleading-report fix: a
-// run whose parallel engine cannot parallelize (-workers=1) must flag
-// single_core and write speedup_parallel as JSON null, not a ~1.0 "speedup".
-func TestRunSingleWorkerNullsParallelSpeedup(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "bench.json")
-	if err := run(out, false, 1); err != nil {
-		t.Fatal(err)
+// TestCLIUsageErrors: usage errors exit 2 with a diagnostic on stderr, and
+// the retired search-pool flag fails startup loudly rather than being
+// silently ignored.
+func TestCLIUsageErrors(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"unknown flag", []string{"-bogus"}},
+		{"chaos without serve-load", []string{"-chaos"}},
+		{"retired workers", []string{"-workers", "4"}},
 	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(data, &raw); err != nil {
-		t.Fatal(err)
-	}
-	if got := string(raw["speedup_parallel"]); got != "null" {
-		t.Errorf("speedup_parallel = %s, want null", got)
-	}
-	if got := string(raw["single_core"]); got != "true" {
-		t.Errorf("single_core = %s, want true", got)
-	}
-	var rep report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Workers != 1 {
-		t.Errorf("effective workers = %d, want 1", rep.Workers)
-	}
-	for _, e := range rep.Engines {
-		if e.Workers != 1 {
-			t.Errorf("%s: workers %d, want 1", e.Name, e.Workers)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var stderr bytes.Buffer
+			if code := cli(tc.args, &stderr); code != 2 {
+				t.Fatalf("exit code = %d, want 2 (stderr: %s)", code, stderr.String())
+			}
+			if stderr.Len() == 0 {
+				t.Fatal("usage error produced no diagnostic")
+			}
+		})
 	}
 }
 
@@ -157,7 +113,7 @@ func TestRatioGuards(t *testing.T) {
 	}
 	// Whatever the guard returns must always survive JSON marshalling.
 	for _, d := range []time.Duration{0, 1, minRatioWall, time.Second} {
-		if _, err := json.Marshal(report{SpeedupParallel: ratio(time.Second, d)}); err != nil {
+		if _, err := json.Marshal(report{SpeedupDAT: ratio(time.Second, d)}); err != nil {
 			t.Errorf("marshal with opt=%v: %v", d, err)
 		}
 	}

@@ -34,13 +34,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fusecu-opt", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		m       = fs.Int("m", 1024, "M dimension (rows of A and C)")
-		k       = fs.Int("k", 768, "K dimension (reduction)")
-		l       = fs.Int("l", 768, "L dimension (columns of B and C)")
-		buffer  = fs.Int64("buffer", 512*1024, "buffer size in elements")
-		chain   = fs.String("chain", "", "comma-separated MxKxL chain, e.g. 512x64x512,512x512x64")
-		check   = fs.Bool("check", false, "cross-check against the DAT-style search baseline")
-		workers = fs.Int("workers", 0, "search workers for -check (0 = GOMAXPROCS, 1 = sequential)")
+		m      = fs.Int("m", 1024, "M dimension (rows of A and C)")
+		k      = fs.Int("k", 768, "K dimension (reduction)")
+		l      = fs.Int("l", 768, "L dimension (columns of B and C)")
+		buffer = fs.Int64("buffer", 512*1024, "buffer size in elements")
+		chain  = fs.String("chain", "", "comma-separated MxKxL chain, e.g. 512x64x512,512x512x64")
+		check  = fs.Bool("check", false, "cross-check against the DAT-style search baseline")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -58,14 +57,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if err := runSingle(stdout, op.MatMul{Name: "op", M: *m, K: *k, L: *l}, *buffer, *check, *workers); err != nil {
+	if err := runSingle(stdout, op.MatMul{Name: "op", M: *m, K: *k, L: *l}, *buffer, *check); err != nil {
 		fmt.Fprintln(stderr, "fusecu-opt:", err)
 		return 1
 	}
 	return 0
 }
 
-func runSingle(w io.Writer, mm op.MatMul, buffer int64, check bool, workers int) error {
+func runSingle(w io.Writer, mm op.MatMul, buffer int64, check bool) error {
 	res, err := core.Optimize(mm, buffer)
 	if err != nil {
 		return err
@@ -82,7 +81,7 @@ func runSingle(w io.Writer, mm op.MatMul, buffer int64, check bool, workers int)
 		res.Access.PerTensor[0], res.Access.PerTensor[1], res.Access.PerTensor[2], res.Access.OutputReads)
 	fmt.Fprintf(w, "footprint:  %d / %d elements\n", res.Access.Footprint, buffer)
 	if check {
-		sr, err := search.OptimizeParallel(mm, buffer, search.GeneticOptions{Seed: 1}, workers)
+		sr, err := search.Optimize(mm, buffer, search.GeneticOptions{Seed: 1})
 		if err != nil {
 			return err
 		}

@@ -38,10 +38,7 @@ func TestParseChainErrors(t *testing.T) {
 
 func TestRunSingleAndChain(t *testing.T) {
 	var out bytes.Buffer
-	if err := runSingle(&out, opFor(64, 32, 48), 4096, true, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := runSingle(&out, opFor(64, 32, 48), 4096, true, 2); err != nil {
+	if err := runSingle(&out, opFor(64, 32, 48), 4096, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := runChain(&out, "64x16x64,64x64x16", 4096); err != nil {
@@ -68,6 +65,9 @@ func TestRunBadInput(t *testing.T) {
 		{"buffer too small", []string{"-m", "8", "-k", "8", "-l", "8", "-buffer", "1"}, 1},
 		{"malformed chain", []string{"-chain", "1x2"}, 1},
 		{"mismatched chain", []string{"-chain", "8x8x8,9x9x9"}, 1},
+		// The search pool's flag is retired: it fails startup loudly
+		// rather than being silently ignored.
+		{"retired workers", []string{"-check", "-workers", "4"}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -156,18 +156,18 @@ func NewFusedPair(first, second MatMul) (FusedPair, error) {
 }
 
 // SearchOptimize runs the DAT-style search baseline over the same dataflow
-// space (coarse-lattice enumeration polished by the GA on small lattices,
-// the GA alone otherwise).
+// space (the coarse lattice's exact optimum polished by the GA on small
+// lattices, the GA alone otherwise).
 func SearchOptimize(mm MatMul, bufferSize int64, seed int64) (SearchResult, error) {
 	return search.Optimize(mm, bufferSize, search.GeneticOptions{Seed: seed})
 }
 
-// SearchOptimizeCtx is SearchOptimize with a parallel worker pool and
-// cooperative cancellation: the scan stops promptly when ctx is done and
-// returns ctx's error. workers ≤ 0 selects GOMAXPROCS; the result is
-// bit-identical to SearchOptimize for any worker count.
+// SearchOptimizeCtx is SearchOptimize with cooperative cancellation: the
+// search stops promptly when ctx is done and returns ctx's error. workers is
+// accepted and ignored: the search runs on the calling goroutine, and the
+// result is bit-identical to SearchOptimize.
 func SearchOptimizeCtx(ctx context.Context, mm MatMul, bufferSize int64, seed int64, workers int) (SearchResult, error) {
-	return search.OptimizeParallelCtx(ctx, mm, bufferSize, search.GeneticOptions{Seed: seed}, workers)
+	return search.OptimizeCtx(ctx, mm, bufferSize, search.GeneticOptions{Seed: seed})
 }
 
 // Platforms returns the five evaluation platforms in the paper's order.

@@ -299,7 +299,7 @@ func TestPrinciplesMatchExhaustiveOptimum(t *testing.T) {
 			if bs < 3 {
 				continue
 			}
-			want, err := search.Exhaustive(mm, bs)
+			want, err := search.ReferenceExhaustive(mm, bs)
 			if err != nil {
 				t.Fatalf("%v BS=%d: %v", mm, bs, err)
 			}
@@ -323,7 +323,7 @@ func TestPrinciplesMatchExhaustiveRandomized(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		mm := op.MatMul{M: rng.Intn(14) + 2, K: rng.Intn(14) + 2, L: rng.Intn(14) + 2}
 		bs := int64(rng.Intn(int(mm.IdealMA()))) + 3
-		want, err := search.Exhaustive(mm, bs)
+		want, err := search.ReferenceExhaustive(mm, bs)
 		if err != nil {
 			continue // buffer too small for any tiling
 		}

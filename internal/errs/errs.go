@@ -25,8 +25,8 @@
 //   - ErrUnknownPlatform — a platform name outside Table III.
 //   - ErrUnknownModel    — a model name outside Table II.
 //   - ErrInternal        — an engine failed in a way valid inputs never
-//     should: a panic contained at a worker-pool or generation-loop boundary
-//     (organic or fault-injected). The inputs may be fine; retrying or
+//     should: a panic contained at an engine's boundary — the walk, a
+//     table build, the GA's generation loop — (organic or fault-injected). The inputs may be fine; retrying or
 //     falling back to the principle optimizer is legitimate.
 package errs
 

@@ -73,7 +73,7 @@ func searchErr(t *testing.T, mm op.MatMul, bs int64) error {
 
 func searchValidate(t *testing.T, mm op.MatMul) error {
 	t.Helper()
-	_, err := search.Exhaustive(mm, 1024)
+	_, err := search.ReferenceExhaustive(mm, 1024)
 	return err
 }
 

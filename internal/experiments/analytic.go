@@ -15,8 +15,7 @@ import (
 // lattice scan, no randomness. The engine is exact, so its MA values sit on
 // the principle line at every point, where DAT (Fig9) lands above it at
 // some small buffers. The per-point SearchEvals are the analytic engine's
-// own evaluation counts (hundreds, versus the GA's thousands), and
-// SearchCacheHits is always zero.
+// own evaluation counts (hundreds, versus the GA's thousands).
 func Fig9Analytic(ops []op.MatMul, buffers []int64) ([]Fig9Result, error) {
 	return Fig9AnalyticCtx(context.Background(), ops, buffers)
 }

@@ -8,11 +8,7 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
 
 	"fusecu/internal/arch"
 	"fusecu/internal/area"
@@ -37,15 +33,11 @@ type Fig9Point struct {
 	// PrincipleMA is the one-shot analytical optimum; SearchMA is what the
 	// DAT-style searcher found; Ideal is the unbounded-buffer lower bound.
 	PrincipleMA, SearchMA, Ideal int64
-	// SearchEvals counts the searcher's cost-model invocations (the
-	// principles use a constant-size candidate set), the paper's
-	// search-cost metric. SearchEvals + SearchCacheHits is the total
-	// candidate-visit count, identical on the scan and table paths.
+	// SearchEvals is the searcher's candidate-visit count, the paper's
+	// search-cost metric (the principles use a constant-size candidate
+	// set): for DAT, the coarse-lattice candidates its lattice stage visits
+	// plus the GA's cost-model invocations.
 	SearchEvals int64
-	// SearchCacheHits counts lattice visits a candidate table served
-	// without invoking the cost model (Fig9Sweep); the scan-backed sweeps
-	// report 0.
-	SearchCacheHits int64
 }
 
 // Fig9Result is the sweep for one operator.
@@ -83,25 +75,22 @@ func fig9Point(ctx context.Context, mm op.MatMul, bs, seed int64) (Fig9Point, er
 	if err != nil {
 		return Fig9Point{}, fmt.Errorf("experiments: fig9 %v BS=%d: %w", mm, bs, err)
 	}
-	sr, err := search.OptimizeParallelCtx(ctx, mm, bs, search.GeneticOptions{Seed: seed}, 1)
+	sr, err := search.OptimizeCtx(ctx, mm, bs, search.GeneticOptions{Seed: seed})
 	if err != nil {
 		return Fig9Point{}, fmt.Errorf("experiments: fig9 search %v BS=%d: %w", mm, bs, err)
 	}
 	return Fig9Point{
-		BufferElems:     bs,
-		PrincipleMA:     pr.Access.Total,
-		SearchMA:        sr.Access.Total,
-		Ideal:           mm.IdealMA(),
-		SearchEvals:     sr.Evaluations,
-		SearchCacheHits: sr.CacheHits,
+		BufferElems: bs,
+		PrincipleMA: pr.Access.Total,
+		SearchMA:    sr.Access.Total,
+		Ideal:       mm.IdealMA(),
+		SearchEvals: sr.Evaluations,
 	}, nil
 }
 
 // Fig9 validates the principles against the search baseline (DAT:
-// search.Optimize, the coarse lattice polished by the GA) across the buffer
-// sweep. seed seeds the GA. Every point rescans the operator's coarse
-// lattice through the batch kernel; Fig9Sweep is the table-backed
-// equivalent.
+// search.Optimize, the coarse lattice's exact optimum polished by the GA)
+// across the buffer sweep. seed seeds the GA.
 func Fig9(ops []op.MatMul, buffers []int64, seed int64) ([]Fig9Result, error) {
 	return Fig9Ctx(context.Background(), ops, buffers, seed)
 }
@@ -123,107 +112,6 @@ func Fig9Ctx(ctx context.Context, ops []op.MatMul, buffers []int64, seed int64) 
 		results = append(results, r)
 	}
 	return results, nil
-}
-
-// Fig9Parallel computes the same sweep as Fig9 with the (operator, buffer)
-// points fanned across a worker pool (workers ≤ 0 selects GOMAXPROCS).
-// Every point is deterministic and identical to Fig9's. Failed points are
-// reported joined, sorted by sweep position, so failures reproduce run to
-// run.
-func Fig9Parallel(ops []op.MatMul, buffers []int64, seed int64, workers int) ([]Fig9Result, error) {
-	return Fig9ParallelCtx(context.Background(), ops, buffers, seed, workers)
-}
-
-// Fig9ParallelCtx is Fig9Parallel with cooperative cancellation: when ctx is
-// canceled, no further sweep points are dispatched, in-flight points abandon
-// their search at the engine's next cancellation poll, and the call returns
-// an error wrapping ctx.Err() instead of a partial sweep.
-func Fig9ParallelCtx(ctx context.Context, ops []op.MatMul, buffers []int64, seed int64, workers int) ([]Fig9Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	points := make([][]Fig9Point, len(ops))
-	for i := range ops {
-		points[i] = make([]Fig9Point, len(buffers))
-	}
-
-	type job struct{ oi, bi int }
-	total := len(ops) * len(buffers)
-	if workers > total {
-		workers = total
-	}
-	state := &fig9State{}
-	ch := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				// Each worker writes a distinct points[oi][bi] slot; only
-				// the error list is shared.
-				p, err := fig9Point(ctx, ops[j.oi], buffers[j.bi], seed)
-				if err != nil {
-					state.mu.Lock()
-					state.errs = append(state.errs, fig9Error{oi: j.oi, bi: j.bi, err: err})
-					state.mu.Unlock()
-					continue
-				}
-				points[j.oi][j.bi] = p
-			}
-		}()
-	}
-	done := ctx.Done()
-dispatch:
-	for oi := range ops {
-		for bi := range buffers {
-			select {
-			case ch <- job{oi, bi}:
-			case <-done:
-				break dispatch
-			}
-		}
-	}
-	close(ch)
-	wg.Wait()
-
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("experiments: fig9 sweep canceled: %w", err)
-	}
-
-	state.mu.Lock()
-	defer state.mu.Unlock()
-	if len(state.errs) > 0 {
-		sort.Slice(state.errs, func(i, j int) bool {
-			if state.errs[i].oi != state.errs[j].oi {
-				return state.errs[i].oi < state.errs[j].oi
-			}
-			return state.errs[i].bi < state.errs[j].bi
-		})
-		joined := make([]error, len(state.errs))
-		for i, e := range state.errs {
-			joined[i] = e.err
-		}
-		return nil, errors.Join(joined...)
-	}
-	results := make([]Fig9Result, len(ops))
-	for i, mm := range ops {
-		results[i] = Fig9Result{Op: mm, Points: points[i]}
-	}
-	return results, nil
-}
-
-// fig9Error locates one failed sweep point for deterministic reporting.
-type fig9Error struct {
-	oi, bi int
-	err    error
-}
-
-// fig9State is the mutex-guarded shared state of one parallel sweep
-// (lockedsimstate-enforced, -race-backstopped like sim.ParallelSweep).
-type fig9State struct {
-	mu   sync.Mutex
-	errs []fig9Error
 }
 
 // RenderFig9 renders each operator's sweep as a figure with the principle

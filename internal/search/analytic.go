@@ -111,9 +111,10 @@ func OptimizeAnalytic(mm op.MatMul, bufferSize int64) (Result, error) {
 
 // OptimizeAnalyticCtx runs the canonical walk over the full integer lattice
 // — no population, no generations, no randomness — and returns the
-// canonical optimum, the answer Exhaustive returns. Result.Evaluations
-// counts the exact pricings, CacheHits is always zero, and Method is
-// "analytic". A canceled ctx is reported rather than a partial optimum.
+// canonical optimum, the answer ReferenceExhaustive returns.
+// Result.Evaluations counts the exact pricings, CacheHits is always zero,
+// and Method is "analytic". A canceled ctx is reported rather than a
+// partial optimum.
 // Like every engine it is a panic-containment boundary: injected faults
 // (SiteAnalytic, SiteEval) and organic cost-model panics return as
 // ErrInternal.
@@ -126,10 +127,12 @@ func OptimizeAnalyticCtx(ctx context.Context, mm op.MatMul, bufferSize int64) (R
 }
 
 // WalkCtx runs the canonical walk over lattice g: the exact answer of
-// ExhaustiveCtx (GridFull) or ExhaustiveCoarseCtx (GridCoarse) — Dataflow,
-// Access and tie-winner — at a few hundred pricings instead of a lattice
-// scan, under the same method label ("exhaustive" or "exhaustive-coarse").
-// Evaluations counts the walk's pricings and CacheHits is zero.
+// ReferenceExhaustive (GridFull) or ReferenceCoarse (GridCoarse) —
+// Dataflow, Access and tie-winner — at a few hundred pricings instead of a
+// lattice scan, under the same method label ("exhaustive" or
+// "exhaustive-coarse"). Evaluations counts the walk's pricings and
+// CacheHits is zero. Extents above MaxInt32 are ErrInvalidOperator (see
+// cost.NewBatchEval).
 func WalkCtx(ctx context.Context, mm op.MatMul, bufferSize int64, g Grid) (Result, error) {
 	method := "exhaustive"
 	if g == GridCoarse {
@@ -207,7 +210,7 @@ func (a *Analytic) emitCell(oi int, tiles [3]int64) {
 }
 
 // emitAll generates every order's per-cell boundary candidates. The (1,1,1)
-// seed keeps the feasibility contract identical to the enumeration engines:
+// seed keeps the feasibility contract identical to the reference scans':
 // any buffer ≥ 3 admits it, so the engine returns ErrInfeasible exactly
 // when they would.
 func (a *Analytic) emitAll() {

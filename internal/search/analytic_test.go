@@ -3,9 +3,12 @@ package search
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"fusecu/internal/cost"
+	"fusecu/internal/dataflow"
 	"fusecu/internal/errs"
 	"fusecu/internal/faultinject"
 	"fusecu/internal/invariant"
@@ -137,7 +140,7 @@ func TestAnalyticDeterministic(t *testing.T) {
 	}
 }
 
-// TestAnalyticErrorContract pins error parity with the enumeration engines:
+// TestAnalyticErrorContract pins error parity with the reference scans:
 // invalid operators are rejected at construction, a sub-3 buffer is
 // ErrBufferTooSmall, and any buffer ≥ 3 is feasible (the 1×1×1 seed).
 func TestAnalyticErrorContract(t *testing.T) {
@@ -211,13 +214,62 @@ func TestAnalyticSolePolishAboveLimit(t *testing.T) {
 	}
 }
 
+// prunedReference is ReferenceExhaustive restricted to the tilings that fit
+// the buffer: it visits candidates in the reference's order-major order and
+// keeps its first minimum, but each loop stops at the first tile that
+// overflows, and it prices through the compiled kernel's scalar entry. At
+// small buffers it stays cheap on extents where the frozen reference would
+// visit 10^14 candidates.
+func prunedReference(mm op.MatMul, bs int64) (Result, error) {
+	orders := dataflow.AllOrders()
+	kern, err := cost.Compile(mm, orders)
+	if err != nil {
+		return Result{}, err
+	}
+	var (
+		best  cost.Access
+		key   candKey
+		found bool
+	)
+	for oi := range orders {
+		for tm := 1; tm <= mm.M && tileFootprint(tm, 1, 1) <= bs; tm++ {
+			for tk := 1; tk <= mm.K && tileFootprint(tm, tk, 1) <= bs; tk++ {
+				for tl := 1; tl <= mm.L && tileFootprint(tm, tk, tl) <= bs; tl++ {
+					a := kern.Eval(uint8(oi), int64(tm), int64(tk), int64(tl))
+					if !found || a.Total < best.Total {
+						found, best, key = true, a, candKey{oi, tm, tk, tl}
+					}
+				}
+			}
+		}
+	}
+	if !found {
+		return Result{}, fmt.Errorf("no feasible dataflow for %v in buffer %d: %w", mm, bs, errs.ErrInfeasible)
+	}
+	df := dataflow.Must(mm, orders[key.order], dataflow.MustTiling(mm, key.tm, key.tk, key.tl))
+	return Result{Dataflow: df, Access: best}, nil
+}
+
 // TestAnalyticExactOnLargeExtents holds the engine to the optimum where
 // every extent exceeds 4096, so each two-free-tile cell walks hundreds of
-// plateaus: on random shapes at small buffers (where the pruned exhaustive
-// scan stays cheap) the analytic Total must equal Exhaustive's, which is
-// proven bit-identical to ReferenceExhaustive. Two shapes are also pinned
-// to their optima, as Exhaustive computes them.
+// plateaus: on random shapes at small buffers the analytic answer must
+// equal prunedReference's, which is first checked against
+// ReferenceExhaustive on the small analytic shapes. Two shapes are also
+// pinned to their optima.
 func TestAnalyticExactOnLargeExtents(t *testing.T) {
+	for _, mm := range analyticShapes {
+		for _, bs := range analyticBuffers(mm) {
+			want, err := ReferenceExhaustive(mm, bs)
+			if err != nil {
+				t.Fatalf("%v BS=%d: reference: %v", mm, bs, err)
+			}
+			got, err := prunedReference(mm, bs)
+			if err != nil {
+				t.Fatalf("%v BS=%d: pruned reference: %v", mm, bs, err)
+			}
+			checkSameAnswer(t, "pruned-reference", want, got)
+		}
+	}
 	for _, tc := range []struct {
 		mm   op.MatMul
 		bs   int64
@@ -243,9 +295,9 @@ func TestAnalyticExactOnLargeExtents(t *testing.T) {
 			L:    4097 + rng.Intn(65535-4097+1),
 		}
 		bs := 3 + rng.Int63n(598)
-		want, err := Exhaustive(mm, bs)
+		want, err := prunedReference(mm, bs)
 		if err != nil {
-			t.Fatalf("%v BS=%d: exhaustive: %v", mm, bs, err)
+			t.Fatalf("%v BS=%d: pruned reference: %v", mm, bs, err)
 		}
 		got, err := OptimizeAnalytic(mm, bs)
 		if err != nil {
@@ -260,7 +312,7 @@ func TestAnalyticExactOnLargeExtents(t *testing.T) {
 // TestInjectedPanicContainedAnalytic proves the analytic engine's
 // panic-containment boundary at its own site, and that results are
 // unchanged once the fault window closes (mirroring
-// TestResultsUnchangedAfterFaultWindow for the scan engines).
+// TestResultsUnchangedAfterFaultWindow for the shared SiteEval).
 func TestInjectedPanicContainedAnalytic(t *testing.T) {
 	want, err := OptimizeAnalytic(faultOp, 2048)
 	if err != nil {

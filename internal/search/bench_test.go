@@ -22,38 +22,6 @@ func BenchmarkCoarseReference(b *testing.B) {
 	}
 }
 
-func BenchmarkCoarsePruned(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := ExhaustiveCoarse(benchOp, benchBuffer); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCoarseParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := ParallelCoarse(benchOp, benchBuffer, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// sweepBuffers is the five-point buffer sweep the sweep benchmarks walk —
-// the Fig. 9 access pattern where the same candidate lattice is revisited
-// at every buffer size.
-var sweepBuffers = []int64{8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10}
-
-// BenchmarkCoarseSweep rescans the coarse lattice at every sweep point.
-func BenchmarkCoarseSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, bs := range sweepBuffers {
-			if _, err := ExhaustiveCoarse(benchOp, bs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 func BenchmarkExhaustiveReference(b *testing.B) {
 	mm := op.MatMul{Name: "bench-small", M: 24, K: 20, L: 24}
 	for i := 0; i < b.N; i++ {
@@ -63,26 +31,7 @@ func BenchmarkExhaustiveReference(b *testing.B) {
 	}
 }
 
-func BenchmarkExhaustivePruned(b *testing.B) {
-	mm := op.MatMul{Name: "bench-small", M: 24, K: 20, L: 24}
-	for i := 0; i < b.N; i++ {
-		if _, err := Exhaustive(mm, 512); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExhaustiveParallel(b *testing.B) {
-	mm := op.MatMul{Name: "bench-small", M: 24, K: 20, L: 24}
-	for i := 0; i < b.N; i++ {
-		if _, err := ParallelExhaustive(mm, 512, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCostEvaluate is the scalar cost model itself; 0 allocs/op — the
-// scan path allocates only per-scan constants, nothing per candidate.
+// BenchmarkCostEvaluate is the scalar cost model itself; 0 allocs/op.
 func BenchmarkCostEvaluate(b *testing.B) {
 	mm := op.MatMul{Name: "raw", M: 48, K: 32, L: 40}
 	df := dataflow.Must(mm, dataflow.AllOrders()[0], dataflow.MustTiling(mm, 8, 4, 5))
@@ -104,8 +53,8 @@ func BenchmarkTableBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkTableBest is one sweep point served from a prebuilt table — the
-// O(log n) query that replaces an O(lattice) scan. 0 allocs/op.
+// BenchmarkTableBest is one sweep point served from a prebuilt table — an
+// O(log n) query. 0 allocs/op.
 func BenchmarkTableBest(b *testing.B) {
 	tab, err := NewCandTable(benchOp, GridCoarse, nil)
 	if err != nil {
@@ -120,9 +69,13 @@ func BenchmarkTableBest(b *testing.B) {
 	}
 }
 
+// sweepBuffers is the five-point buffer sweep BenchmarkTableSweep walks —
+// the Fig. 9 access pattern where the same candidate lattice is revisited
+// at every buffer size.
+var sweepBuffers = []int64{8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10}
+
 // BenchmarkTableSweep is the Fig. 9 access pattern over the table API:
-// build once, query every buffer point. Compare against
-// BenchmarkCoarseSweep, which rescans the lattice per point.
+// build once, query every buffer point.
 func BenchmarkTableSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tab, err := NewCandTable(benchOp, GridCoarse, nil)

@@ -14,7 +14,7 @@ import (
 )
 
 // This file implements the candidate-table engine: the sweep-side dual of
-// the enumeration scans. A scan answers "best dataflow under buffer BS" by
+// the reference scans. A scan answers "best dataflow under buffer BS" by
 // walking the candidate lattice per query; a CandTable walks the lattice
 // exactly once per operator shape, evaluates every (order, tiling) candidate
 // (cost is buffer-independent — only footprint feasibility depends on BS),
@@ -92,8 +92,8 @@ func TableCandidates(mm op.MatMul, g Grid) int64 {
 
 // MaxTableCandidates is the hard admission cap of NewCandTable: above it the
 // transient build arrays stop being "a few hundred MB" and the build stops
-// being interactive, so the constructor refuses and callers fall back to a
-// scan.
+// being interactive, so the constructor refuses and callers fall back to
+// the walk.
 const MaxTableCandidates = 1 << 23
 
 // tableStep is one plateau of the prefix-minimum step function: for every
@@ -164,8 +164,8 @@ func NewCandTable(mm op.MatMul, g Grid, _ *EvalCache) (*CandTable, error) {
 // build evaluates the lattice through the shared batch kernel, sorts by
 // (footprint, canonical key) and folds the prefix-minimum steps. Runs
 // inside guardScan. Candidates stream through one reused struct-of-arrays
-// block — the same layout the enumeration scans dispatch — so the lattice
-// pass constructs and validates nothing per candidate.
+// block priced by the kernel's EvalBlock, so the lattice pass constructs
+// and validates nothing per candidate.
 func (t *CandTable) build(kern *cost.BatchEval) {
 	gm, gk, gl := gridValues(t.mm, t.grid)
 	orders := dataflow.AllOrders()
@@ -187,7 +187,7 @@ func (t *CandTable) build(kern *cost.BatchEval) {
 				fp := tileFootprint(tm, tk, tl)
 				for oi := range orders {
 					if err := faultinject.Active().Fire(SiteEval); err != nil {
-						// Same per-candidate site as the scan engines;
+						// Same per-candidate site as the other engines;
 						// guardScan converts the panic into ErrInternal.
 						panic(err)
 					}
@@ -263,8 +263,8 @@ func (t *CandTable) Op() op.MatMul { return t.mm }
 func (t *CandTable) Grid() Grid { return t.grid }
 
 // Candidates returns the number of (order, tiling) candidates the table
-// covers — the cost-model invocations its build performed, and the work
-// one scan over the same lattice with an unbounded buffer would do.
+// covers — the cost-model invocations its build performed, and the
+// candidates a scan of the same lattice with an unbounded buffer visits.
 func (t *CandTable) Candidates() int64 { return t.candidates }
 
 // MemoryBytes estimates the table's resident size (footprint index plus
@@ -302,9 +302,10 @@ func stepAt(steps []tableStep, bs int64) (tableStep, bool) {
 }
 
 // Best returns the optimal feasible candidate for bufferSize — the exact
-// Result a pruned scan over the same lattice would return, in O(log n).
-// Evaluations is 0 and CacheHits the number of feasible candidates the
-// table served, so Evaluations + CacheHits equals the scan's Evaluations.
+// Dataflow and Access the reference scan of the same lattice returns, in
+// O(log n). Evaluations is 0 and CacheHits the number of feasible
+// candidates the table served, so Evaluations + CacheHits equals the
+// reference scan's Evaluations.
 func (t *CandTable) Best(bufferSize int64) (Result, error) {
 	if bufferSize < 3 {
 		return Result{}, fmt.Errorf("search: buffer %d cannot hold 1×1 tiles: %w", bufferSize, errs.ErrBufferTooSmall)

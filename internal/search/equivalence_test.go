@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,35 +9,23 @@ import (
 	"fusecu/internal/op"
 )
 
-// engineCase runs one engine variant against a fixed (op, buffer) input.
-type engineCase struct {
-	name string
-	run  func(op.MatMul, int64) (Result, error)
+// walkFull is the full-lattice walk, the engine behind /v1/search auto and
+// exhaustive, under a Background context.
+func walkFull(mm op.MatMul, bs int64) (Result, error) {
+	return WalkCtx(context.Background(), mm, bs, GridFull)
 }
 
-// exhaustiveVariants lists every optimized exhaustive variant that must
-// reproduce ReferenceExhaustive bit for bit.
-func exhaustiveVariants() []engineCase {
-	return []engineCase{
-		{"pruned", Exhaustive},
-		{"parallel-2", func(mm op.MatMul, bs int64) (Result, error) { return ParallelExhaustive(mm, bs, 2) }},
-		{"parallel-5", func(mm op.MatMul, bs int64) (Result, error) { return ParallelExhaustive(mm, bs, 5) }},
-		{"parallel-auto", func(mm op.MatMul, bs int64) (Result, error) { return ParallelExhaustive(mm, bs, 0) }},
-	}
+// datLattice is DAT's lattice stage as Optimize runs it, under a Background
+// context: the coarse walk's answer with the counted lattice as its
+// Evaluations.
+func datLattice(mm op.MatMul, bs int64) (Result, error) {
+	return coarseStage(context.Background(), mm, bs)
 }
 
-func coarseVariants() []engineCase {
-	return []engineCase{
-		{"pruned", ExhaustiveCoarse},
-		{"parallel-3", func(mm op.MatMul, bs int64) (Result, error) { return ParallelCoarse(mm, bs, 3) }},
-		{"parallel-auto", func(mm op.MatMul, bs int64) (Result, error) { return ParallelCoarse(mm, bs, 0) }},
-	}
-}
-
-// checkEquivalent asserts got reproduces the reference optimum exactly:
-// same dataflow (including the deterministic tie-break), same access
-// breakdown, and the same total candidate-visit count.
-func checkEquivalent(t *testing.T, label string, ref, got Result) {
+// checkSameAnswer asserts got reproduces the reference optimum exactly:
+// same dataflow (including the deterministic tie-break) and the same
+// access breakdown.
+func checkSameAnswer(t *testing.T, label string, ref, got Result) {
 	t.Helper()
 	if got.Dataflow != ref.Dataflow {
 		t.Errorf("%s: dataflow %v, reference %v", label, got.Dataflow, ref.Dataflow)
@@ -44,6 +33,15 @@ func checkEquivalent(t *testing.T, label string, ref, got Result) {
 	if got.Access != ref.Access {
 		t.Errorf("%s: access %+v, reference %+v", label, got.Access, ref.Access)
 	}
+}
+
+// checkEquivalent is checkSameAnswer plus the candidate-visit count of an
+// engine that accounts for the whole lattice (DAT's counted lattice stage,
+// a candidate table): Evaluations + CacheHits must equal the reference
+// scan's Evaluations.
+func checkEquivalent(t *testing.T, label string, ref, got Result) {
+	t.Helper()
+	checkSameAnswer(t, label, ref, got)
 	if got.Evaluations+got.CacheHits != ref.Evaluations {
 		t.Errorf("%s: evals %d + hits %d != reference evals %d",
 			label, got.Evaluations, got.CacheHits, ref.Evaluations)
@@ -63,16 +61,14 @@ func TestExhaustiveEnginesMatchReferenceRandomized(t *testing.T) {
 		maxFP := mm.SizeA() + mm.SizeB() + mm.SizeC()
 		for _, bs := range []int64{2, 3, 7, maxFP / 2, maxFP, maxFP * 2} {
 			ref, refErr := ReferenceExhaustive(mm, bs)
-			for _, eng := range exhaustiveVariants() {
-				got, err := eng.run(mm, bs)
-				if (err == nil) != (refErr == nil) {
-					t.Fatalf("%v BS=%d %s: err=%v, reference err=%v", mm, bs, eng.name, err, refErr)
-				}
-				if refErr != nil {
-					continue
-				}
-				checkEquivalent(t, eng.name, ref, got)
+			got, err := walkFull(mm, bs)
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("%v BS=%d: err=%v, reference err=%v", mm, bs, err, refErr)
 			}
+			if refErr != nil {
+				continue
+			}
+			checkSameAnswer(t, "walk", ref, got)
 		}
 	}
 }
@@ -89,26 +85,25 @@ func TestCoarseEnginesMatchReferenceRandomized(t *testing.T) {
 		maxFP := mm.SizeA() + mm.SizeB() + mm.SizeC()
 		for _, bs := range []int64{2, 5, 16, maxFP / 3, maxFP * 2} {
 			ref, refErr := ReferenceCoarse(mm, bs)
-			for _, eng := range coarseVariants() {
-				got, err := eng.run(mm, bs)
-				if (err == nil) != (refErr == nil) {
-					t.Fatalf("%v BS=%d %s: err=%v, reference err=%v", mm, bs, eng.name, err, refErr)
-				}
-				if refErr != nil {
-					continue
-				}
-				checkEquivalent(t, eng.name, ref, got)
+			got, err := datLattice(mm, bs)
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("%v BS=%d: err=%v, reference err=%v", mm, bs, err, refErr)
 			}
+			if refErr != nil {
+				continue
+			}
+			checkEquivalent(t, "dat-lattice", ref, got)
 		}
 	}
 }
 
-// TestDecodeShapeEnginesMatchReference pins block-path bit-identity off the
+// TestDecodeShapeEnginesMatchReference pins bit-identity off the
 // square-ish Table-II shapes: decode-style operators — M=1 GEMV, tiny-K MoE
 // projection, small-L GQA score — degenerate one or two lattice dimensions
-// to a handful of tiles, exercising block fills that end mid-span, orders
-// whose inner loops never trip, and prune breaks on the first tile. Every
-// optimized variant must still reproduce the frozen references exactly.
+// to a handful of tiles, exercising unit-extent cells the walk skips,
+// orders whose inner loops never trip, and a lattice count whose T_K scan
+// stops at the first tile. The walk and DAT's counted lattice stage must
+// still reproduce the frozen references exactly.
 func TestDecodeShapeEnginesMatchReference(t *testing.T) {
 	shapes := []op.MatMul{
 		{Name: "gemv", M: 1, K: 48, L: 40},
@@ -117,10 +112,10 @@ func TestDecodeShapeEnginesMatchReference(t *testing.T) {
 	}
 	for _, mm := range shapes {
 		maxFP := mm.SizeA() + mm.SizeB() + mm.SizeC()
-		buffers := []int64{3, 17, maxFP / 4, maxFP * 2}
+		buffers := []int64{2, 3, 17, maxFP / 4, maxFP * 2}
 
-		// Full lattice via the exhaustive variants on a shrunken copy (the
-		// full grid over K=48 stays cheap because M or L is degenerate).
+		// Full lattice on a shrunken copy, so the frozen full-range
+		// reference stays cheap.
 		exact := mm
 		if exact.M > 8 {
 			exact.M = 8
@@ -133,38 +128,35 @@ func TestDecodeShapeEnginesMatchReference(t *testing.T) {
 		}
 		for _, bs := range buffers {
 			ref, refErr := ReferenceExhaustive(exact, bs)
-			for _, eng := range exhaustiveVariants() {
-				got, err := eng.run(exact, bs)
-				if (err == nil) != (refErr == nil) {
-					t.Fatalf("%v BS=%d %s: err=%v, reference err=%v", exact, bs, eng.name, err, refErr)
-				}
-				if refErr != nil {
-					continue
-				}
-				checkEquivalent(t, exact.Name+"/"+eng.name, ref, got)
+			got, err := walkFull(exact, bs)
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("%v BS=%d: err=%v, reference err=%v", exact, bs, err, refErr)
 			}
+			if refErr != nil {
+				continue
+			}
+			checkSameAnswer(t, exact.Name+"/walk", ref, got)
 		}
 
 		// Coarse lattice at the real decode dimensions.
 		for _, bs := range buffers {
 			ref, refErr := ReferenceCoarse(mm, bs)
-			for _, eng := range coarseVariants() {
-				got, err := eng.run(mm, bs)
-				if (err == nil) != (refErr == nil) {
-					t.Fatalf("%v BS=%d %s: err=%v, reference err=%v", mm, bs, eng.name, err, refErr)
-				}
-				if refErr != nil {
-					continue
-				}
-				checkEquivalent(t, mm.Name+"/"+eng.name, ref, got)
+			got, err := datLattice(mm, bs)
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("%v BS=%d: err=%v, reference err=%v", mm, bs, err, refErr)
 			}
+			if refErr != nil {
+				continue
+			}
+			checkEquivalent(t, mm.Name+"/dat-lattice", ref, got)
 		}
 	}
 }
 
 // TestOptimizeConservationWithAnalyticPolish pins the visit-conservation
 // story for DAT's hybrid entry points: Optimize's evaluations are the
-// lattice scan's plus the GA polish's, and OptimizeTable serves the same
+// lattice candidates ReferenceCoarse visits plus the GA polish's, and
+// OptimizeTable serves the same
 // lattice visits from a candidate table as CacheHits, conserving the sum,
 // while the GA contributes zero hits. The analytic engine, which replaces
 // the whole hybrid on /v1/search auto, prices ≥ 10× fewer candidates than
@@ -173,7 +165,7 @@ func TestOptimizeConservationWithAnalyticPolish(t *testing.T) {
 	mm := op.MatMul{Name: "conserve", M: 96, K: 48, L: 64}
 	const bs = 4096
 
-	lattice, err := ExhaustiveCoarse(mm, bs)
+	lattice, err := ReferenceCoarse(mm, bs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +182,7 @@ func TestOptimizeConservationWithAnalyticPolish(t *testing.T) {
 		t.Fatal(err)
 	}
 	if scan.CacheHits != 0 {
-		t.Errorf("scan-backed optimize reported %d cache hits", scan.CacheHits)
+		t.Errorf("optimize reported %d cache hits", scan.CacheHits)
 	}
 	if want := lattice.Evaluations + ga.Evaluations; scan.Evaluations != want {
 		t.Errorf("optimize evaluations %d != lattice %d + GA %d",

@@ -23,14 +23,15 @@ func armEval(t *testing.T, plans ...faultinject.Plan) *faultinject.Injector {
 
 var faultOp = op.MatMul{Name: "fault", M: 24, K: 16, L: 20}
 
-// TestInjectedPanicContainedSequential proves the sequential enumeration
-// boundary: a panic at candidate visit 100 surfaces as an ErrInternal error,
-// still classifiable as an injected fault, and the process survives.
+// TestInjectedPanicContainedSequential proves the walk's boundary: a panic
+// at pricing 31 (of the 62 the full-lattice walk makes on faultOp) surfaces
+// as an ErrInternal error, still classifiable as an injected fault, and the
+// process survives.
 func TestInjectedPanicContainedSequential(t *testing.T) {
-	in := armEval(t, faultinject.Plan{Site: SiteEval, Mode: faultinject.ModePanic, Offset: 99, Times: 1})
-	_, err := Exhaustive(faultOp, 2048)
+	in := armEval(t, faultinject.Plan{Site: SiteEval, Mode: faultinject.ModePanic, Offset: 30, Times: 1})
+	_, err := walkFull(faultOp, 2048)
 	if err == nil {
-		t.Fatal("scan swallowed the injected panic")
+		t.Fatal("walk swallowed the injected panic")
 	}
 	if !errors.Is(err, errs.ErrInternal) {
 		t.Fatalf("contained panic is not ErrInternal: %v", err)
@@ -40,33 +41,19 @@ func TestInjectedPanicContainedSequential(t *testing.T) {
 	}
 	// A clean rerun after disarming returns the true optimum.
 	faultinject.Deactivate()
-	if _, err := Exhaustive(faultOp, 2048); err != nil {
+	if _, err := walkFull(faultOp, 2048); err != nil {
 		t.Fatalf("clean rerun failed: %v", err)
 	}
 }
 
-// TestInjectedPanicContainedParallel proves the worker-pool boundary: a
-// panicking worker neither kills the process nor deadlocks the dispatcher,
-// and the scan reports ErrInternal instead of a partial optimum.
-func TestInjectedPanicContainedParallel(t *testing.T) {
-	armEval(t, faultinject.Plan{Site: SiteEval, Mode: faultinject.ModePanic, Offset: 500, Times: 1})
-	_, err := ParallelExhaustive(faultOp, 2048, 4)
-	if err == nil {
-		t.Fatal("parallel scan swallowed the injected panic")
-	}
-	if !errors.Is(err, errs.ErrInternal) {
-		t.Fatalf("contained panic is not ErrInternal: %v", err)
-	}
-}
-
 // TestInjectedErrorPanicsIntoErrInternal: error-mode injection at the eval
-// site is delivered by panicking with the injected error; the boundary must
-// preserve both sentinels.
+// site is delivered by panicking with the injected error; the boundary of
+// DAT's lattice stage must preserve both sentinels.
 func TestInjectedErrorPanicsIntoErrInternal(t *testing.T) {
 	armEval(t, faultinject.Plan{Site: SiteEval, Mode: faultinject.ModeError, Times: 1})
-	_, err := ExhaustiveCoarse(faultOp, 2048)
+	_, err := Optimize(faultOp, 2048, GeneticOptions{})
 	if err == nil {
-		t.Fatal("scan swallowed the injected error")
+		t.Fatal("lattice stage swallowed the injected error")
 	}
 	if !errors.Is(err, errs.ErrInternal) || !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("error lost a sentinel: %v", err)
@@ -94,12 +81,12 @@ func TestResultsUnchangedAfterFaultWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	armEval(t, faultinject.Plan{Site: SiteEval, Mode: faultinject.ModePanic, Times: 1})
-	if _, err := Exhaustive(faultOp, 2048); !errors.Is(err, errs.ErrInternal) {
-		t.Fatalf("first scan should hit the fault: %v", err)
+	if _, err := walkFull(faultOp, 2048); !errors.Is(err, errs.ErrInternal) {
+		t.Fatalf("first walk should hit the fault: %v", err)
 	}
-	got, err := Exhaustive(faultOp, 2048)
+	got, err := walkFull(faultOp, 2048)
 	if err != nil {
-		t.Fatalf("post-window scan failed: %v", err)
+		t.Fatalf("post-window walk failed: %v", err)
 	}
 	if got.Dataflow != want.Dataflow || got.Access.Total != want.Access.Total {
 		t.Fatalf("post-window result diverged: %+v vs %+v", got, want)

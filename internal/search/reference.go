@@ -11,14 +11,14 @@ import (
 
 // This file freezes the original single-threaded engines exactly as first
 // written: no footprint pruning, no batch kernel, no workers. They are
-// the ground truth the optimized engines (Exhaustive, ExhaustiveCoarse,
-// ParallelExhaustive, ParallelCoarse) are property-tested bit-identical
-// against, and the baseline the BENCH_search.json speedups are measured
-// from. Do not optimize them.
+// the ground truth the canonical walk (WalkCtx, OptimizeAnalytic), the
+// candidate tables and DAT's counted lattice stage (Optimize) are
+// property-tested bit-identical against, and the baseline the
+// BENCH_search.json speedups are measured from. Do not optimize them.
 
 // ReferenceExhaustive enumerates all 6 loop orders × all integer tilings
 // with a per-candidate feasibility filter and no pruning — the unoptimized
-// reference for Exhaustive.
+// reference for the full-lattice walk.
 func ReferenceExhaustive(mm op.MatMul, bufferSize int64) (Result, error) {
 	if err := mm.Validate(); err != nil {
 		return Result{}, err
@@ -54,7 +54,7 @@ func ReferenceExhaustive(mm op.MatMul, bufferSize int64) (Result, error) {
 
 // ReferenceCoarse enumerates all loop orders over the TileGrid lattice with
 // a per-candidate feasibility filter and no pruning — the unoptimized
-// reference for ExhaustiveCoarse.
+// reference for the coarse walk and for Optimize's lattice stage.
 func ReferenceCoarse(mm op.MatMul, bufferSize int64) (Result, error) {
 	if err := mm.Validate(); err != nil {
 		return Result{}, err

@@ -1,35 +1,32 @@
 // Package search implements the search-based dataflow optimizer the
 // principles are validated against, playing the role DAT plays in the paper
-// (Fig. 9). Several engines are provided over the identical tiling/scheduling
-// space used by internal/core:
+// (Fig. 9). Its engines cover the identical tiling/scheduling space used by
+// internal/core:
 //
-//   - Exhaustive enumerates every loop order and every integer tiling —
-//     the ground-truth optimum, tractable for small operators and used by the
-//     test suite to prove the principle optimizer's optimality. It prunes by
-//     footprint monotonicity; ReferenceExhaustive is the frozen unpruned
-//     original it is proven equivalent to.
-//   - ExhaustiveCoarse restricts the tilings to the TileGrid lattice — the
-//     tractable projection search-based mappers explore for large operators.
-//   - ParallelExhaustive / ParallelCoarse shard the same scans across a
-//     worker pool and return bit-identical results.
+//   - WalkCtx and OptimizeAnalytic are the canonical walk: per-regime
+//     closed-form optima of the piecewise-affine cost model, pricing only
+//     the trip-count plateaus' smallest allowed tiles — tens to hundreds of
+//     exact evaluations where the GA pays thousands. On the full integer
+//     lattice (GridFull) or the TileGrid lattice (GridCoarse) it returns
+//     the frozen reference scans' exact Dataflow and Access, tie-winner
+//     included, and it is the engine behind /v1/search auto, exhaustive
+//     and coarse.
 //   - Genetic is a DAT-style genetic algorithm for spaces where exhaustive
 //     enumeration is intractable. Like DAT's GA it does not guarantee the
 //     global optimum, which is exactly the behaviour Fig. 9 exercises.
-//   - Optimize, OptimizeParallel and OptimizeTable are DAT itself: exact
-//     enumeration over the coarse lattice polished by the GA, keeping the
-//     better of the two (MIP+GA), or the GA alone above CoarseLatticeLimit.
-//   - OptimizeAnalytic and WalkCtx are the canonical walk: per-regime
-//     closed-form optima of the piecewise-affine cost model, pricing only
-//     the trip-count plateaus' smallest allowed tiles — tens to hundreds of
-//     exact evaluations where the GA pays thousands. On either lattice it
-//     returns the scans' exact Dataflow and Access, tie-winner included,
-//     and it is the engine behind /v1/search auto, exhaustive and coarse.
+//   - Optimize and OptimizeTable are DAT itself: the exact optimum of the
+//     coarse lattice polished by the GA, keeping the better of the two
+//     (MIP+GA), or the GA alone above CoarseLatticeLimit. Optimize runs its
+//     lattice stage on the coarse walk and counts, rather than prices, the
+//     lattice candidates DAT visits.
+//   - ReferenceExhaustive and ReferenceCoarse are the frozen unpruned
+//     scans every other engine is tested against.
 //
-// The scans and table builds price candidates through the cost.BatchEval
-// kernel in blocks; the walk and the GA price one candidate at a time
-// through its scalar entry. Only candidate tables (CandTable) amortize
-// pricing across calls, by folding a whole lattice into footprint-indexed
-// step functions; they serve offline buffer sweeps, not requests.
+// The walk and the GA price one candidate at a time through the compiled
+// cost.BatchEval kernel's scalar entry. Only candidate tables (CandTable)
+// price whole lattices, in struct-of-arrays blocks, folding them into
+// footprint-indexed step functions; they serve offline buffer sweeps, not
+// requests.
 package search
 
 import (
@@ -54,31 +51,16 @@ type Result struct {
 	Dataflow dataflow.Dataflow
 	Access   cost.Access
 	// Evaluations counts cost-model invocations, the search-cost metric the
-	// paper contrasts with one-shot principle optimization.
+	// paper contrasts with one-shot principle optimization. DAT's lattice
+	// stage (Optimize) reports the lattice candidates it visits — counted,
+	// not priced, and equal to ReferenceCoarse's Evaluations.
 	Evaluations int64
 	// CacheHits counts candidate visits a CandTable served from its
 	// prebuilt step functions without invoking the cost model; every other
-	// engine reports 0. Evaluations + CacheHits is the engine's total
-	// candidate-visit count, equal on the table and scan paths over the
-	// same lattice.
+	// engine reports 0. OptimizeTable's Evaluations + CacheHits equals
+	// Optimize's Evaluations for the same inputs.
 	CacheHits int64
 	Method    string
-}
-
-// Exhaustive enumerates all 6 loop orders × all integer tilings and returns
-// the global optimum. Cost grows with M·K·L; use only for operators whose
-// dimension product is modest (tests, calibration). The scan prunes by
-// footprint monotonicity and is proven bit-identical to
-// ReferenceExhaustive.
-func Exhaustive(mm op.MatMul, bufferSize int64) (Result, error) {
-	return ExhaustiveCtx(context.Background(), mm, bufferSize)
-}
-
-// ExhaustiveCtx is Exhaustive with cooperative cancellation: when ctx is
-// canceled the scan abandons its sweep at the next poll and returns
-// ctx.Err() instead of a partial optimum.
-func ExhaustiveCtx(ctx context.Context, mm op.MatMul, bufferSize int64) (Result, error) {
-	return enumerate(ctx, mm, bufferSize, GridFull, 1, "exhaustive")
 }
 
 // TileGrid returns the candidate tile values for one dimension extent used
@@ -101,57 +83,6 @@ func TileGrid(extent int) []int {
 	}
 	slices.Sort(out)
 	return slices.Compact(out)
-}
-
-// ExhaustiveCoarse enumerates all loop orders over the TileGrid lattice —
-// the tractable projection of the full space that DSE frameworks typically
-// explore for large operators. Pruned like Exhaustive; proven bit-identical
-// to ReferenceCoarse.
-func ExhaustiveCoarse(mm op.MatMul, bufferSize int64) (Result, error) {
-	return ExhaustiveCoarseCtx(context.Background(), mm, bufferSize)
-}
-
-// ExhaustiveCoarseCtx is ExhaustiveCoarse with cooperative cancellation,
-// under the same promptness contract as ExhaustiveCtx.
-func ExhaustiveCoarseCtx(ctx context.Context, mm op.MatMul, bufferSize int64) (Result, error) {
-	return enumerate(ctx, mm, bufferSize, GridCoarse, 1, "exhaustive-coarse")
-}
-
-// ParallelExhaustive is Exhaustive sharded across a worker pool (workers ≤ 0
-// selects GOMAXPROCS, and larger counts are clamped to it). The result —
-// dataflow, access, tie-break and evaluation count — is bit-identical to
-// the sequential engine's for any worker count.
-func ParallelExhaustive(mm op.MatMul, bufferSize int64, workers int) (Result, error) {
-	return ParallelExhaustiveCtx(context.Background(), mm, bufferSize, workers)
-}
-
-// ParallelExhaustiveCtx is ParallelExhaustive with cooperative cancellation:
-// when ctx is canceled the dispatcher stops sharding, every worker abandons
-// its chunk at the next poll (at most ~1024 candidate visits away), and the
-// call returns ctx.Err() instead of a partial optimum.
-func ParallelExhaustiveCtx(ctx context.Context, mm op.MatMul, bufferSize int64, workers int) (Result, error) {
-	return enumerate(ctx, mm, bufferSize, GridFull, nonUnitWorkers(workers), "exhaustive-parallel")
-}
-
-// ParallelCoarse is ExhaustiveCoarse sharded across a worker pool, with the
-// same bit-identical-result guarantee as ParallelExhaustive.
-func ParallelCoarse(mm op.MatMul, bufferSize int64, workers int) (Result, error) {
-	return ParallelCoarseCtx(context.Background(), mm, bufferSize, workers)
-}
-
-// ParallelCoarseCtx is ParallelCoarse with cooperative cancellation, under
-// the same promptness contract as ParallelExhaustiveCtx.
-func ParallelCoarseCtx(ctx context.Context, mm op.MatMul, bufferSize int64, workers int) (Result, error) {
-	return enumerate(ctx, mm, bufferSize, GridCoarse, nonUnitWorkers(workers), "exhaustive-coarse-parallel")
-}
-
-// nonUnitWorkers keeps an explicit workers=1 request on the sequential
-// in-line path while mapping auto-selection (≤ 0) through to the pool.
-func nonUnitWorkers(workers int) int {
-	if workers < 1 {
-		return 0
-	}
-	return workers
 }
 
 // GeneticOptions tunes the genetic engine. The zero value selects the
@@ -224,10 +155,10 @@ func Genetic(mm op.MatMul, bufferSize int64, opts GeneticOptions) (Result, error
 // GeneticCtx is Genetic under a cancelable context: the generation loop
 // checks ctx between generations (one generation is a bounded
 // Population-sized batch of closed-form evaluations, so the check cadence is
-// milliseconds) and returns ctx's error once it is done. Like the
-// enumeration engines it is a panic-containment boundary: a panic escaping
-// a fitness evaluation (injected or organic) is returned as an ErrInternal
-// error instead of unwinding into the caller.
+// milliseconds) and returns ctx's error once it is done. Like the walk it
+// is a panic-containment boundary: a panic escaping a fitness evaluation
+// (injected or organic) is returned as an ErrInternal error instead of
+// unwinding into the caller.
 func GeneticCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticOptions) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -402,33 +333,70 @@ func GeneticCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts Geneti
 	return Result{Dataflow: df, Access: a, Evaluations: evals, Method: "genetic"}, nil
 }
 
-// Optimize is the DAT baseline. It picks the engine by space size: exact
-// enumeration over the coarse lattice when it is small enough, polished by
-// the GA, otherwise the GA alone. This is the entry point the Fig. 9
-// harness uses as "DAT".
+// Optimize is OptimizeCtx without cancellation.
 func Optimize(mm op.MatMul, bufferSize int64, opts GeneticOptions) (Result, error) {
-	return optimize(context.Background(), mm, bufferSize, opts, 1)
+	return OptimizeCtx(context.Background(), mm, bufferSize, opts)
 }
 
-// OptimizeParallel is Optimize with the lattice stage sharded across
-// workers (workers ≤ 0 selects GOMAXPROCS); the GA stays sequential — its
-// generations are a dependent chain by construction.
-func OptimizeParallel(mm op.MatMul, bufferSize int64, opts GeneticOptions, workers int) (Result, error) {
-	return OptimizeParallelCtx(context.Background(), mm, bufferSize, opts, workers)
+// OptimizeCtx is the DAT baseline, the entry point the Fig. 9 harness uses
+// as "DAT". Up to CoarseLatticeLimit it finds the exact optimum of the
+// coarse lattice (coarseStage), polishes it with the GA and keeps the
+// better answer; above the limit it runs the GA alone. Both stages honour
+// ctx: a canceled call returns an error wrapping ctx.Err().
+func OptimizeCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticOptions) (Result, error) {
+	if CoarseLattice(mm) > CoarseLatticeLimit {
+		return GeneticCtx(ctx, mm, bufferSize, opts)
+	}
+	r, err := coarseStage(ctx, mm, bufferSize)
+	if err != nil {
+		return Result{}, err
+	}
+	return keepBetterGA(ctx, mm, bufferSize, opts, r, "coarse")
 }
 
-// OptimizeParallelCtx is OptimizeParallel with cooperative cancellation
-// threaded through both stages: the sharded lattice scan stops its worker
-// pool promptly (see ParallelExhaustiveCtx) and the GA checks ctx between
-// generations. When ctx is canceled the call returns an error
-// wrapping ctx.Err(); an uncancelled ctx changes nothing — results stay
-// bit-identical to OptimizeParallel.
-func OptimizeParallelCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticOptions, workers int) (Result, error) {
-	return optimize(ctx, mm, bufferSize, opts, workers)
+// coarseStage is DAT's lattice stage: the canonical walk over GridCoarse,
+// which returns ReferenceCoarse's Dataflow and Access, with Evaluations set
+// to the lattice candidates DAT visits (coarseVisits), so Fig. 9's
+// search-cost metric counts what an enumerating DAT would price.
+func coarseStage(ctx context.Context, mm op.MatMul, bufferSize int64) (Result, error) {
+	r, err := WalkCtx(ctx, mm, bufferSize, GridCoarse)
+	if err != nil {
+		return Result{}, err
+	}
+	r.Evaluations = coarseVisits(mm, bufferSize)
+	return r, nil
+}
+
+// coarseVisits counts the candidates DAT's lattice stage visits: the
+// (order, tiling) points of mm's TileGrid lattice whose footprint fits
+// bufferSize, which is ReferenceCoarse's Evaluations. The footprint
+// T_M·T_K + (T_M + T_K)·T_L grows with every tile, so per (T_M, T_K) one
+// binary search counts the grid values T_L ≤ (BS − T_M·T_K)/(T_M + T_K),
+// the scan over T_K stops at the first T_K where none fit, and the count
+// is the same for every loop order. mm must be a valid operator with
+// extents the walk accepts.
+func coarseVisits(mm op.MatMul, bufferSize int64) int64 {
+	gm, gk, gl := TileGrid(mm.M), TileGrid(mm.K), TileGrid(mm.L)
+	var n int64
+	for _, tm := range gm {
+		for _, tk := range gk {
+			maxL := (bufferSize - invariant.CheckedMul(int64(tm), int64(tk))) / int64(tm+tk)
+			if maxL < 1 {
+				break
+			}
+			i, found := slices.BinarySearch(gl, int(min(maxL, int64(mm.L))))
+			if found {
+				i++
+			}
+			n += int64(i)
+		}
+	}
+	return n * int64(len(dataflow.AllOrders()))
 }
 
 // CoarseLatticeLimit is the coarse-lattice size up to which Optimize runs
-// the exact enumeration stage (plus the GA); above it only the GA runs.
+// the exact lattice stage (plus the GA); above it only the GA runs. It is
+// part of the DAT model: the walk would answer larger lattices too.
 // Exported so table-backed callers can reproduce the engine selection
 // exactly.
 const CoarseLatticeLimit = 200_000
@@ -445,10 +413,9 @@ func OptimizeTable(mm op.MatMul, bufferSize int64, opts GeneticOptions, table *C
 }
 
 // OptimizeTableCtx is Optimize with the coarse lattice stage served by a
-// prebuilt candidate table instead of a per-call scan: an O(log n) step
-// lookup replaces the O(lattice) enumeration, and the GA runs
-// unchanged. Results are bit-identical to OptimizeParallelCtx for the same
-// inputs (property-tested), including the Evaluations+CacheHits accounting.
+// prebuilt candidate table: an O(log n) step lookup answers it, and the GA
+// runs unchanged. Results are bit-identical to OptimizeCtx for the same inputs
+// (property-tested), including the Evaluations+CacheHits accounting.
 //
 // table must cover mm's shape over GridCoarse when mm's coarse lattice is
 // within CoarseLatticeLimit; above the limit the lattice stage is skipped —
@@ -475,28 +442,8 @@ func OptimizeTableCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts 
 		return Result{}, err
 	}
 	// The GA is deterministic for a seed, so the combined result —
-	// including the conservation sum — matches the scan path bit for bit.
+	// including the conservation sum — matches Optimize bit for bit.
 	return keepBetterGA(ctx, mm, bufferSize, opts, r, "table")
-}
-
-func optimize(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticOptions, workers int) (Result, error) {
-	lattice := CoarseLattice(mm)
-	if lattice <= CoarseLatticeLimit {
-		var (
-			r   Result
-			err error
-		)
-		if workers == 1 {
-			r, err = ExhaustiveCoarseCtx(ctx, mm, bufferSize)
-		} else {
-			r, err = ParallelCoarseCtx(ctx, mm, bufferSize, workers)
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		return keepBetterGA(ctx, mm, bufferSize, opts, r, "coarse")
-	}
-	return GeneticCtx(ctx, mm, bufferSize, opts)
 }
 
 // keepBetterGA is DAT's MIP+GA rule: the coarse lattice can miss boundary

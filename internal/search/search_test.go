@@ -13,7 +13,7 @@ import (
 
 func TestExhaustiveFindsIdealWithHugeBuffer(t *testing.T) {
 	mm := op.MatMul{M: 8, K: 6, L: 10}
-	r, err := Exhaustive(mm, 1<<20)
+	r, err := walkFull(mm, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestExhaustiveFindsIdealWithHugeBuffer(t *testing.T) {
 
 func TestExhaustiveRespectsBuffer(t *testing.T) {
 	mm := op.MatMul{M: 8, K: 6, L: 10}
-	r, err := Exhaustive(mm, 20)
+	r, err := walkFull(mm, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,13 +40,13 @@ func TestExhaustiveRespectsBuffer(t *testing.T) {
 }
 
 func TestExhaustiveInfeasible(t *testing.T) {
-	if _, err := Exhaustive(op.MatMul{M: 4, K: 4, L: 4}, 2); err == nil {
+	if _, err := walkFull(op.MatMul{M: 4, K: 4, L: 4}, 2); err == nil {
 		t.Fatal("buffer of 2 elements accepted")
 	}
 }
 
 func TestExhaustiveRejectsInvalid(t *testing.T) {
-	if _, err := Exhaustive(op.MatMul{M: -1, K: 1, L: 1}, 100); err == nil {
+	if _, err := walkFull(op.MatMul{M: -1, K: 1, L: 1}, 100); err == nil {
 		t.Fatal("invalid matmul accepted")
 	}
 }
@@ -120,11 +120,11 @@ func TestCoarseMatchesExhaustiveOnDivisorFriendlyShapes(t *testing.T) {
 	// Power-of-two shapes put the optimum on the coarse lattice.
 	mm := op.MatMul{M: 16, K: 8, L: 16}
 	for _, bs := range []int64{16, 64, 256, 1024} {
-		full, err := Exhaustive(mm, bs)
+		full, err := ReferenceExhaustive(mm, bs)
 		if err != nil {
 			continue
 		}
-		coarse, err := ExhaustiveCoarse(mm, bs)
+		coarse, err := datLattice(mm, bs)
 		if err != nil {
 			t.Fatalf("BS=%d: %v", bs, err)
 		}
@@ -159,7 +159,7 @@ func TestGeneticDeterministicForSeed(t *testing.T) {
 func TestGeneticFeasibleAndNearOptimal(t *testing.T) {
 	mm := op.MatMul{M: 16, K: 12, L: 8}
 	for _, bs := range []int64{24, 64, 144, 400} {
-		want, err := Exhaustive(mm, bs)
+		want, err := ReferenceExhaustive(mm, bs)
 		if err != nil {
 			continue
 		}
@@ -225,16 +225,6 @@ func BenchmarkGenetic(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Genetic(mm, 512*1024, GeneticOptions{Seed: int64(i + 1), Population: 32, Generations: 20}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExhaustiveCoarse(b *testing.B) {
-	mm := op.MatMul{M: 256, K: 128, L: 256}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := ExhaustiveCoarse(mm, 16*1024); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -136,12 +136,54 @@ func TestWalkMatchesReferenceExhaustiveAtScale(t *testing.T) {
 	}
 }
 
-// TestWalkMatchesReferenceCoarseAtScale: at 3·10^3 seeded points with
-// extents ≤ 200, the coarse walk returns ReferenceCoarse's Dataflow and
-// Access bit for bit.
+// TestWalkMatchesReferenceCoarseAtScale: DAT's lattice stage — the coarse
+// walk's answer with the counted lattice as its Evaluations — returns
+// ReferenceCoarse's Dataflow, Access and Evaluations at 3·10^3 seeded
+// points with extents ≤ 200 (one in twenty at the infeasible buffers 0–2,
+// where both must fail) and at the 682 Fig. 9 and Table-II/Fig. 11 points.
 func TestWalkMatchesReferenceCoarseAtScale(t *testing.T) {
 	skipSlowOracle(t)
-	checkWalk(t, search.GridCoarse, walkPoints(t, 72, 3000, 200), search.ReferenceCoarse)
+	points := walkPoints(t, 72, 3000, 200)
+	for i := 0; i < len(points); i += 20 {
+		points[i].bs = int64(i / 20 % 3)
+	}
+	shapes, err := experiments.TableIIShapes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mm := range append(experiments.Fig9Ops(), shapes...) {
+		for _, bs := range experiments.Fig9Buffers() {
+			points = append(points, walkPoint{mm, bs})
+		}
+	}
+	if len(points) != 3000+682 {
+		t.Fatalf("%d points, want 3682", len(points))
+	}
+	ctx := context.Background()
+	bad := 0
+	for _, p := range points {
+		want, werr := search.ReferenceCoarse(p.mm, p.bs)
+		got, gerr := search.CoarseStage(ctx, p.mm, p.bs)
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("%v BS=%d: error mismatch: reference %v, lattice stage %v", p.mm, p.bs, werr, gerr)
+		}
+		if werr != nil {
+			if p.bs >= 3 {
+				t.Fatalf("%v BS=%d: reference: %v", p.mm, p.bs, werr)
+			}
+			continue
+		}
+		if got.Dataflow != want.Dataflow || got.Access != want.Access || got.Evaluations != want.Evaluations {
+			bad++
+			if bad <= 5 {
+				t.Errorf("%v BS=%d: lattice stage %v %+v after %d visits, reference %v %+v after %d",
+					p.mm, p.bs, got.Dataflow, got.Access, got.Evaluations, want.Dataflow, want.Access, want.Evaluations)
+			}
+		}
+	}
+	if bad > 0 {
+		t.Errorf("DAT's lattice stage diverged from ReferenceCoarse at %d of %d points", bad, len(points))
+	}
 }
 
 // searchHotBuffers are fleetbench search-hot's buffers (elements): for the

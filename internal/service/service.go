@@ -254,6 +254,7 @@ type (
 func endpoint[Req any](s *Server, name string, h func(ctx context.Context, req *Req) (any, error)) http.HandlerFunc {
 	latency := s.reg.Histogram("http_latency_ms:"+name, nil)
 	inflight := s.reg.Gauge("http_inflight")
+	site := "service." + name
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
 			// A request that raced the drain gets a fast, explicit 503 with
@@ -295,7 +296,7 @@ func endpoint[Req any](s *Server, name string, h func(ctx context.Context, req *
 		// return errors (mapped through the envelope), panic (recovered by
 		// the middleware above), or stall (exercising deadlines and client
 		// retries). Disarmed it is a nil-receiver no-op.
-		if err := s.cfg.Injector.Fire("service." + name); err != nil {
+		if err := s.cfg.Injector.Fire(site); err != nil {
 			s.writeError(w, name, fmt.Errorf("service: %s: %w: %w", name, err, errs.ErrInternal))
 			return
 		}
