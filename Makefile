@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt-check vet fusecu-vet vet-fix-list test test-race test-race-service serve-load-race chaos-smoke test-checks fuzz-smoke bench bench-serve bench-full bench-compare bench-baseline check
+.PHONY: build fmt-check vet fusecu-vet vet-fix-list test test-race test-race-service serve-load-race chaos-smoke test-checks fuzz-smoke fleetbench-check bench bench-serve bench-full bench-compare bench-baseline check
 
 build:
 	$(GO) build ./...
@@ -82,6 +82,13 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzServeConn$$' -fuzztime=20s -run='^$$' ./internal/h1
 	$(GO) test -fuzz='^FuzzAnalyticOptimum$$' -fuzztime=20s -run='^$$' ./internal/search
 
+## fleetbench-check vets and tests the repository benchmark (fleetbench/).
+## It is a nested module, so the root `go build ./...` and `go test ./...`
+## never compile it: without this target, deleting a symbol it imports
+## would pass every other gate and only break the benchmark run.
+fleetbench-check:
+	cd fleetbench && $(GO) vet ./... && $(GO) test ./...
+
 ## bench is the CI smoke pass: every benchmark runs once, then fusecu-bench
 ## times DAT (the coarse walk plus the GA) and the analytic engine against
 ## DAT on the frozen reference scan and writes BENCH_search.json (verifying
@@ -156,4 +163,4 @@ bench-full:
 ## check is the full CI gate. Ordering matters: the cheap formatting and
 ## lint gates run first so their findings print before any long test phase,
 ## and fusecu-vet always echoes its full finding list before aborting.
-check: fmt-check build vet fusecu-vet test test-race test-race-service test-checks fuzz-smoke bench bench-compare bench-serve chaos-smoke
+check: fmt-check build vet fusecu-vet test test-race test-race-service test-checks fuzz-smoke fleetbench-check bench bench-compare bench-serve chaos-smoke

@@ -5,10 +5,10 @@ package api
 // wire_test.go; the /v1/ URL prefix tracks it.
 const Version = "v1"
 
-// TableFormatVersion is the candidate-table artifact format generation
-// replicas last loaded. Replicas no longer load or serve candidate tables
-// (fusecu-tablegen still writes them offline), but GET /v1/version keeps its
-// v1 layout, so the field stays and always reads this frozen value.
+// TableFormatVersion is the format generation of the persisted
+// candidate-table artifacts replicas once loaded. No program writes or
+// reads those artifacts any more, but GET /v1/version keeps its v1 layout,
+// so the field stays and always reads this frozen value.
 const TableFormatVersion = 1
 
 // VersionResponse is GET /v1/version: the coordinates that decide whether

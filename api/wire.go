@@ -1,7 +1,6 @@
 // Package api is the single source of truth for the fusecu-serve wire
 // contract: the v1 request/response schemas, the uniform error envelope and
-// its machine-readable codes, the version-introspection schema, and the
-// shape hash that addresses offline candidate-table artifacts.
+// its machine-readable codes, and the version-introspection schema.
 //
 // internal/service marshals these exact structs, the client package
 // consumes them (its exported wire names are aliases), and cmd/fusecu-route

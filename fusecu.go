@@ -163,10 +163,9 @@ func SearchOptimize(mm MatMul, bufferSize int64, seed int64) (SearchResult, erro
 }
 
 // SearchOptimizeCtx is SearchOptimize with cooperative cancellation: the
-// search stops promptly when ctx is done and returns ctx's error. workers is
-// accepted and ignored: the search runs on the calling goroutine, and the
-// result is bit-identical to SearchOptimize.
-func SearchOptimizeCtx(ctx context.Context, mm MatMul, bufferSize int64, seed int64, workers int) (SearchResult, error) {
+// search stops promptly when ctx is done and returns ctx's error. It runs on
+// the calling goroutine, and the result is bit-identical to SearchOptimize.
+func SearchOptimizeCtx(ctx context.Context, mm MatMul, bufferSize int64, seed int64) (SearchResult, error) {
 	return search.OptimizeCtx(ctx, mm, bufferSize, search.GeneticOptions{Seed: seed})
 }
 

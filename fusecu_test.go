@@ -147,7 +147,7 @@ func TestSearchOptimizeCtx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SearchOptimizeCtx(context.Background(), mm, 4096, 1, 4)
+	got, err := SearchOptimizeCtx(context.Background(), mm, 4096, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestSearchOptimizeCtx(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SearchOptimizeCtx(ctx, mm, 4096, 1, 4); !errors.Is(err, context.Canceled) {
+	if _, err := SearchOptimizeCtx(ctx, mm, 4096, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled search err = %v, want context.Canceled", err)
 	}
 }

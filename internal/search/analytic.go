@@ -151,7 +151,7 @@ func WalkCtx(ctx context.Context, mm op.MatMul, bufferSize int64, g Grid) (Resul
 func (a *Analytic) OptimizeCtx(ctx context.Context, bufferSize int64) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res, err = Result{}, panicError(r)
+			res, err = Result{}, panicError(a.method+" walk", r)
 		}
 	}()
 	if bufferSize < 3 {

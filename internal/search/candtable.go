@@ -142,7 +142,12 @@ func NewEvalCache() *EvalCache { return nil }
 // an error wrapping errs.ErrInfeasible-free sizing text; a panic escaping
 // the cost model (organic or fault-injected) is contained and returned as
 // errs.ErrInternal, like every engine boundary.
-func NewCandTable(mm op.MatMul, g Grid, _ *EvalCache) (*CandTable, error) {
+func NewCandTable(mm op.MatMul, g Grid, _ *EvalCache) (t *CandTable, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			t, err = nil, panicError("candidate-table build", r)
+		}
+	}()
 	if err := mm.Validate(); err != nil {
 		return nil, err
 	}
@@ -150,22 +155,20 @@ func NewCandTable(mm op.MatMul, g Grid, _ *EvalCache) (*CandTable, error) {
 	if n > MaxTableCandidates {
 		return nil, fmt.Errorf("search: candidate table for %v over %s grid needs %d entries (cap %d)", mm, g, n, MaxTableCandidates)
 	}
-	t := &CandTable{mm: mm, grid: g, candidates: n}
 	kern, err := cost.NewBatchEval(mm, dataflow.AllOrders())
 	if err != nil {
 		return nil, err
 	}
-	if err := guardScan(func() { t.build(kern) }); err != nil {
-		return nil, err
-	}
+	t = &CandTable{mm: mm, grid: g, candidates: n}
+	t.build(kern)
 	return t, nil
 }
 
 // build evaluates the lattice through the shared batch kernel, sorts by
-// (footprint, canonical key) and folds the prefix-minimum steps. Runs
-// inside guardScan. Candidates stream through one reused struct-of-arrays
-// block priced by the kernel's EvalBlock, so the lattice pass constructs
-// and validates nothing per candidate.
+// (footprint, canonical key) and folds the prefix-minimum steps.
+// NewCandTable contains its panics. Candidates stream through one reused
+// struct-of-arrays block priced by the kernel's EvalBlock, so the lattice
+// pass constructs and validates nothing per candidate.
 func (t *CandTable) build(kern *cost.BatchEval) {
 	gm, gk, gl := gridValues(t.mm, t.grid)
 	orders := dataflow.AllOrders()
@@ -188,7 +191,7 @@ func (t *CandTable) build(kern *cost.BatchEval) {
 				for oi := range orders {
 					if err := faultinject.Active().Fire(SiteEval); err != nil {
 						// Same per-candidate site as the other engines;
-						// guardScan converts the panic into ErrInternal.
+						// NewCandTable converts the panic into ErrInternal.
 						panic(err)
 					}
 					if blk.Full() {
@@ -266,17 +269,6 @@ func (t *CandTable) Grid() Grid { return t.grid }
 // covers — the cost-model invocations its build performed, and the
 // candidates a scan of the same lattice with an unbounded buffer visits.
 func (t *CandTable) Candidates() int64 { return t.candidates }
-
-// MemoryBytes estimates the table's resident size (footprint index plus
-// steps) for registry accounting.
-func (t *CandTable) MemoryBytes() int64 {
-	const stepBytes = 96 // foot + Dataflow + Access, rounded up
-	steps := int64(len(t.steps))
-	for i := range t.classSteps {
-		steps += int64(len(t.classSteps[i]))
-	}
-	return t.candidates*8 + steps*stepBytes
-}
 
 // method names the table engine in Result.Method.
 func (t *CandTable) method() string {

@@ -12,9 +12,9 @@ import (
 
 // SiteEval is the fault-injection point visited once per candidate cost
 // evaluation, across every engine (the walk, the candidate tables and the
-// GA). Chaos tests arm it via faultinject.Activate to prove the
-// panic-containment boundaries below; the disarmed cost is one atomic load
-// per visit.
+// GA). Chaos tests arm it via faultinject.Activate to prove each engine's
+// panic-containment boundary (see panicError); the disarmed cost is one
+// atomic load per visit.
 const SiteEval = "search.eval"
 
 // This file holds what the canonical walk and the candidate tables share
@@ -73,27 +73,15 @@ func fullRange(n int) []int {
 	return out
 }
 
-// panicError converts a recovered panic value into the taxonomy's
-// ErrInternal class, preserving error payloads (so an injected fault stays
-// classifiable as faultinject.ErrInjected).
-func panicError(r any) error {
+// panicError converts a value recovered at an engine's panic-containment
+// boundary into the taxonomy's ErrInternal class, naming the engine and
+// preserving error payloads (so an injected fault stays classifiable as
+// faultinject.ErrInjected).
+func panicError(engine string, r any) error {
 	if err, ok := r.(error); ok {
-		return fmt.Errorf("search: panic during scan: %w: %w", err, errs.ErrInternal)
+		return fmt.Errorf("search: panic in %s: %w: %w", engine, err, errs.ErrInternal)
 	}
-	return fmt.Errorf("search: panic during scan: %v: %w", r, errs.ErrInternal)
-}
-
-// guardScan is the panic-containment boundary of a candidate-table build: a
-// panic escaping fn — an injected fault or an organic bug in the cost model —
-// becomes an ErrInternal error instead of unwinding into the caller.
-func guardScan(fn func()) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = panicError(r)
-		}
-	}()
-	fn()
-	return nil
+	return fmt.Errorf("search: panic in %s: %v: %w", engine, r, errs.ErrInternal)
 }
 
 // cancelCheck polls a context's Err at a coarse stride, so the walk pays

@@ -2,6 +2,7 @@ package search
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"fusecu/internal/errs"
@@ -23,6 +24,15 @@ func armEval(t *testing.T, plans ...faultinject.Plan) *faultinject.Injector {
 
 var faultOp = op.MatMul{Name: "fault", M: 24, K: 16, L: 20}
 
+// checkNamesEngine requires a contained panic's error to name the engine
+// whose boundary caught it, and not a lattice scan, which no engine runs.
+func checkNamesEngine(t *testing.T, err error, engine string) {
+	t.Helper()
+	if msg := err.Error(); !strings.Contains(msg, "panic in "+engine+":") || strings.Contains(msg, "scan") {
+		t.Fatalf("contained panic does not name the %s: %v", engine, err)
+	}
+}
+
 // TestInjectedPanicContainedSequential proves the walk's boundary: a panic
 // at pricing 31 (of the 62 the full-lattice walk makes on faultOp) surfaces
 // as an ErrInternal error, still classifiable as an injected fault, and the
@@ -36,6 +46,7 @@ func TestInjectedPanicContainedSequential(t *testing.T) {
 	if !errors.Is(err, errs.ErrInternal) {
 		t.Fatalf("contained panic is not ErrInternal: %v", err)
 	}
+	checkNamesEngine(t, err, "exhaustive walk")
 	if in.Fires(SiteEval) != 1 {
 		t.Fatalf("fires = %d, want 1", in.Fires(SiteEval))
 	}
@@ -58,6 +69,7 @@ func TestInjectedErrorPanicsIntoErrInternal(t *testing.T) {
 	if !errors.Is(err, errs.ErrInternal) || !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("error lost a sentinel: %v", err)
 	}
+	checkNamesEngine(t, err, "exhaustive-coarse walk")
 }
 
 // TestInjectedPanicContainedGenetic proves the GA's generation-loop boundary.
@@ -70,6 +82,7 @@ func TestInjectedPanicContainedGenetic(t *testing.T) {
 	if !errors.Is(err, errs.ErrInternal) {
 		t.Fatalf("contained panic is not ErrInternal: %v", err)
 	}
+	checkNamesEngine(t, err, "genetic search")
 }
 
 // TestResultsUnchangedAfterFaultWindow: once a Times-capped fault plan is

@@ -25,8 +25,9 @@
 // The walk and the GA price one candidate at a time through the compiled
 // cost.BatchEval kernel's scalar entry. Only candidate tables (CandTable)
 // price whole lattices, in struct-of-arrays blocks, folding them into
-// footprint-indexed step functions; they serve offline buffer sweeps, not
-// requests.
+// footprint-indexed step functions. No request and no command uses them;
+// they stay only while the repository benchmark's traced replay
+// (fleetbench/) still builds them.
 package search
 
 import (
@@ -162,7 +163,7 @@ func Genetic(mm op.MatMul, bufferSize int64, opts GeneticOptions) (Result, error
 func GeneticCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts GeneticOptions) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res, err = Result{}, panicError(r)
+			res, err = Result{}, panicError("genetic search", r)
 		}
 	}()
 	orders := dataflow.AllOrders()
