@@ -70,8 +70,10 @@ test-checks:
 ## fuzz-smoke runs each native fuzz target briefly: the request-decode
 ## strictness invariants, the tiling-constructor contracts, the router
 ## relay's handling of arbitrary upstream reply bytes, the inbound server's
-## handling of arbitrary client bytes, and the canonical walk's exactness
-## against the frozen full and coarse reference scans.
+## handling of arbitrary client bytes, the in-place request and reply head
+## scanner against http.ReadRequest and http.ReadResponse, and the
+## canonical walk's exactness against the frozen full and coarse reference
+## scans.
 ## Failing
 ## inputs are minimized into testdata/fuzz corpora for regression.
 fuzz-smoke:
@@ -80,6 +82,8 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzNewTiling$$' -fuzztime=20s -run='^$$' ./internal/dataflow
 	$(GO) test -fuzz='^FuzzRelayResponse$$' -fuzztime=20s -run='^$$' ./internal/route
 	$(GO) test -fuzz='^FuzzServeConn$$' -fuzztime=20s -run='^$$' ./internal/h1
+	$(GO) test -fuzz='^FuzzRequestHead$$' -fuzztime=20s -run='^$$' ./internal/h1
+	$(GO) test -fuzz='^FuzzReplyHead$$' -fuzztime=20s -run='^$$' ./internal/h1
 	$(GO) test -fuzz='^FuzzAnalyticOptimum$$' -fuzztime=20s -run='^$$' ./internal/search
 
 ## fleetbench-check vets and tests the repository benchmark (fleetbench/).
@@ -107,8 +111,9 @@ bench-serve:
 
 ## bench-compare reruns the search-layer, principle-optimizer, fused
 ## tile-OS/IS (internal/fusion), /v1/evaluate (internal/arch), router
-## proxy-handler (internal/route), inbound-connection (internal/h1) and
-## replica-handler (internal/service) microbenchmarks and diffs the medians
+## proxy-handler and relay-exchange (internal/route), inbound-connection
+## (internal/h1) and replica-handler (internal/service) microbenchmarks and
+## diffs the medians
 ## against the committed baseline with the stdlib-only fusecu-benchstat
 ## (CI has no network for x/perf's benchstat). The target is blocking: it
 ## fails when any benchmark's median runs more than BENCH_GATE× the
@@ -126,13 +131,19 @@ bench-serve:
 ## engines sliding back from the canonical walk to a per-request lattice
 ## scan, which measures about 200× slower on BenchmarkSearchHotWalk, and
 ## the router's own per-request work growing back: BenchmarkProxyHandler
-## times it with a socket-free canned-reply Transport, and the per-request
+## times it with a socket-free canned-reply upstream, and the per-request
 ## shape-hash body parse and http.Client path it replaced measure 1.9× there,
+## and the relay's own work per attempt: BenchmarkRelayExchange runs
+## exchanges over a scripted in-memory upstream connection that answers
+## search-hot's replies, and the http.NewRequestWithContext and
+## http.ReadResponse path it replaced allocated 23 times per exchange
+## against none, which the allocs column shows,
 ## and the inbound server's per-request work growing: BenchmarkServeConn
 ## runs one keep-alive connection's loop on the benchmark goroutine over a
 ## scripted in-memory connection, so no goroutine handoff or scheduling
 ## enters its time, and net/http.Server, which it replaced, allocated 24
-## times per request against its 11, which the allocs column shows, and
+## times per request, and http.ReadRequest, which the in-place head scanner
+## replaced, 11, against none, which the allocs column shows, and
 ## a replica's own per-request work growing back: BenchmarkSearchHotHandler
 ## serves search-hot's 54 bodies through the service handler. The
 ## per-request context.WithTimeout timers and formatted loop-order names it

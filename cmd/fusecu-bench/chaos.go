@@ -99,7 +99,6 @@ type chaosReport struct {
 	UpstreamErrors  int64 `json:"upstream_errors"`
 	RetryableStatus int64 `json:"retryable_status"`
 	CopyErrors      int64 `json:"copy_errors"`
-	CloseErrors     int64 `json:"close_errors"`
 	// Client-side resilience counters.
 	ClientRetries         int64 `json:"client_retries"`
 	ClientTransportErrors int64 `json:"client_transport_errors"`
@@ -437,7 +436,6 @@ func chaosLoad(out string, clients, maxInFlight, replicas int, seed int64, kills
 	rep.UpstreamErrors = reg.Counter("route_upstream_errors_total").Value()
 	rep.RetryableStatus = reg.Counter("route_retryable_status_total").Value()
 	rep.CopyErrors = reg.Counter("route_copy_errors_total").Value()
-	rep.CloseErrors = reg.Counter("route_close_errors_total").Value()
 
 	stats := cl.Stats()
 	rep.ClientRetries = stats.Retries

@@ -3,6 +3,7 @@ package h1_test
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"fusecu/api"
 	"fusecu/internal/h1"
 	"fusecu/internal/route"
 	"fusecu/internal/service"
@@ -309,5 +311,40 @@ func TestShutdownFinishesRunningRequests(t *testing.T) {
 	}
 	if err := <-shut; err != nil {
 		t.Fatalf("Shutdown: %v", err)
+	}
+}
+
+// TestBodyCapPerTier: a replica and the router each refuse a request body
+// of 1 MiB + 1 byte with a 400 invalid_request envelope that names the body
+// read, and keep the connection open: the handler read the body to the
+// cap, so nothing is left to drain.
+func TestBodyCapPerTier(t *testing.T) {
+	svc := service.New(service.Config{})
+	svc.SetReady(true)
+	router, err := route.New(route.Config{Backends: []string{"http://" + serveOracle(t, svc.Handler())}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := post("/v1/optimize", strings.Repeat("x", 1<<20+1))
+	for _, tier := range []struct {
+		name string
+		h    http.Handler
+	}{{"replica", svc.Handler()}, {"router", router.Handler()}} {
+		t.Run(tier.name, func(t *testing.T) {
+			got, open := exchange(t, serveH1(t, tier.h), raw, []string{"POST"})
+			if len(got) != 1 || got[0].Status != http.StatusBadRequest {
+				t.Fatalf("replies %+v, want one 400", got)
+			}
+			var env api.ErrorEnvelope
+			if err := json.Unmarshal([]byte(got[0].Body), &env); err != nil {
+				t.Fatal(err)
+			}
+			if env.Error.Code != api.CodeInvalidRequest || !strings.Contains(env.Error.Message, "reading body") {
+				t.Errorf("envelope %+v, want invalid_request naming the body read", env.Error)
+			}
+			if !open {
+				t.Error("the connection closed after the refusal")
+			}
+		})
 	}
 }

@@ -1,11 +1,14 @@
 // Package h1 is the HTTP/1.1 server of fusecu-serve and fusecu-route. It
 // runs each keep-alive connection on one goroutine and serves that
-// connection's requests there in turn: http.ReadRequest parses a request,
-// the handler writes its reply into a buffer, and the status line, the
-// headers, Date, Content-Length and the body leave in one write. It starts
-// no goroutine, context or timer per request, where net/http.Server starts
-// a background reader after every request body, aborts it after every
-// reply, and derives a cancelable context for every request.
+// connection's requests there in turn: the head scanner (head.go) reads a
+// request head of the fleet's one shape in place, into a request the
+// connection reuses, and http.ReadRequest parses any other; the handler
+// writes its reply into a buffer, and the status line, the headers, Date,
+// Content-Length and the body leave in one write. It starts no goroutine,
+// context or timer per request, where net/http.Server starts a background
+// reader after every request body, aborts it after every reply, and
+// derives a cancelable context for every request. The router's relay reads
+// its replies with the same scanner.
 //
 // It keeps net/http.Server's request checks — the 1 MiB + 4 KiB limit on a
 // request head (431), a Host on HTTP/1.1 that holds only valid bytes, valid
@@ -240,7 +243,8 @@ type conn struct {
 
 	lr       limitReader
 	br       *bufio.Reader
-	lastPOST bool // the previous request was a POST
+	head     requestHead // where the scanner reads request heads
+	lastPOST bool        // the previous request was a POST
 
 	res  response
 	body body
@@ -328,8 +332,9 @@ type statusError struct {
 
 func (e statusError) Error() string { return http.StatusText(e.code) + ": " + e.text }
 
-// readRequest reads the next request head and applies net/http.Server's
-// checks to it.
+// readRequest reads the next request head, with the scanner when the
+// head has the fleet's shape and with http.ReadRequest otherwise, and
+// applies net/http.Server's checks to it.
 func (c *conn) readRequest() (*http.Request, error) {
 	c.lr.n = headLimit
 	if c.lastPOST {
@@ -337,7 +342,11 @@ func (c *conn) readRequest() (*http.Request, error) {
 		peek, _ := c.br.Peek(4)
 		_, _ = c.br.Discard(leadingCRLF(peek))
 	}
-	req, err := http.ReadRequest(c.br)
+	_, err := c.br.Peek(1)
+	req, ok := c.head.scan(c.br)
+	if !ok && err == nil {
+		req, err = http.ReadRequest(c.br)
+	}
 	if err != nil {
 		if c.lr.n <= 0 {
 			return nil, errTooLarge

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -354,7 +355,7 @@ func TestClientDisconnectDoesNotEject(t *testing.T) {
 	// The upstream connection, a reply still owed on it, is closed rather
 	// than pooled.
 	waitFor(t, "the upstream connection to close", func() bool { return cc.closed.Load() == 1 })
-	if n := len(r.cfg.Transport.(*relay).idle[strings.TrimPrefix(ts.URL, "http://")]); n != 0 {
+	if n := len(r.up.(*relay).idle[strings.TrimPrefix(ts.URL, "http://")]); n != 0 {
 		t.Fatalf("%d connections pooled after a disconnect, want 0", n)
 	}
 }
@@ -474,16 +475,32 @@ func TestNonRetryableStatusPassesThrough(t *testing.T) {
 	}
 }
 
-// roundTripFunc adapts a function to http.RoundTripper for synthetic
-// upstream responses.
-type roundTripFunc func(*http.Request) (*http.Response, error)
+// exchangeFunc adapts a function to upstream for synthetic upstream
+// replies.
+type exchangeFunc func(ctx context.Context, b *Backend, method, uri, contentType string, body []byte) (reply, error)
 
-func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+func (f exchangeFunc) exchange(ctx context.Context, b *Backend, method, uri, contentType string, body []byte) (reply, error) {
+	return f(ctx, b, method, uri, contentType, body)
+}
 
-// errCloseBody reads fine but fails on Close.
-type errCloseBody struct{ io.Reader }
+// cannedReply is a synthetic upstream reply, its body in a pooled buffer as
+// the relay's are.
+func cannedReply(status int, contentType, body string) reply {
+	buf := replyBufs.Get().(*bytes.Buffer)
+	buf.WriteString(body)
+	return reply{status: status, contentType: contentType, body: buf}
+}
 
-func (b *errCloseBody) Close() error { return errors.New("close failed") }
+// newStubRouter builds a Router over cfg whose upstream exchanges run f.
+func newStubRouter(t testing.TB, cfg Config, f exchangeFunc) *Router {
+	t.Helper()
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.up = f
+	return r
+}
 
 // failingWriter is a ResponseWriter whose Write always errors, forcing a
 // mid-stream copy failure toward the client.
@@ -501,44 +518,20 @@ func (w *failingWriter) Header() http.Header {
 func (w *failingWriter) WriteHeader(code int)      { w.code = code }
 func (w *failingWriter) Write([]byte) (int, error) { return 0, errors.New("client went away") }
 
-// TestCopyAndCloseErrorSplit: a truncated response toward the client counts
-// as route_copy_errors_total, a failing upstream body close as
-// route_close_errors_total — never the shared route_encode_errors_total.
-func TestCopyAndCloseErrorSplit(t *testing.T) {
-	newStub := func(body io.ReadCloser) *Router {
-		rt := roundTripFunc(func(*http.Request) (*http.Response, error) {
-			return &http.Response{
-				StatusCode: http.StatusOK,
-				Header:     http.Header{"Content-Type": []string{"application/json"}},
-				Body:       body,
-			}, nil
-		})
-		r, err := New(Config{Backends: []string{"http://stub"}, Transport: rt})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-
-	// Close failure only: delivered body intact, close noise counted apart.
-	r := newStub(&errCloseBody{Reader: strings.NewReader(`{"ok":true}`)})
-	rec := httptest.NewRecorder()
-	r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/search", strings.NewReader(searchBody(8, 8, 8))))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d", rec.Code)
-	}
-	snap := r.Registry().Snapshot()
-	if snap["route_close_errors_total"] != 1 || snap["route_copy_errors_total"] != 0 {
-		t.Fatalf("close=%v copy=%v, want close=1 copy=0", snap["route_close_errors_total"], snap["route_copy_errors_total"])
-	}
-
-	// Copy failure only: the client connection broke mid-stream.
-	r = newStub(io.NopCloser(strings.NewReader(`{"ok":true}`)))
+// TestCopyErrorCountedApart: a truncated response toward the client counts
+// as route_copy_errors_total — never the shared route_encode_errors_total.
+func TestCopyErrorCountedApart(t *testing.T) {
+	r := newStubRouter(t, Config{Backends: []string{"http://stub"}}, func(context.Context, *Backend, string, string, string, []byte) (reply, error) {
+		return cannedReply(http.StatusOK, "application/json", `{"ok":true}`), nil
+	})
 	fw := &failingWriter{}
 	r.Handler().ServeHTTP(fw, httptest.NewRequest(http.MethodPost, "/v1/search", strings.NewReader(searchBody(8, 8, 8))))
-	snap = r.Registry().Snapshot()
-	if snap["route_copy_errors_total"] != 1 || snap["route_close_errors_total"] != 0 {
-		t.Fatalf("copy=%v close=%v, want copy=1 close=0", snap["route_copy_errors_total"], snap["route_close_errors_total"])
+	if fw.code != http.StatusOK {
+		t.Fatalf("status %d", fw.code)
+	}
+	snap := r.Registry().Snapshot()
+	if snap["route_copy_errors_total"] != 1 {
+		t.Fatalf("route_copy_errors_total = %v, want 1", snap["route_copy_errors_total"])
 	}
 	if snap["route_encode_errors_total"] != 0 {
 		t.Fatalf("route_encode_errors_total = %v, want 0 — proxy errors must not share it", snap["route_encode_errors_total"])
@@ -549,20 +542,15 @@ func TestCopyAndCloseErrorSplit(t *testing.T) {
 // the transport level, the router gives up after ProxyAttempts with its own
 // 502 envelope (there is no upstream response left to pass through).
 func TestProxyAttemptBudgetExhaustion(t *testing.T) {
-	rt := roundTripFunc(func(*http.Request) (*http.Response, error) {
-		return nil, errors.New("connection refused")
-	})
-	r, err := New(Config{
+	r := newStubRouter(t, Config{
 		Backends:      []string{"http://stub-a", "http://stub-b", "http://stub-c", "http://stub-d"},
-		Transport:     rt,
 		ProxyAttempts: 2,
 		// A high threshold so ejection doesn't shrink the candidate list
 		// under the attempt budget being tested.
 		EjectThreshold: 10,
+	}, func(context.Context, *Backend, string, string, string, []byte) (reply, error) {
+		return reply{}, errors.New("connection refused")
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/search", strings.NewReader(searchBody(8, 8, 8))))
 	if rec.Code != http.StatusBadGateway {

@@ -77,7 +77,7 @@ func FuzzRelayResponse(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	rl := r.cfg.Transport.(*relay)
+	rl := r.up.(*relay)
 	host := ln.Addr().String()
 	h := r.Handler()
 

@@ -1,17 +1,16 @@
 package route
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"fusecu/api"
 	"fusecu/internal/faultinject"
+	"fusecu/internal/h1"
 )
 
 // statusClientClosedRequest mirrors the service's convention (nginx's 499)
@@ -75,71 +74,26 @@ func retryableStatus(code int) bool {
 		code == http.StatusServiceUnavailable
 }
 
-// replyBufs recycles the buffers upstream reply bodies are read into.
-var replyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPooledReply is the largest buffer capacity returned to replyBufs, so
-// one outsized reply does not pin its buffer for the process lifetime.
-const maxPooledReply = 64 << 10
-
-// upstreamResult is one finished upstream attempt: the reply's status,
-// headers, Connection: close flag and whole body, or the error that ended
-// the attempt.
+// upstreamResult is one finished upstream attempt: the reply, read whole,
+// or the error that ended the attempt.
 type upstreamResult struct {
-	b      *Backend
-	probe  bool
-	status int
-	header http.Header
-	close  bool
-	body   *bytes.Buffer // from replyBufs; nil on error
-	err    error
+	reply
+	b     *Backend
+	probe bool
+	err   error
 }
 
-// attemptUpstream runs one proxy attempt against b and reads the reply's
-// body in full, so a reply cut short is a failed attempt like any other
-// transport error.
+// attemptUpstream runs one proxy attempt against b. The relay reads the
+// reply's body in full, so a reply cut short is a failed attempt like any
+// other transport error.
 func (r *Router) attemptUpstream(ctx context.Context, b *Backend, probe bool, method, uri, contentType string, body []byte) upstreamResult {
 	res := upstreamResult{b: b, probe: probe}
 	b.attempts.Inc()
 	if res.err = faultinject.Active().FireCtx(ctx, SiteProxy); res.err != nil {
 		return res
 	}
-	var reqBody io.Reader
-	if len(body) > 0 {
-		reqBody = bytes.NewReader(body)
-	}
-	out, err := http.NewRequestWithContext(ctx, method, b.url+uri, reqBody)
-	if err != nil {
-		res.err = err
-		return res
-	}
-	if contentType != "" {
-		out.Header.Set("Content-Type", contentType)
-	}
-	resp, err := r.cfg.Transport.RoundTrip(out)
-	if err != nil {
-		res.err = err
-		return res
-	}
-	buf := replyBufs.Get().(*bytes.Buffer)
-	_, err = buf.ReadFrom(resp.Body)
-	if cerr := resp.Body.Close(); cerr != nil && err == nil {
-		r.reg.Counter("route_close_errors_total").Inc()
-	}
-	if err != nil {
-		releaseReply(buf)
-		res.err = err
-		return res
-	}
-	res.status, res.header, res.close, res.body = resp.StatusCode, resp.Header, resp.Close, buf
+	res.reply, res.err = r.up.exchange(ctx, b, method, uri, contentType, body)
 	return res
-}
-
-func releaseReply(buf *bytes.Buffer) {
-	if buf.Cap() <= maxPooledReply {
-		buf.Reset()
-		replyBufs.Put(buf)
-	}
 }
 
 // handleProxy forwards one /v1/* request to the next replica of the
@@ -149,13 +103,17 @@ func releaseReply(buf *bytes.Buffer) {
 // response instead of a 502. The winning response passes through verbatim —
 // status, envelope, Retry-After included.
 func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, 1<<20))
+	rb, err := h1.ReadBody(w, req, 1<<20)
 	if err != nil {
 		r.writeError(w, http.StatusBadRequest, api.CodeInvalidRequest,
 			fmt.Sprintf("route: reading body: %v", err))
 		return
 	}
-	it := &attemptIter{cands: r.candidates()}
+	// Every attempt, hedges included, has finished with the body by the
+	// time handleProxy returns.
+	defer rb.Free()
+	body := rb.B
+	it := r.candidates()
 	uri := req.URL.RequestURI()
 	ct := req.Header.Get("Content-Type")
 
@@ -172,7 +130,7 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 		var res upstreamResult
 		if attempts == 0 && r.cfg.HedgeAfter > 0 {
 			var n int
-			res, n = r.raceHedge(req, it, b, probe, ct, uri, body)
+			res, n = r.raceHedge(req, &it, b, probe, ct, uri, body)
 			attempts += n
 		} else {
 			attempts++
@@ -235,10 +193,11 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 // client saw a truncated body) counts as route_copy_errors_total.
 func (r *Router) deliver(w http.ResponseWriter, res upstreamResult) {
 	h := w.Header()
-	for _, k := range []string{"Content-Type", "Retry-After"} {
-		if v := res.header.Get(k); v != "" {
-			h.Set(k, v)
-		}
+	if res.contentType != "" {
+		h.Set("Content-Type", res.contentType)
+	}
+	if res.retryAfter != "" {
+		h.Set("Retry-After", res.retryAfter)
 	}
 	if res.close {
 		h.Set("Connection", "close")
@@ -255,11 +214,7 @@ func (r *Router) deliver(w http.ResponseWriter, res upstreamResult) {
 }
 
 // discard disposes of a losing or failed attempt's reply buffer.
-func discard(res upstreamResult) {
-	if res.body != nil {
-		releaseReply(res.body)
-	}
-}
+func discard(res upstreamResult) { releaseReply(res.body) }
 
 // handleVersion reports the fleet's agreed version triple.
 func (r *Router) handleVersion(w http.ResponseWriter, req *http.Request) {

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -113,7 +114,8 @@ func TestRelayRetriesStaleConnection(t *testing.T) {
 }
 
 // TestRelayPoolsOnlyCleanReplies: a connection goes back to the pool only
-// after its reply was read to EOF and did not ask to close.
+// after its whole reply was read, the reply did not ask to close, and no
+// byte beyond it arrived.
 func TestRelayPoolsOnlyCleanReplies(t *testing.T) {
 	big := strings.Repeat("x", 64<<10)
 	ts, _ := newCountedBackend(t, func(w http.ResponseWriter, r *http.Request) {
@@ -123,33 +125,32 @@ func TestRelayPoolsOnlyCleanReplies(t *testing.T) {
 		case "/v1/close":
 			w.Header().Set("Connection", "close")
 			_, _ = io.WriteString(w, `{}`)
+		case "/v1/extra", "/v1/short":
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer conn.Close()
+			raw := "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}{"
+			if r.URL.Path == "/v1/short" {
+				raw = "HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n{}"
+			}
+			_, _ = io.WriteString(conn, raw)
 		default:
 			_, _ = io.WriteString(w, `{}`)
 		}
 	})
 	rl := newRelay()
 	host := strings.TrimPrefix(ts.URL, "http://")
-	get := func(path string, readAll bool) {
+	b := &Backend{addr: host, host: host}
+	get := func(path string) error {
 		t.Helper()
-		req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
-		if err != nil {
-			t.Fatal(err)
+		res, err := rl.exchange(context.Background(), b, http.MethodGet, path, "", nil)
+		if err == nil {
+			releaseReply(res.body)
 		}
-		resp, err := rl.RoundTrip(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if readAll {
-			_, err = io.ReadAll(resp.Body)
-		} else {
-			_, err = io.ReadFull(resp.Body, make([]byte, 10))
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := resp.Body.Close(); err != nil {
-			t.Fatal(err)
-		}
+		return err
 	}
 	pooled := func() int {
 		rl.mu.Lock()
@@ -159,19 +160,22 @@ func TestRelayPoolsOnlyCleanReplies(t *testing.T) {
 
 	for _, step := range []struct {
 		path    string
-		readAll bool
+		wantErr bool
 		want    int
 	}{
-		{"/v1/ok", true, 1},    // clean: pooled
-		{"/v1/big", false, 0},  // abandoned mid-body: closed
-		{"/v1/ok", true, 1},    // a fresh connection, pooled
-		{"/v1/close", true, 0}, // Connection: close: closed
-		{"/v1/big", true, 1},   // read to EOF: pooled
-		{"/v1/big", false, 0},  // abandoned again
+		{"/v1/ok", false, 1},    // clean: pooled
+		{"/v1/big", false, 1},   // read whole: pooled again
+		{"/v1/close", false, 0}, // Connection: close: closed
+		{"/v1/ok", false, 1},    // a fresh connection, pooled
+		{"/v1/extra", false, 0}, // a byte beyond the reply: closed
+		{"/v1/ok", false, 1},    // a fresh connection, pooled
+		{"/v1/short", true, 0},  // cut short: a failed exchange, closed
 	} {
-		get(step.path, step.readAll)
+		if err := get(step.path); (err != nil) != step.wantErr {
+			t.Fatalf("%s: err = %v, want an error %v", step.path, err, step.wantErr)
+		}
 		if got := pooled(); got != step.want {
-			t.Fatalf("after %s (read all %v): %d pooled connections, want %d", step.path, step.readAll, got, step.want)
+			t.Fatalf("after %s: %d pooled connections, want %d", step.path, got, step.want)
 		}
 	}
 }
@@ -191,12 +195,9 @@ func TestRelayCutsHungUpstreamAtDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/search", strings.NewReader(searchBody(8, 8, 8)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	host := strings.TrimPrefix(ts.URL, "http://")
 	start := time.Now()
-	_, err = newRelay().RoundTrip(req)
+	_, err := newRelay().exchange(ctx, &Backend{addr: host, host: host}, http.MethodPost, "/v1/search", "", []byte(searchBody(8, 8, 8)))
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want one wrapping context.DeadlineExceeded", err)
@@ -320,25 +321,8 @@ func TestPassThroughMatchesReplica(t *testing.T) {
 	}
 }
 
-// BenchmarkProxyHandler is the router's own per-request work over
-// fleetbench search-hot's 54 request bodies — body buffering, selection,
-// breaker admission, the attempt, and the one-write delivery — against a
-// Transport that answers a canned reply without a socket.
-func BenchmarkProxyHandler(b *testing.B) {
-	const canned = `{"engine":"exhaustive","dataflow":{"order":"MKL","tm":8,"tk":4,"tl":8,"nra":"LA","memory_access":1234,"per_tensor":[1,2,3]},"evaluations":99}` + "\n"
-	rt := roundTripFunc(func(req *http.Request) (*http.Response, error) {
-		_, _ = io.Copy(io.Discard, req.Body)
-		return &http.Response{
-			StatusCode:    http.StatusOK,
-			Header:        http.Header{"Content-Type": []string{"application/json"}},
-			Body:          io.NopCloser(strings.NewReader(canned)),
-			ContentLength: int64(len(canned)),
-		}, nil
-	})
-	r, err := New(Config{Backends: []string{"http://replica-a", "http://replica-b"}, Transport: rt})
-	if err != nil {
-		b.Fatal(err)
-	}
+// searchHotBodies are fleetbench search-hot's 54 request bodies.
+func searchHotBodies() [][]byte {
 	var bodies [][]byte
 	for _, engine := range []string{"exhaustive", "coarse"} {
 		for _, mm := range experiments.ServeLoadOps() {
@@ -349,6 +333,21 @@ func BenchmarkProxyHandler(b *testing.B) {
 			}
 		}
 	}
+	return bodies
+}
+
+// BenchmarkProxyHandler is the router's own per-request work over
+// fleetbench search-hot's 54 request bodies — body buffering, selection,
+// breaker admission, the attempt, and the one-write delivery — against an
+// upstream that answers a canned reply without a socket. Each request
+// carries its Content-Length, as internal/h1 delivers it.
+func BenchmarkProxyHandler(b *testing.B) {
+	const canned = `{"engine":"exhaustive","dataflow":{"order":"MKL","tm":8,"tk":4,"tl":8,"nra":"LA","memory_access":1234,"per_tensor":[1,2,3]},"evaluations":99}` + "\n"
+	r := newStubRouter(b, Config{Backends: []string{"http://replica-a", "http://replica-b"}},
+		func(context.Context, *Backend, string, string, string, []byte) (reply, error) {
+			return cannedReply(http.StatusOK, "application/json", canned), nil
+		})
+	bodies := searchHotBodies()
 	// Requests are built once and their bodies rewound, so the loop times
 	// the router rather than request construction.
 	reqs := make([]*http.Request, len(bodies))
@@ -357,6 +356,7 @@ func BenchmarkProxyHandler(b *testing.B) {
 		rbs[i] = &rewindBody{}
 		reqs[i] = httptest.NewRequest(http.MethodPost, "/v1/search", rbs[i])
 		reqs[i].Header.Set("Content-Type", "application/json")
+		reqs[i].ContentLength = int64(len(bodies[i]))
 	}
 	h := r.Handler()
 	w := &discardWriter{h: http.Header{}}
@@ -373,6 +373,72 @@ func BenchmarkProxyHandler(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRelayExchange is the relay's own work per proxy attempt: one
+// pooled keep-alive connection carries search-hot's 54 bodies, and answers
+// each with the reply a replica sends for it — the service handler's body,
+// framed as internal/h1 frames it. The connection is a scripted in-memory
+// net.Conn, so no socket is opened and no goroutine hands a request or
+// reply to another. One op is one exchange.
+func BenchmarkRelayExchange(b *testing.B) {
+	bodies := searchHotBodies()
+	replica := service.New(service.Config{}).Handler()
+	replies := make([][]byte, len(bodies))
+	for i, body := range bodies {
+		rec := httptest.NewRecorder()
+		replica.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/search", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s: status %d", body, rec.Code)
+		}
+		replies[i] = []byte("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nDate: Tue, 20 Oct 2026 09:00:00 GMT\r\n" +
+			"Content-Length: " + strconv.Itoa(rec.Body.Len()) + "\r\n\r\n" + rec.Body.String())
+	}
+	rl := newRelay()
+	be := &Backend{addr: "127.0.0.1:8081", host: "127.0.0.1:8081"}
+	up := &scriptedUpstream{replies: replies}
+	rl.put(&relayConn{addr: be.addr, conn: up, br: bufio.NewReader(up)})
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := rl.exchange(ctx, be, http.MethodPost, "/v1/search", "application/json", bodies[i%len(bodies)])
+		if err != nil || res.status != http.StatusOK || res.contentType != "application/json" {
+			b.Fatalf("exchange %d: %d %q %v", i, res.status, res.contentType, err)
+		}
+		releaseReply(res.body)
+	}
+	b.StopTimer()
+	if up.exchanges != b.N {
+		b.Fatalf("%d exchanges on the scripted connection, want %d: it left the pool", up.exchanges, b.N)
+	}
+}
+
+// scriptedUpstream is a replica's end of a keep-alive connection: each
+// request written to it is answered by the next of its replies, in turn.
+type scriptedUpstream struct {
+	net.Conn  // nil: only the methods below are called
+	replies   [][]byte
+	exchanges int
+	rest      []byte // what is left of the reply being read
+}
+
+func (c *scriptedUpstream) Write(p []byte) (int, error) {
+	c.rest = c.replies[c.exchanges%len(c.replies)]
+	c.exchanges++
+	return len(p), nil
+}
+
+func (c *scriptedUpstream) Read(p []byte) (int, error) {
+	if len(c.rest) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.rest)
+	c.rest = c.rest[n:]
+	return n, nil
+}
+
+func (c *scriptedUpstream) SetDeadline(time.Time) error { return nil }
+func (c *scriptedUpstream) Close() error                { return nil }
 
 // rewindBody is a request body the benchmark can refill.
 type rewindBody struct{ bytes.Reader }

@@ -15,8 +15,10 @@
 //
 // Upstream exchanges run on the relay (relay.go), a synchronous HTTP/1.1
 // client over pooled keep-alive connections: the handler goroutine writes
-// the request and reads the reply itself, with no per-connection
-// goroutines.
+// the request and reads the reply whole itself, with no per-connection
+// goroutines, and the fleet's reply heads are read in place by
+// h1.Scanner, so a proxy attempt or probe builds no http.Request or
+// http.Response.
 //
 // Backend health is a per-replica ejection breaker (see ejector):
 // consecutive request failures eject a replica for a window, after which a
@@ -43,8 +45,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"net"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -68,10 +71,6 @@ type Config struct {
 	// Backends are the replica base URLs, e.g. "http://127.0.0.1:8081".
 	// Required, at least one.
 	Backends []string
-	// Transport runs proxy attempts and health/version probes; nil means
-	// the relay, the router's synchronous HTTP/1.1 client (relay.go).
-	// Tests substitute fakes here.
-	Transport http.RoundTripper
 	// HealthInterval is the /readyz + /v1/version poll period (default 2s).
 	HealthInterval time.Duration
 	// ProbeTimeout bounds each health/version probe (default 2s).
@@ -99,9 +98,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Transport == nil {
-		c.Transport = newRelay()
-	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 2 * time.Second
 	}
@@ -125,8 +121,11 @@ func (c Config) withDefaults() Config {
 
 // Backend is one replica and its routing state.
 type Backend struct {
-	url string
-	ej  *ejector
+	url  string
+	addr string // dial address, host:port
+	host string // the Host header
+	path string // the base URL's path, prefixed to every request URI
+	ej   *ejector
 	// requests counts responses delivered to clients from this backend;
 	// attempts counts every upstream attempt (failed, failover, and hedge
 	// attempts included); failures the attempts that ended in a transport
@@ -154,6 +153,7 @@ func (b *Backend) Attempts() int64 { return b.attempts.Value() }
 type Router struct {
 	cfg      Config
 	backends []*Backend
+	up       upstream // the relay, or a test's fake
 	reg      *metrics.Registry
 	rr       atomic.Uint64 // round-robin cursor
 	// version is the fleet's agreed version triple, set by CheckBackends.
@@ -173,6 +173,7 @@ func New(cfg Config) (*Router, error) {
 	reg := metrics.NewRegistry()
 	r := &Router{
 		cfg:           cfg,
+		up:            newRelay(),
 		reg:           reg,
 		proxyAttempts: reg.Histogram("route_proxy_attempts", metrics.LinearBuckets(1, 1, 8)),
 		responses:     reg.StatusCounters("route_responses_total"),
@@ -193,10 +194,21 @@ func New(cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("route: duplicate backend %s", u)
 		}
 		seen[u] = true
+		pu, err := url.Parse(u)
+		if err != nil || pu.Host == "" {
+			return nil, fmt.Errorf("route: backend %s is not a base URL", u)
+		}
+		port := pu.Port()
+		if port == "" {
+			port = "80"
+		}
 		// Breakers start closed: every replica is in rotation until the
 		// first failure or probe verdict.
 		r.backends = append(r.backends, &Backend{
 			url:      u,
+			addr:     net.JoinHostPort(pu.Hostname(), port),
+			host:     pu.Host,
+			path:     pu.EscapedPath(),
 			ej:       newEjector(cfg.EjectThreshold, cfg.EjectWindow, cfg.Now),
 			requests: reg.Counter("route_backend_requests:" + u),
 			attempts: reg.Counter("route_backend_attempts:" + u),
@@ -242,24 +254,16 @@ func (r *Router) CheckBackends(ctx context.Context) error {
 func (r *Router) fetchVersion(ctx context.Context, b *Backend) (api.VersionResponse, error) {
 	ctx, cancel := context.WithTimeout(ctx, r.cfg.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/v1/version", nil)
+	res, err := r.up.exchange(ctx, b, http.MethodGet, "/v1/version", "", nil)
 	if err != nil {
 		return api.VersionResponse{}, err
 	}
-	resp, err := r.cfg.Transport.RoundTrip(req)
-	if err != nil {
-		return api.VersionResponse{}, err
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	_ = resp.Body.Close()
-	if err != nil {
-		return api.VersionResponse{}, fmt.Errorf("read /v1/version: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return api.VersionResponse{}, fmt.Errorf("/v1/version answered %d", resp.StatusCode)
+	defer releaseReply(res.body)
+	if res.status != http.StatusOK {
+		return api.VersionResponse{}, fmt.Errorf("/v1/version answered %d", res.status)
 	}
 	var v api.VersionResponse
-	if err := json.Unmarshal(body, &v); err != nil {
+	if err := json.Unmarshal(res.body.Bytes(), &v); err != nil {
 		return api.VersionResponse{}, fmt.Errorf("decode /v1/version: %w", err)
 	}
 	return v, nil
@@ -308,16 +312,12 @@ func (r *Router) probe(ctx context.Context, b *Backend) bool {
 	}
 	pctx, cancel := context.WithTimeout(ctx, r.cfg.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, b.url+"/readyz", nil)
+	res, err := r.up.exchange(pctx, b, http.MethodGet, "/readyz", "", nil)
 	if err != nil {
 		return false
 	}
-	resp, err := r.cfg.Transport.RoundTrip(req)
-	if err != nil {
-		return false
-	}
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
-	if cerr := resp.Body.Close(); cerr != nil || resp.StatusCode != http.StatusOK {
+	releaseReply(res.body)
+	if res.status != http.StatusOK {
 		return false
 	}
 	v, err := r.fetchVersion(ctx, b)
@@ -340,19 +340,14 @@ func (r *Router) healthyBackends() []*Backend {
 	return out
 }
 
-// candidates returns every backend in one request's failover preference
-// order: the whole fleet rotated from the round-robin cursor, so successive
-// requests start on successive replicas. Breaker state is deliberately
-// ignored here: it is consulted per attempt by attemptIter, so a backend
-// ejected mid-request is skipped at hand-out time.
-func (r *Router) candidates() []*Backend {
+// candidates starts one request's walk of the backends in failover
+// preference order: the whole fleet rotated from the round-robin cursor, so
+// successive requests start on successive replicas. Breaker state is
+// deliberately ignored here: it is consulted per attempt by attemptIter,
+// so a backend ejected mid-request is skipped at hand-out time.
+func (r *Router) candidates() attemptIter {
 	n := len(r.backends)
-	start := int((r.rr.Add(1) - 1) % uint64(n))
-	out := make([]*Backend, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, r.backends[(start+i)%n])
-	}
-	return out
+	return attemptIter{backends: r.backends, start: int((r.rr.Add(1) - 1) % uint64(n))}
 }
 
 // attemptIter hands out one request's failover candidates in preference
@@ -360,15 +355,21 @@ func (r *Router) candidates() []*Backend {
 // ejected by a concurrent request is skipped, and a half-open probe slot is
 // consumed by the request that takes it).
 type attemptIter struct {
-	cands []*Backend
-	idx   int
+	backends []*Backend
+	start    int // the rotation's first backend
+	idx      int // candidates handed out or skipped so far
+}
+
+// at returns the i-th candidate of the rotation.
+func (it *attemptIter) at(i int) *Backend {
+	return it.backends[(it.start+i)%len(it.backends)]
 }
 
 // next returns the next admissible backend, and whether this attempt holds
 // the backend's single half-open probe slot. nil when no candidate remains.
 func (it *attemptIter) next() (*Backend, bool) {
-	for it.idx < len(it.cands) {
-		b := it.cands[it.idx]
+	for it.idx < len(it.backends) {
+		b := it.at(it.idx)
 		it.idx++
 		if ok, probe := b.ej.admit(); ok {
 			return b, probe
@@ -381,8 +382,8 @@ func (it *attemptIter) next() (*Backend, bool) {
 // without consuming a probe slot — used to decide between retrying a
 // retryable 5xx elsewhere and passing it through verbatim.
 func (it *attemptIter) more() bool {
-	for _, b := range it.cands[it.idx:] {
-		if b.ej.wouldAdmit() {
+	for i := it.idx; i < len(it.backends); i++ {
+		if it.at(i).ej.wouldAdmit() {
 			return true
 		}
 	}

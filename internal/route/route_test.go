@@ -332,13 +332,9 @@ func TestStartHealthLoop(t *testing.T) {
 // are incremented on the request path, so overlapping /metrics scrapes
 // read them without adding to them.
 func TestBackendCountersExactUnderConcurrentScrapes(t *testing.T) {
-	rt := roundTripFunc(func(*http.Request) (*http.Response, error) {
-		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(strings.NewReader(`{}`))}, nil
+	r := newStubRouter(t, Config{Backends: []string{"http://stub"}}, func(context.Context, *Backend, string, string, string, []byte) (reply, error) {
+		return cannedReply(http.StatusOK, "", `{}`), nil
 	})
-	r, err := New(Config{Backends: []string{"http://stub"}, Transport: rt})
-	if err != nil {
-		t.Fatal(err)
-	}
 	h := r.Handler()
 	const n = 50
 	for i := 0; i < n; i++ {

@@ -52,6 +52,7 @@ import (
 	"fusecu/internal/cost"
 	"fusecu/internal/errs"
 	"fusecu/internal/faultinject"
+	"fusecu/internal/h1"
 	"fusecu/internal/metrics"
 )
 
@@ -301,7 +302,7 @@ func endpoint[Req any](s *Server, name string, h func(ctx context.Context, req *
 			return
 		}
 
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+		body, err := h1.ReadBody(w, r, 1<<20)
 		if err != nil {
 			s.writeError(w, name, badRequest("service: reading body: %v", err))
 			return
@@ -309,7 +310,8 @@ func endpoint[Req any](s *Server, name string, h func(ctx context.Context, req *
 
 		start := time.Now()
 		var req Req
-		herr := decodeStrict(body, &req)
+		herr := decodeStrict(body.B, &req)
+		body.Free() // the decoded request holds no reference to its bytes
 		var resp any
 		if herr == nil {
 			// timeout_ms is compared in milliseconds, so a value whose
