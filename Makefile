@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt-check vet fusecu-vet vet-fix-list test test-race test-race-service serve-load-race chaos-smoke test-checks fuzz-smoke fleetbench-check bench bench-serve bench-full bench-compare bench-baseline check
+.PHONY: build fmt-check vet fusecu-vet vet-fix-list test test-race test-race-service chaos-smoke test-checks fuzz-smoke fleetbench-check bench bench-full bench-compare bench-baseline check
 
 build:
 	$(GO) build ./...
@@ -45,22 +45,17 @@ test-race:
 test-race-service:
 	$(GO) test -race ./internal/service ./internal/metrics ./internal/h1 ./cmd/fusecu-serve
 
-## serve-load-race runs the in-process serve-load smoke under the race
-## detector: concurrent /v1/search waves through the router and the
-## admission gate, the configuration most likely to surface a data race.
-serve-load-race:
-	$(GO) run -race ./cmd/fusecu-bench -serve-load -serve-out BENCH_serve_race.json
-
 ## chaos-smoke runs the deterministic chaos schedule under the race
-## detector: a routed 3-replica fleet at full wave concurrency with replicas
-## hard-killed and restarted mid-wave, and hedging forced by an injected
-## latency plan. The run asserts zero non-enveloped failures, bit-identity
-## of every 200 against the reference engine, in-request recovery
-## (failovers + hedge wins >= kills), ejection of killed replicas, and
-## re-admission within one probe period. Results land in
+## detector: a routed 3-replica fleet under concurrent /v1/search waves
+## from 96 clients through the public client and the admission gate, with
+## replicas hard-killed and restarted mid-wave, and hedging forced by an
+## injected latency plan. The run asserts zero non-enveloped failures,
+## bit-identity of every 200 against the reference engine, in-request
+## recovery (failovers + hedge wins >= kills), ejection of killed replicas,
+## and re-admission within one probe period. Results land in
 ## BENCH_serve_chaos.json.
 chaos-smoke:
-	$(GO) run -race ./cmd/fusecu-bench -serve-load -chaos -replicas 3 -hedge-after 25ms -serve-out BENCH_serve_chaos.json
+	$(GO) run -race ./cmd/fusecu-bench -chaos
 
 ## test-checks builds with the fusecuchecks tag so internal/invariant
 ## assertions (checked multiplies, MA lower-bound checks) panic on violation.
@@ -101,13 +96,6 @@ fleetbench-check:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1x ./...
 	$(GO) run ./cmd/fusecu-bench -out BENCH_search.json
-
-## bench-serve load-tests a routed 3-replica fusecu-serve fleet under
-## concurrent /v1/search waves over the serve-load shape set and writes
-## BENCH_serve.json (throughput, latency quantiles, per-replica request
-## counts, and bit-identity against the reference engine).
-bench-serve:
-	$(GO) run ./cmd/fusecu-bench -serve-load -serve-out BENCH_serve.json -replicas 3
 
 ## bench-compare reruns the search-layer, principle-optimizer, fused
 ## tile-OS/IS (internal/fusion), /v1/evaluate (internal/arch), router
@@ -174,4 +162,4 @@ bench-full:
 ## check is the full CI gate. Ordering matters: the cheap formatting and
 ## lint gates run first so their findings print before any long test phase,
 ## and fusecu-vet always echoes its full finding list before aborting.
-check: fmt-check build vet fusecu-vet test test-race test-race-service test-checks fuzz-smoke fleetbench-check bench bench-compare bench-serve chaos-smoke
+check: fmt-check build vet fusecu-vet test test-race test-race-service test-checks fuzz-smoke fleetbench-check bench bench-compare chaos-smoke

@@ -27,6 +27,21 @@ import (
 // wall-clock sleeps, so the same seed produces the same event ordering on a
 // loaded CI box and a fast laptop alike.
 const (
+	// The one configuration the schedule runs: chaosClients concurrent
+	// clients against chaosReplicas replicas, each admitting
+	// chaosMaxInFlight requests at a time; chaosKills kill/restart cycles,
+	// with the victim order and the injected faults drawn from chaosSeed;
+	// a router budget of chaosProxyAttempts upstream attempts per request,
+	// hedged after chaosHedgeAfter. Every request searches the serve-load
+	// shapes at chaosBuffer elements.
+	chaosClients       = 96
+	chaosReplicas      = 3
+	chaosMaxInFlight   = 64
+	chaosKills         = 2
+	chaosSeed          = 1
+	chaosProxyAttempts = 3
+	chaosHedgeAfter    = 25 * time.Millisecond
+	chaosBuffer        = 4096
 	// chaosHealthInterval / chaosProbeTimeout compress the router's health
 	// loop so a restarted replica is re-admitted quickly; the recovery
 	// assertion is stated in terms of these.
@@ -50,20 +65,21 @@ const (
 	// chaosStall bounds every completion-count gate; hitting it means the
 	// wave wedged, which is itself a failure worth reporting.
 	chaosStall = 2 * time.Minute
-	// Hedge-forcing latency plan at route.proxy (armed only when hedging is
-	// on): every 41st attempt after the 13th stalls 3x the hedge delay, 8
-	// times — enough firings that at least one lands on a request's opening
-	// attempt and loses its race to the hedge.
+	// Hedge-forcing latency plan at route.proxy: every 41st attempt after
+	// the 13th stalls 3x the hedge delay, 8 times — enough firings that at
+	// least one lands on a request's opening attempt and loses its race to
+	// the hedge.
 	chaosHedgeEvery  = 41
 	chaosHedgeOffset = 13
 	chaosHedgeTimes  = 8
 )
 
-// chaosReport is the machine-readable result of the chaos wave (-serve-load
-// -chaos): the routed serve-load fleet under a seeded kill/restart schedule,
-// asserting that in-request failover, ejection, half-open recovery, and
-// (optionally) hedging keep every request whole — zero non-enveloped
-// failures, every 200 bit-identical to the sequential reference engine.
+// chaosReport is the machine-readable result of the chaos wave (-chaos,
+// BENCH_serve_chaos.json): a routed fleet of in-process fusecu-serve
+// replicas under a seeded kill/restart schedule, asserting that in-request
+// failover, ejection, half-open recovery and hedging keep every request
+// whole — zero non-enveloped failures, every 200 bit-identical to the
+// sequential reference engine.
 type chaosReport struct {
 	Benchmark     string  `json:"benchmark"`
 	Seed          int64   `json:"seed"`
@@ -135,27 +151,67 @@ type chaosReplica struct {
 type chaosSlot struct {
 	addr string
 	url  string
-	cfg  service.Config
 	rep  *serveReplica
 }
 
-// chaosLoad runs the seeded chaos schedule: the serve-load wave at full
-// concurrency over a replicas-wide routed fleet, with kills replicas
-// hard-killed and restarted in sequence, then a settle pass over every
-// shape. The report — realized schedule, resilience counters, and
-// assertion verdicts — is written to out; a non-nil error means at least
-// one assertion failed.
-func chaosLoad(out string, clients, maxInFlight, replicas int, seed int64, kills int, hedgeAfter time.Duration, proxyAttempts int) error {
-	if replicas < 2 {
-		return fmt.Errorf("chaos needs at least 2 replicas to fail over between, got %d", replicas)
+// serveReplica is one in-process fusecu-serve instance behind the router.
+type serveReplica struct {
+	srv  *h1.Server
+	addr string
+	errc chan error
+}
+
+// startServeReplica boots one in-process fusecu-serve replica, admitting
+// chaosMaxInFlight requests at a time, on addr and marks it ready once the
+// listener is accepting. "127.0.0.1:0" picks a free port; a restart instead
+// passes the dead incarnation's fixed addr so the restarted replica rebinds
+// the same URL the router was configured with.
+func startServeReplica(addr string) (*serveReplica, error) {
+	svc := service.New(service.Config{MaxInFlight: chaosMaxInFlight})
+	srv := &h1.Server{Handler: svc.Handler()}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
 	}
-	if kills < 1 {
-		return fmt.Errorf("chaos needs at least 1 kill, got %d", kills)
+	r := &serveReplica{srv: srv, addr: ln.Addr().String(), errc: make(chan error, 1)}
+	svc.SetReady(true)
+	go func() { r.errc <- srv.Serve(ln) }()
+	return r, nil
+}
+
+// shutdown drains the replica gracefully (teardown).
+func (r *serveReplica) shutdown() error {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err := r.srv.Shutdown(ctx)
+	<-r.errc
+	return err
+}
+
+// kill aborts the replica: the listener and every open connection close
+// immediately, which is what a process crash looks like from the router's
+// side — in-flight proxy attempts see a transport error, not a drain.
+func (r *serveReplica) kill() {
+	// Close's error is the listener's close result; the interesting signal
+	// (aborted connections) reaches the router as transport errors.
+	if err := r.srv.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "fusecu-bench: kill:", err)
 	}
+	<-r.errc
+}
+
+// chaosLoad runs the seeded chaos schedule: chaosClients clients looping
+// /v1/search over the serve-load shapes through the public retrying client
+// and the router, against a chaosReplicas-wide fleet whose replicas are
+// hard-killed and restarted chaosKills times in sequence, then a settle
+// pass over every shape. The report — realized schedule, resilience
+// counters, and assertion verdicts — is written to out; a non-nil error
+// means at least one assertion failed.
+func chaosLoad(out string) error {
 	ops := experiments.ServeLoadOps()
 	want := make(map[[3]int]search.Result, len(ops))
 	for _, mm := range ops {
-		ref, err := search.ReferenceExhaustive(mm, serveLoadBuffer)
+		ref, err := search.ReferenceExhaustive(mm, chaosBuffer)
 		if err != nil {
 			return fmt.Errorf("reference engine %v: %w", mm, err)
 		}
@@ -164,7 +220,7 @@ func chaosLoad(out string, clients, maxInFlight, replicas int, seed int64, kills
 
 	// Boot the fleet on fixed addresses so a restarted incarnation rebinds
 	// the URL the router was configured with.
-	slots := make([]*chaosSlot, 0, replicas)
+	slots := make([]*chaosSlot, 0, chaosReplicas)
 	defer func() {
 		for _, s := range slots {
 			if s.rep == nil {
@@ -175,14 +231,13 @@ func chaosLoad(out string, clients, maxInFlight, replicas int, seed int64, kills
 			}
 		}
 	}()
-	backends := make([]string, 0, replicas)
-	for i := 0; i < replicas; i++ {
-		cfg := service.Config{MaxInFlight: maxInFlight}
-		rep, err := startServeReplica("127.0.0.1:0", cfg)
+	backends := make([]string, 0, chaosReplicas)
+	for i := 0; i < chaosReplicas; i++ {
+		rep, err := startServeReplica("127.0.0.1:0")
 		if err != nil {
 			return err
 		}
-		s := &chaosSlot{addr: rep.addr, url: "http://" + rep.addr, cfg: cfg, rep: rep}
+		s := &chaosSlot{addr: rep.addr, url: "http://" + rep.addr, rep: rep}
 		slots = append(slots, s)
 		backends = append(backends, s.url)
 	}
@@ -196,8 +251,8 @@ func chaosLoad(out string, clients, maxInFlight, replicas int, seed int64, kills
 		ProbeTimeout:   chaosProbeTimeout,
 		EjectThreshold: chaosEjectThreshold,
 		EjectWindow:    chaosEjectWindow,
-		ProxyAttempts:  proxyAttempts,
-		HedgeAfter:     hedgeAfter,
+		ProxyAttempts:  chaosProxyAttempts,
+		HedgeAfter:     chaosHedgeAfter,
 		Logf:           logf,
 	})
 	if err != nil {
@@ -226,22 +281,20 @@ func chaosLoad(out string, clients, maxInFlight, replicas int, seed int64, kills
 		<-routeErr
 	}()
 
-	// When hedging is on, force it deterministically: a latency plan at the
-	// router's per-attempt injection site stalls scheduled attempts for 3x
-	// the hedge delay, so the hedge fires and wins the race. route.probe is
+	// Force hedging deterministically: a latency plan at the router's
+	// per-attempt injection site stalls scheduled attempts for 3x the hedge
+	// delay, so the hedge fires and wins the race. route.probe is
 	// deliberately left unarmed — unit tests own that site; here a flaky
 	// probe would smear the recovery-time assertion.
-	if hedgeAfter > 0 {
-		faultinject.Activate(faultinject.New(seed, faultinject.Plan{
-			Site:   route.SiteProxy,
-			Mode:   faultinject.ModeLatency,
-			Every:  chaosHedgeEvery,
-			Offset: chaosHedgeOffset,
-			Times:  chaosHedgeTimes,
-			Delay:  3 * hedgeAfter,
-		}))
-		defer faultinject.Deactivate()
-	}
+	faultinject.Activate(faultinject.New(chaosSeed, faultinject.Plan{
+		Site:   route.SiteProxy,
+		Mode:   faultinject.ModeLatency,
+		Every:  chaosHedgeEvery,
+		Offset: chaosHedgeOffset,
+		Times:  chaosHedgeTimes,
+		Delay:  3 * chaosHedgeAfter,
+	}))
+	defer faultinject.Deactivate()
 
 	// The wave rides the public retrying client with its breaker disabled:
 	// the router's failover is under test, and an open client breaker would
@@ -253,7 +306,7 @@ func chaosLoad(out string, clients, maxInFlight, replicas int, seed int64, kills
 		BaseBackoff:      5 * time.Millisecond,
 		MaxBackoff:       80 * time.Millisecond,
 		BreakerThreshold: -1,
-		Seed:             seed,
+		Seed:             chaosSeed,
 	})
 	if err != nil {
 		return err
@@ -261,14 +314,14 @@ func chaosLoad(out string, clients, maxInFlight, replicas int, seed int64, kills
 
 	rep := chaosReport{
 		Benchmark:        "serve-chaos-load",
-		Seed:             seed,
-		Clients:          clients,
-		Replicas:         replicas,
+		Seed:             chaosSeed,
+		Clients:          chaosClients,
+		Replicas:         chaosReplicas,
 		Shapes:           len(ops),
-		MaxInFlight:      maxInFlight,
-		Kills:            kills,
-		ProxyAttempts:    proxyAttempts,
-		HedgeAfterMs:     ms(hedgeAfter),
+		MaxInFlight:      chaosMaxInFlight,
+		Kills:            chaosKills,
+		ProxyAttempts:    chaosProxyAttempts,
+		HedgeAfterMs:     ms(chaosHedgeAfter),
 		HealthIntervalMs: ms(chaosHealthInterval),
 		ProbeTimeoutMs:   ms(chaosProbeTimeout),
 		IdenticalResults: true,
@@ -295,7 +348,7 @@ func chaosLoad(out string, clients, maxInFlight, replicas int, seed int64, kills
 	check := func(mm op.MatMul) bool {
 		sr, err := cl.Search(context.Background(), client.SearchRequest{
 			Op:     client.OpSpec{Name: mm.Name, M: mm.M, K: mm.K, L: mm.L},
-			Buffer: serveLoadBuffer,
+			Buffer: chaosBuffer,
 			Engine: "exhaustive",
 		})
 		var apiErr *client.APIError
@@ -322,7 +375,7 @@ func chaosLoad(out string, clients, maxInFlight, replicas int, seed int64, kills
 	}
 
 	start := time.Now()
-	for i := 0; i < clients; i++ {
+	for i := 0; i < chaosClients; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -355,14 +408,14 @@ func chaosLoad(out string, clients, maxInFlight, replicas int, seed int64, kills
 
 	// Victim order: a seeded permutation of all slots. Every replica takes
 	// its turn in the router's rotation, so every kill catches traffic.
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(chaosSeed))
 	victims := make([]*chaosSlot, 0, len(slots))
 	for _, idx := range rng.Perm(len(slots)) {
 		victims = append(victims, slots[idx])
 	}
 
 	schedule := func() error {
-		for ki := 0; ki < kills; ki++ {
+		for ki := 0; ki < chaosKills; ki++ {
 			v := victims[ki%len(victims)]
 			if err := waitUntil(completions.Load()+chaosPreKill, fmt.Sprintf("pre-kill traffic before kill %d", ki+1)); err != nil {
 				return err
@@ -377,7 +430,7 @@ func chaosLoad(out string, clients, maxInFlight, replicas int, seed int64, kills
 				return err
 			}
 			restartAt := time.Now()
-			nr, err := startServeReplica(v.addr, v.cfg)
+			nr, err := startServeReplica(v.addr)
 			if err != nil {
 				return fmt.Errorf("restarting %s: %w", v.addr, err)
 			}
@@ -466,24 +519,22 @@ func chaosLoad(out string, clients, maxInFlight, replicas int, seed int64, kills
 	// A request caught by a kill is rescued either by the outer failover
 	// loop (route_failovers_total) or inside a hedge race that was already
 	// pending (route_hedge_wins_total) — both are in-request recovery, and
-	// with hedging on a fast hedge can absorb every casualty before the
-	// failover loop sees one. Requests arriving after the health loop ejects
-	// the victim skip it silently and count as neither.
-	if rep.Failovers+rep.HedgeWins < int64(kills) {
+	// a fast hedge can absorb every casualty before the failover loop sees
+	// one. Requests arriving after the health loop ejects the victim skip it
+	// silently and count as neither.
+	if rep.Failovers+rep.HedgeWins < chaosKills {
 		fail("route_failovers_total + route_hedge_wins_total = %d + %d, want >= %d (one in-request recovery per kill at minimum)",
-			rep.Failovers, rep.HedgeWins, kills)
+			rep.Failovers, rep.HedgeWins, chaosKills)
 	}
 	if rep.Ejections < 1 {
 		fail("route_ejections_total = %d, want >= 1 (a killed replica must be ejected)", rep.Ejections)
 	}
-	if hedgeAfter > 0 {
-		if rep.Hedges < 1 {
-			fail("route_hedges_total = %d, want >= 1 (latency plan fired %d times)",
-				rep.Hedges, faultinject.Active().Fires(route.SiteProxy))
-		}
-		if rep.HedgeWins < 1 {
-			fail("route_hedge_wins_total = %d, want >= 1 (a 3x-delayed primary must lose its race)", rep.HedgeWins)
-		}
+	if rep.Hedges < 1 {
+		fail("route_hedges_total = %d, want >= 1 (latency plan fired %d times)",
+			rep.Hedges, faultinject.Active().Fires(route.SiteProxy))
+	}
+	if rep.HedgeWins < 1 {
+		fail("route_hedge_wins_total = %d, want >= 1 (a 3x-delayed primary must lose its race)", rep.HedgeWins)
 	}
 
 	if err := writeChaos(out, rep); err != nil {

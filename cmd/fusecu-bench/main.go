@@ -1,5 +1,8 @@
 // Command fusecu-bench times the Fig. 9 search-validation sweep under three
-// engines and writes a machine-readable report:
+// engines and writes a machine-readable report, or, with -chaos, runs the
+// serving fleet's chaos schedule.
+//
+// The sweep compares three engines:
 //
 //   - reference-sequential: DAT on the frozen pre-optimization engines
 //     (unpruned coarse scan, per-candidate cost.Evaluate) plus the GA — the
@@ -12,15 +15,21 @@
 //     (experiments.Fig9Analytic). It is held to the principle line, not to
 //     DAT: DAT's GA lands above the line at some small buffers by design.
 //
-// The report (default BENCH_search.json) records wall time and candidate
-// visits per engine, whether the two DAT engines produced bit-identical
-// results and the analytic engine matched the principle line at every
-// point — which they must — and the polish evaluation drop: the GA's
-// evaluation count over the analytic engine's across the same sweep points,
-// gated ≥ 10×.
+// The report (default BENCH_search.json) records wall time per sweep and
+// candidate visits per engine, whether the two DAT engines produced
+// bit-identical results and the analytic engine matched the principle line
+// at every point — which they must — and the polish evaluation drop: the
+// GA's evaluation count over the analytic engine's across the same sweep
+// points, gated ≥ 10×.
 //
-//	fusecu-bench -out BENCH_search.json        # reduced sweep (CI smoke)
-//	fusecu-bench -full -out BENCH_search.json  # the paper's 32KiB–32MiB sweep
+// -chaos boots a routed fleet of in-process fusecu-serve replicas, drives
+// concurrent /v1/search waves through the public client while replicas are
+// killed and restarted, checks every answer against the reference engine,
+// and writes BENCH_serve_chaos.json (see chaosLoad).
+//
+//	fusecu-bench                 # reduced sweep (CI smoke) to BENCH_search.json
+//	fusecu-bench -full           # the paper's 32KiB–32MiB sweep
+//	fusecu-bench -chaos          # the chaos schedule to BENCH_serve_chaos.json
 package main
 
 import (
@@ -39,9 +48,13 @@ import (
 	"fusecu/internal/search"
 )
 
+// engineReport is one engine's share of the sweep. WallMs is the time of
+// one sweep: the mean over Passes repeated sweeps, which each visit the
+// same Evaluations candidates.
 type engineReport struct {
 	Name        string  `json:"name"`
 	WallMs      float64 `json:"wall_ms"`
+	Passes      int     `json:"passes"`
 	Evaluations int64   `json:"evaluations"`
 }
 
@@ -75,43 +88,53 @@ type report struct {
 // sweep, or the bench fails loudly.
 const minPolishDrop = 10
 
+// minTimedWall is the least total time the analytic sweep is timed over:
+// one pass of the reduced sweep runs in about 0.1 ms, at minRatioWall, so
+// the sweep repeats until its measured total clears that floor by a wide
+// margin.
+const minTimedWall = 10 * time.Millisecond
+
 func main() { os.Exit(cli(os.Args[1:], os.Stderr)) }
 
-// cli parses args and runs the selected mode. A usage error — an unknown
-// or retired flag, or -chaos without -serve-load — exits 2, a failed run 1.
-func cli(args []string, stderr io.Writer) int {
+// options is one invocation's command line.
+type options struct {
+	out   string
+	full  bool
+	chaos bool
+}
+
+// parseArgs parses args into options, defaulting the report path by mode.
+// A usage error — an unknown or retired flag — is reported on stderr.
+func parseArgs(args []string, stderr io.Writer) (options, error) {
 	fs := flag.NewFlagSet("fusecu-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		out     = fs.String("out", "BENCH_search.json", "output report path (search sweep mode)")
-		full    = fs.Bool("full", false, "run the paper's full 32KiB-32MiB sweep instead of the reduced smoke sweep")
-		load    = fs.Bool("serve-load", false, "benchmark the fusecu-serve HTTP service under concurrent /v1/search load instead")
-		loadOut = fs.String("serve-out", "BENCH_serve.json", "output report path (-serve-load mode)")
-		clients = fs.Int("clients", 96, "concurrent clients for -serve-load")
-		maxInFl = fs.Int("max-inflight", 64, "service admission ceiling for -serve-load (per replica)")
-		repl    = fs.Int("replicas", 1, "fusecu-serve replicas behind the round-robin router for -serve-load")
-		pprofAt = fs.String("pprof", "", "expose net/http/pprof on this separate listener during -serve-load (empty = disabled)")
-		chaos   = fs.Bool("chaos", false, "with -serve-load: run the seeded chaos schedule — replicas hard-killed and restarted mid-wave — and assert the failover/ejection/recovery contract")
-		cseed   = fs.Int64("chaos-seed", 1, "seed for the chaos schedule's victim order and injected-fault RNG")
-		ckills  = fs.Int("chaos-kills", 2, "kill/restart cycles in the chaos schedule")
-		hedge   = fs.Duration("hedge-after", 0, "router hedge delay in chaos mode (0 = hedging off)")
-		proxyAt = fs.Int("proxy-attempts", 3, "router per-request upstream attempt budget in chaos mode")
-	)
+	var o options
+	fs.StringVar(&o.out, "out", "", "output report path (default BENCH_search.json, or BENCH_serve_chaos.json with -chaos)")
+	fs.BoolVar(&o.full, "full", false, "run the paper's full 32KiB-32MiB sweep instead of the reduced smoke sweep")
+	fs.BoolVar(&o.chaos, "chaos", false, "run the serving fleet's seeded chaos schedule — replicas hard-killed and restarted mid-wave — and assert the failover/ejection/recovery contract")
 	if err := fs.Parse(args); err != nil {
+		return options{}, err
+	}
+	if o.out == "" {
+		o.out = "BENCH_search.json"
+		if o.chaos {
+			o.out = "BENCH_serve_chaos.json"
+		}
+	}
+	return o, nil
+}
+
+// cli parses args and runs the selected mode. A usage error exits 2, a
+// failed run 1.
+func cli(args []string, stderr io.Writer) int {
+	o, err := parseArgs(args, stderr)
+	if err != nil {
 		return 2
 	}
-	if *chaos && !*load {
-		fmt.Fprintln(stderr, "fusecu-bench: -chaos requires -serve-load")
-		return 2
-	}
-	var err error
-	switch {
-	case *chaos:
-		err = chaosLoad(*loadOut, *clients, *maxInFl, *repl, *cseed, *ckills, *hedge, *proxyAt)
-	case *load:
-		err = serveLoad(*loadOut, *clients, *maxInFl, *repl, *pprofAt)
-	default:
-		err = run(*out, *full)
+	if o.chaos {
+		err = chaosLoad(o.out)
+	} else {
+		err = run(o.out, o.full)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "fusecu-bench:", err)
@@ -146,20 +169,30 @@ func run(out string, full bool) error {
 	}
 	datWall := time.Since(datStart)
 
+	// The analytic sweep is too short to time once: repeat it until the
+	// measured total clears minTimedWall. Every pass returns the same
+	// results, so the last pass's stand for all.
+	var ana []experiments.Fig9Result
+	anaPasses := 0
 	anaStart := time.Now()
-	ana, err := experiments.Fig9Analytic(ops, buffers)
-	if err != nil {
-		return fmt.Errorf("analytic engine: %w", err)
+	for anaPasses == 0 || time.Since(anaStart) < minTimedWall {
+		if ana, err = experiments.Fig9Analytic(ops, buffers); err != nil {
+			return fmt.Errorf("analytic engine: %w", err)
+		}
+		anaPasses++
 	}
-	anaWall := time.Since(anaStart)
+	anaTotal := time.Since(anaStart)
+	anaWall := anaTotal / time.Duration(anaPasses)
 
 	rep.Engines = []engineReport{
-		tally("reference-sequential", refWall, ref),
-		tally("dat", datWall, dat),
-		tally("search-sweep-analytic", anaWall, ana),
+		tally("reference-sequential", refWall, 1, ref),
+		tally("dat", datWall, 1, dat),
+		tally("search-sweep-analytic", anaWall, anaPasses, ana),
 	}
 	rep.SpeedupDAT = ratio(refWall, datWall)
-	rep.SpeedupAnalytic = ratio(refWall, anaWall)
+	// refWall·passes/total is refWall over the per-sweep time, with the
+	// ratio's floor applied to the measured total.
+	rep.SpeedupAnalytic = ratio(refWall*time.Duration(anaPasses), anaTotal)
 	rep.IdenticalResults = identical(ref, dat) && onPrincipleLine(ana)
 
 	// Price the GA alone once over the same points for the drop.
@@ -190,9 +223,9 @@ func run(out string, full bool) error {
 	if err := write(out, rep); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s: reference %.1fms, dat %.1fms (%s), analytic %.1fms (%s), polish-drop %.1fx, identical=%v\n",
+	fmt.Printf("wrote %s: reference %.1fms, dat %.1fms (%s), analytic %.3fms/sweep over %d (%s), polish-drop %.1fx, identical=%v\n",
 		out, ms(refWall), ms(datWall), fmtSpeedup(rep.SpeedupDAT),
-		ms(anaWall), fmtSpeedup(rep.SpeedupAnalytic), rep.PolishEvalDrop, rep.IdenticalResults)
+		ms(anaWall), anaPasses, fmtSpeedup(rep.SpeedupAnalytic), rep.PolishEvalDrop, rep.IdenticalResults)
 	return nil
 }
 
@@ -290,9 +323,10 @@ func referenceOptimize(mm op.MatMul, bufferSize, seed int64) (search.Result, err
 	return r, nil
 }
 
-// tally sums an engine's candidate visits over the sweep.
-func tally(name string, wall time.Duration, results []experiments.Fig9Result) engineReport {
-	rep := engineReport{Name: name, WallMs: ms(wall)}
+// tally sums an engine's candidate visits over one sweep; wall is the time
+// per sweep over passes sweeps.
+func tally(name string, wall time.Duration, passes int, results []experiments.Fig9Result) engineReport {
+	rep := engineReport{Name: name, WallMs: ms(wall), Passes: passes}
 	for _, r := range results {
 		for _, p := range r.Points {
 			rep.Evaluations += p.SearchEvals

@@ -68,7 +68,8 @@ func TestRunWritesConsistentReport(t *testing.T) {
 }
 
 // TestCLIUsageErrors: usage errors exit 2 with a diagnostic on stderr, and
-// the retired search-pool flag fails startup loudly rather than being
+// every retired flag — the search-pool size and the serve-load wave's and
+// chaos schedule's settings — fails startup loudly rather than being
 // silently ignored.
 func TestCLIUsageErrors(t *testing.T) {
 	cases := []struct {
@@ -76,8 +77,17 @@ func TestCLIUsageErrors(t *testing.T) {
 		args []string
 	}{
 		{"unknown flag", []string{"-bogus"}},
-		{"chaos without serve-load", []string{"-chaos"}},
 		{"retired workers", []string{"-workers", "4"}},
+		{"retired serve-load", []string{"-serve-load"}},
+		{"retired serve-out", []string{"-serve-out", "out.json"}},
+		{"retired pprof", []string{"-pprof", "127.0.0.1:6060"}},
+		{"retired clients", []string{"-clients", "96"}},
+		{"retired max-inflight", []string{"-max-inflight", "64"}},
+		{"retired replicas", []string{"-replicas", "3"}},
+		{"retired chaos-seed", []string{"-chaos-seed", "1"}},
+		{"retired chaos-kills", []string{"-chaos-kills", "2"}},
+		{"retired hedge-after", []string{"-hedge-after", "25ms"}},
+		{"retired proxy-attempts", []string{"-proxy-attempts", "3"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -89,6 +99,27 @@ func TestCLIUsageErrors(t *testing.T) {
 				t.Fatal("usage error produced no diagnostic")
 			}
 		})
+	}
+}
+
+// TestReportPathByMode: the report path defaults by mode, so a bare -chaos
+// writes the chaos report and never overwrites the sweep's.
+func TestReportPathByMode(t *testing.T) {
+	cases := []struct {
+		args []string
+		want options
+	}{
+		{nil, options{out: "BENCH_search.json"}},
+		{[]string{"-full"}, options{out: "BENCH_search.json", full: true}},
+		{[]string{"-chaos"}, options{out: "BENCH_serve_chaos.json", chaos: true}},
+		{[]string{"-chaos", "-out", "x.json"}, options{out: "x.json", chaos: true}},
+	}
+	for _, tc := range cases {
+		var stderr bytes.Buffer
+		got, err := parseArgs(tc.args, &stderr)
+		if err != nil || got != tc.want {
+			t.Errorf("parseArgs(%q) = %+v, %v; want %+v (stderr: %s)", tc.args, got, err, tc.want, stderr.String())
+		}
 	}
 }
 
@@ -128,68 +159,5 @@ func TestSweepSelection(t *testing.T) {
 	}
 	if fullBuffers[0] != 32<<10 || fullBuffers[len(fullBuffers)-1] != 32<<20 {
 		t.Fatalf("full sweep buffers = %v", fullBuffers)
-	}
-}
-
-func TestServeLoadWritesReport(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "serve.json")
-	if err := serveLoad(out, 24, 16, 1, ""); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep serveReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if !rep.IdenticalResults {
-		t.Fatal("served results diverged from the reference engine")
-	}
-	if rep.OK == 0 || rep.Failed != 0 || rep.OK+rep.Shed != rep.Clients {
-		t.Fatalf("wave accounting wrong: %+v", rep)
-	}
-	if rep.InflightHighWater <= 0 || rep.InflightHighWater > int64(rep.MaxInFlight) {
-		t.Fatalf("in-flight high water %d outside (0, %d]", rep.InflightHighWater, rep.MaxInFlight)
-	}
-	if rep.WallMs <= 0 || rep.LatencyP50Ms <= 0 {
-		t.Errorf("degenerate timing: %+v", rep)
-	}
-	if len(rep.PerReplica) != 1 || rep.PerReplica[0].Requests == 0 {
-		t.Errorf("per-replica breakdown wrong: %+v", rep.PerReplica)
-	}
-}
-
-// TestServeLoadRoutedFleet is the acceptance run in miniature: a 3-replica
-// fleet behind the round-robin router, every answer bit-identical to the
-// reference engine, and the wave spread over more than one replica.
-func TestServeLoadRoutedFleet(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "serve.json")
-	if err := serveLoad(out, 48, 16, 3, ""); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep serveReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if !rep.IdenticalResults || rep.Failed != 0 {
-		t.Fatalf("routed wave failed: %+v", rep)
-	}
-	if rep.Replicas != 3 || len(rep.PerReplica) != 3 {
-		t.Fatalf("replicas = %d/%d, want 3", rep.Replicas, len(rep.PerReplica))
-	}
-	var busy int
-	for _, rr := range rep.PerReplica {
-		if rr.Requests > 0 {
-			busy++
-		}
-	}
-	if busy < 2 {
-		t.Errorf("routing pinned the whole wave to %d replica(s)", busy)
 	}
 }

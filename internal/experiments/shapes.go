@@ -37,10 +37,12 @@ func TableIIShapes() ([]op.MatMul, error) {
 	return out, nil
 }
 
-// ServeLoadOps returns the serve-load benchmark's operator shapes: small
-// enough that a wave of ~100 requests finishes quickly on one core, large
-// enough that requests overlap, and varied enough to cover several tiling
-// regimes per buffer.
+// ServeLoadOps returns the operator shapes the serving tests and
+// benchmarks send to /v1/search, among them fleetbench's search-hot
+// workload and cmd/fusecu-bench's chaos schedule: small enough that a wave
+// of ~100 requests finishes quickly on one core, large enough that
+// requests overlap, and varied enough to cover several tiling regimes per
+// buffer.
 func ServeLoadOps() []op.MatMul {
 	return []op.MatMul{
 		{Name: "bench0", M: 32, K: 24, L: 28},

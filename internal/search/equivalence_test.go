@@ -242,24 +242,25 @@ func TestGeneticSeedDeterminismFullResult(t *testing.T) {
 }
 
 func TestGeneticOptionsElitismSentinel(t *testing.T) {
-	// Zero value keeps the historical defaults.
+	// Zero value keeps the historical defaults, including the 4 elites
+	// the retired negative sentinel could once switch off.
 	o := GeneticOptions{}.withDefaults()
-	if o.Population != 64 || o.Generations != 60 || o.Seed != 1 || o.Elitism != 4 {
-		t.Fatalf("defaults = %+v", o)
+	if o.Population != 64 || o.Generations != 60 || o.Seed != 1 || o.elites() != 4 {
+		t.Fatalf("defaults = %+v with %d elites", o, o.elites())
 	}
-	// Negative Elitism is the explicit no-elitism request the zero value
-	// could never express.
-	if got := (GeneticOptions{Elitism: -1}).withDefaults().Elitism; got != 0 {
-		t.Fatalf("Elitism -1 → %d, want 0", got)
+	// A population too small for 4 elites clamps them to half of it and
+	// still runs end to end.
+	small := GeneticOptions{Seed: 5, Population: 6, Generations: 10}
+	if got := small.withDefaults().elites(); got != 3 {
+		t.Fatalf("population 6 → %d elites, want 3", got)
 	}
-	// No-elitism runs must still work end to end.
 	mm := op.MatMul{M: 16, K: 12, L: 8}
-	r, err := Genetic(mm, 200, GeneticOptions{Seed: 5, Population: 16, Generations: 10, Elitism: -1})
+	r, err := Genetic(mm, 200, small)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Access.Footprint > 200 {
-		t.Fatalf("no-elitism run infeasible: %+v", r.Access)
+		t.Fatalf("clamped-elites run infeasible: %+v", r.Access)
 	}
 }
 

@@ -97,11 +97,15 @@ type GeneticOptions struct {
 	// A literal seed of 0 is therefore not expressible — pass any other
 	// value for an independent stream.
 	Seed int64
-	// Elitism keeps the best individuals unchanged each generation.
-	// 0 selects the default of 4; a negative value requests no elitism
-	// (the zero value cannot, since it must keep the default behaviour).
-	Elitism int
 }
+
+// geneticElites is how many of the best individuals each generation
+// carries over unchanged.
+const geneticElites = 4
+
+// elites is the number of individuals carried over unchanged each
+// generation: geneticElites, at most half the population.
+func (o GeneticOptions) elites() int { return min(geneticElites, o.Population/2) }
 
 func (o GeneticOptions) withDefaults() GeneticOptions {
 	if o.Population <= 0 {
@@ -112,15 +116,6 @@ func (o GeneticOptions) withDefaults() GeneticOptions {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	switch {
-	case o.Elitism == 0:
-		o.Elitism = 4
-	case o.Elitism < 0:
-		o.Elitism = 0
-	}
-	if o.Elitism > o.Population/2 {
-		o.Elitism = o.Population / 2
 	}
 	return o
 }
@@ -298,6 +293,7 @@ func GeneticCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts Geneti
 
 	var bestG genome
 	var bestF int64 = -1
+	elites := opts.elites()
 	for gen := 0; gen < opts.Generations; gen++ {
 		if err := ctx.Err(); err != nil {
 			return Result{}, fmt.Errorf("search: genetic search canceled at generation %d: %w", gen, err)
@@ -307,7 +303,7 @@ func GeneticCtx(ctx context.Context, mm op.MatMul, bufferSize int64, opts Geneti
 			bestF, bestG = s[0].f, s[0].g
 		}
 		next := make([]genome, 0, opts.Population)
-		for i := 0; i < opts.Elitism && i < len(s); i++ {
+		for i := 0; i < elites && i < len(s); i++ {
 			next = append(next, s[i].g)
 		}
 		for len(next) < opts.Population {

@@ -202,12 +202,12 @@ func TestOptimizeEntryPoint(t *testing.T) {
 
 func TestGeneticOptionsDefaults(t *testing.T) {
 	o := GeneticOptions{}.withDefaults()
-	if o.Population != 64 || o.Generations != 60 || o.Seed != 1 || o.Elitism != 4 {
-		t.Fatalf("defaults = %+v", o)
+	if o.Population != 64 || o.Generations != 60 || o.Seed != 1 || o.elites() != 4 {
+		t.Fatalf("defaults = %+v with %d elites", o, o.elites())
 	}
-	small := GeneticOptions{Population: 4, Elitism: 10}.withDefaults()
-	if small.Elitism > small.Population/2 {
-		t.Fatalf("elitism %d exceeds half of population %d", small.Elitism, small.Population)
+	small := GeneticOptions{Population: 4}.withDefaults()
+	if small.elites() > small.Population/2 {
+		t.Fatalf("%d elites exceed half of population %d", small.elites(), small.Population)
 	}
 }
 

@@ -68,12 +68,6 @@ func (f *Fabric) CU(i int) *CU { return f.cus[i] }
 // Cycles returns the fabric's pipelined execution cycle count.
 func (f *Fabric) Cycles() int64 { return f.pipelineCycles }
 
-// ResetCycles zeroes the fabric-level pipelined cycle counter so a fabric
-// can be reused across independent runs (paired with ResetTraffic). Per-CU
-// busy-cycle counters are monotone and unaffected; reusers measure those by
-// delta, as ParallelSweep does.
-func (f *Fabric) ResetCycles() { f.pipelineCycles = 0 }
-
 // BusyCycles returns the sum of per-CU busy cycles (≥ Cycles when fused
 // executions overlap CUs).
 func (f *Fabric) BusyCycles() int64 {

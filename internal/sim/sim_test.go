@@ -14,6 +14,9 @@ func TestNewCUValidation(t *testing.T) {
 	if _, err := NewCU(0, 4); err == nil {
 		t.Fatal("invalid CU accepted")
 	}
+	if _, err := NewFabric(0); err == nil {
+		t.Fatal("invalid fabric dimension accepted")
+	}
 	cu, err := NewCU(4, 6)
 	if err != nil {
 		t.Fatal(err)
